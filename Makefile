@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity profile cover
+.PHONY: check build vet test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
 
-# Tier-1 verification gate: build + vet + race-enabled tests (which
-# include the chaos self-test exercising every failure-containment path),
-# a short fuzz smoke over every fuzz target, and a one-shot benchmark
-# sanity pass. The campaign runner executes experiments on a worker pool,
-# so the race detector is part of the default gate, not an optional
-# extra; the bench sanity run keeps the perf harness compiling and
-# executable without paying for a full measurement.
-check: build vet race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke cover bench-sanity
+# Tier-1 verification gate, and the only list of gates (scripts/check.sh
+# runs it): build + vet + race-enabled tests, a short fuzz smoke over
+# every fuzz target, the coverage floor, a one-shot benchmark sanity pass
+# and the end-to-end benchmark module's own vet and tests. The campaign
+# runner executes experiments on a worker pool, so the race detector is
+# part of the default gate, not an optional extra. The race step runs
+# every equivalence self-test (chaos, checkpoint, trie, obs, registry,
+# fabric); their named targets below are shortcuts, not extra gate steps.
+check: build vet race fuzz-smoke cover bench-sanity bench-e2e-module
 
 build:
 	$(GO) build ./...
@@ -26,8 +27,7 @@ race:
 # The chaos self-test by name, under the race detector: 200 experiments
 # with deterministically scheduled panics, hangs and NaN corruption must
 # quarantine every persistent failure and keep the healthy rows
-# byte-identical. `race` already covers it via ./...; the explicit target
-# keeps the gate honest even if package-level test filters change.
+# byte-identical.
 chaos:
 	$(GO) test -race -run 'TestChaosCampaign' ./internal/runner
 
@@ -117,6 +117,12 @@ bench-diff:
 # Smoke-run every benchmark exactly once so the suite cannot rot.
 bench-sanity:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench/e2e is a Go module of its own, so the root ./... skips it; it
+# compiles against the runner, config and fabric APIs, so vet and test it
+# here.
+bench-e2e-module:
+	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
 
 # CPU+heap profile capture on the campaign benchmarks, distilled to
 # pprof -top text under profiles/ and diffed (scripts/profdiff.go)

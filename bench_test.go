@@ -150,6 +150,20 @@ func BenchmarkFig7StartTimeSweep(b *testing.B) {
 	runSweep(b, eng, specs)
 }
 
+// runCampaign runs setup through the campaign runner on all cores.
+func runCampaign(b *testing.B, eng *core.Engine, setup core.CampaignSetup) *core.CampaignResult {
+	b.Helper()
+	r, err := runner.New(eng, runner.Options{})
+	if err != nil {
+		b.Fatalf("runner.New: %v", err)
+	}
+	res, err := r.Run(context.Background(), setup)
+	if err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
 // BenchmarkTableDelayCampaign runs the representative reduced delay grid
 // (150 experiments; the paper's full Table II grid of 11250 runs via
 // cmd/comfase-figures). Paper totals: 5923 severe / 4941 benign / 386
@@ -160,11 +174,7 @@ func BenchmarkTableDelayCampaign(b *testing.B) {
 	b.ResetTimer()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunCampaign(setup, nil)
-		if err != nil {
-			b.Fatalf("RunCampaign: %v", err)
-		}
-		counts = res.Counts
+		counts = runCampaign(b, eng, setup).Counts
 	}
 	b.ReportMetric(float64(counts.Severe), "severe")
 	b.ReportMetric(float64(counts.Benign), "benign")
@@ -182,10 +192,7 @@ func BenchmarkTableDoSCampaign(b *testing.B) {
 	var counts classify.Counts
 	colliders := map[string]int{}
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunCampaign(setup, nil)
-		if err != nil {
-			b.Fatalf("RunCampaign: %v", err)
-		}
+		res := runCampaign(b, eng, setup)
 		counts = res.Counts
 		colliders = map[string]int{}
 		for _, e := range res.Experiments {
@@ -318,10 +325,7 @@ func BenchmarkAblationAEB(b *testing.B) {
 			b.ResetTimer()
 			var collisions, severe int
 			for i := 0; i < b.N; i++ {
-				res, err := eng.RunCampaign(setup, nil)
-				if err != nil {
-					b.Fatalf("RunCampaign: %v", err)
-				}
+				res := runCampaign(b, eng, setup)
 				collisions, severe = 0, res.Counts.Severe
 				for _, e := range res.Experiments {
 					if e.Collided() {

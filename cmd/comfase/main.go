@@ -327,7 +327,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "print campaign progress")
 	workers := fs.Int("workers", 1, "parallel experiment workers (0 = all cores)")
 	resultsPath := fs.String("results", "", "stream per-experiment results to this CSV (resume source)")
-	csvPath := fs.String("csv", "", "alias of -results (kept for compatibility)")
 	jsonlPath := fs.String("jsonl", "", "stream per-experiment results to this JSON-lines file")
 	shardSpec := fs.String("shard", "", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
 	resume := fs.Bool("resume", false, "skip experiments already recorded in the results file")
@@ -417,21 +416,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	if explicit["checkpoint-trie"] {
 		opts.DisableTrie = !*checkpointTrie
 	}
-	if explicit["invariants"] {
-		parsed.Engine.Invariants = *invariants
-	}
-	if explicit["event-budget"] {
-		parsed.Engine.EventBudget = *eventBudget
-	}
-	if explicit["early-exit"] {
-		parsed.Engine.EarlyExit = *earlyExit
-	}
-	if explicit["early-exit-tolerance"] {
-		parsed.Engine.EarlyExitTolerance = *earlyExitTolerance
-	}
-	if explicit["early-exit-hold"] {
-		parsed.Engine.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
-	}
 	quarantine := parsed.Runtime.QuarantineFile
 	if explicit["quarantine"] {
 		quarantine = *quarantinePath
@@ -452,13 +436,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		addr = *metricsAddr
 	}
 	results := parsed.Runtime.ResultsFile
-	switch {
-	case *resultsPath != "" && *csvPath != "" && *resultsPath != *csvPath:
-		return fmt.Errorf("campaign: -results and -csv disagree (%q vs %q)", *resultsPath, *csvPath)
-	case *resultsPath != "":
+	if *resultsPath != "" {
 		results = *resultsPath
-	case *csvPath != "":
-		results = *csvPath
 	}
 	if *resume && results == "" {
 		return fmt.Errorf("campaign: -resume needs a results file (-results)")
@@ -477,23 +456,21 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	matrixMode := len(parsed.Cells) > 0
+	cells, matrixMode := parsed.Grid()
 	if results != "" {
-		sink, closeSink, err := openResultsSink(results, len(opts.Resume) > 0, matrixMode)
+		// A resume run with prior rows appends below them; anything else
+		// starts fresh with a header.
+		appendTo := len(opts.Resume) > 0
+		f, err := openOutput(results, appendTo)
 		if err != nil {
 			return err
 		}
-		defer closeSink()
-		sinks = append(sinks, sink)
+		defer f.Close()
+		sinks = append(sinks, runner.NewResultsCSVSink(f, matrixMode, !appendTo))
 	}
 	if quarantine != "" {
-		// Resume runs append below the prior records; fresh runs truncate,
-		// like the results sink.
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if *resume {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		qf, err := os.OpenFile(quarantine, mode, 0o644)
+		// Resume runs append below the prior records; fresh runs truncate.
+		qf, err := openOutput(quarantine, *resume)
 		if err != nil {
 			return err
 		}
@@ -524,7 +501,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	// that there is nothing to turn off — and the heartbeat file and HTTP
 	// endpoint are opt-in views onto the same registry.
 	reg := obs.NewRegistry()
-	parsed.Engine.Metrics = reg
 	opts.Metrics = reg
 	if addr != "" {
 		srv, err := obs.NewServer(addr, reg)
@@ -542,41 +518,28 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	var res *core.CampaignResult
-	var mres *runner.MatrixResult
-	if matrixMode {
-		// Per-cell engines inherit the same flag overrides and metrics
-		// registry the single-campaign engine would get.
-		for i := range parsed.Cells {
-			if explicit["invariants"] {
-				parsed.Cells[i].Engine.Invariants = *invariants
-			}
-			if explicit["event-budget"] {
-				parsed.Cells[i].Engine.EventBudget = *eventBudget
-			}
-			if explicit["early-exit"] {
-				parsed.Cells[i].Engine.EarlyExit = *earlyExit
-			}
-			if explicit["early-exit-tolerance"] {
-				parsed.Cells[i].Engine.EarlyExitTolerance = *earlyExitTolerance
-			}
-			if explicit["early-exit-hold"] {
-				parsed.Cells[i].Engine.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
-			}
-			parsed.Cells[i].Engine.Metrics = reg
+	// Every cell's engine takes the engine flag overrides and the metrics
+	// registry.
+	for i := range cells {
+		ec := &cells[i].Engine
+		if explicit["invariants"] {
+			ec.Invariants = *invariants
 		}
-		mres, err = runner.RunMatrix(ctx, parsed.Cells, opts, sinks...)
-	} else {
-		eng, eerr := core.NewEngine(parsed.Engine)
-		if eerr != nil {
-			return eerr
+		if explicit["event-budget"] {
+			ec.EventBudget = *eventBudget
 		}
-		r, rerr := runner.New(eng, opts, sinks...)
-		if rerr != nil {
-			return rerr
+		if explicit["early-exit"] {
+			ec.EarlyExit = *earlyExit
 		}
-		res, err = r.Run(ctx, parsed.Campaign)
+		if explicit["early-exit-tolerance"] {
+			ec.EarlyExitTolerance = *earlyExitTolerance
+		}
+		if explicit["early-exit-hold"] {
+			ec.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
+		}
+		ec.Metrics = reg
 	}
+	res, err := runner.RunMatrix(ctx, cells, opts, sinks...)
 	if hb != nil {
 		// Stop after the run so the final snapshot carries the campaign's
 		// end state; a write failure is diagnostic, never fatal to results.
@@ -597,21 +560,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return err
 	}
-	var failCounts core.FailureCounts
-	var nDone, gridTotal int
-	if matrixMode {
-		failCounts = mres.FailureCounts
-		nDone = len(mres.Experiments)
-		for _, c := range parsed.Cells {
-			gridTotal += c.Setup.NumExperiments()
-		}
-	} else {
-		failCounts = res.FailureCounts
-		nDone = len(res.Experiments)
-		gridTotal = parsed.Campaign.NumExperiments()
-	}
-	if n := failCounts.Total(); n > 0 {
-		fmt.Fprintf(stdout, "%d experiment(s) quarantined (%v)", n, failCounts)
+	if n := res.FailureCounts.Total(); n > 0 {
+		fmt.Fprintf(stdout, "%d experiment(s) quarantined (%v)", n, res.FailureCounts)
 		if quarantine != "" {
 			fmt.Fprintf(stdout, "; records in %s", quarantine)
 		}
@@ -628,13 +578,14 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		out = of
 	}
 	if opts.Shard.Enabled() {
+		_, gridTotal := runner.GridSpan(cells)
 		fmt.Fprintf(out, "shard %s: %d of the grid's %d experiments (merge shard files with: comfase merge)\n\n",
-			opts.Shard, nDone, gridTotal)
+			opts.Shard, len(res.Experiments), gridTotal)
 	}
 	if matrixMode {
-		return writeMatrixReport(out, mres)
+		return writeMatrixReport(out, res)
 	}
-	return writeCampaignReport(out, res)
+	return writeCampaignReport(out, res.Cells[0].Result)
 }
 
 // writeMatrixReport renders the whole-matrix summary, the per-cell
@@ -659,28 +610,14 @@ func writeMatrixReport(w io.Writer, res *runner.MatrixResult) error {
 	return nil
 }
 
-// openResultsSink opens the streaming CSV results file. A resume run
-// with prior rows appends; anything else starts fresh with a header.
-// Matrix runs use the 11-column schema with the scenario column.
-func openResultsSink(path string, appendTo, matrix bool) (runner.Sink, func() error, error) {
+// openOutput opens a streamed output file: appending when appendTo is
+// set (a resumed run), truncating otherwise.
+func openOutput(path string, appendTo bool) (*os.File, error) {
+	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 	if appendTo {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, err
-		}
-		if matrix {
-			return runner.NewMatrixCSVAppendSink(f), f.Close, nil
-		}
-		return runner.NewCSVAppendSink(f), f.Close, nil
+		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if matrix {
-		return runner.NewMatrixCSVSink(f), f.Close, nil
-	}
-	return runner.NewCSVSink(f), f.Close, nil
+	return os.OpenFile(path, mode, 0o644)
 }
 
 // runServe is the fabric coordinator: it owns the campaign grid, leases
@@ -748,17 +685,8 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("serve: -results is required")
 	}
 
-	matrixMode := len(parsed.Cells) > 0
-	base, total := 0, 0
-	if matrixMode {
-		base = parsed.Cells[0].Setup.Base
-		for _, cell := range parsed.Cells {
-			total += cell.Setup.NumExperiments()
-		}
-	} else {
-		base = parsed.Campaign.Base
-		total = parsed.Campaign.NumExperiments()
-	}
+	cells, matrixMode := parsed.Grid()
+	base, total := runner.GridSpan(cells)
 	if total == 0 {
 		return fmt.Errorf("serve: the config describes an empty campaign grid")
 	}
@@ -804,21 +732,14 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			appendMode = true
 		}
 	}
-	openOut := func(path string) (*os.File, error) {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if appendMode {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		return os.OpenFile(path, mode, 0o644)
-	}
-	resultsFile, err := openOut(*resultsPath)
+	resultsFile, err := openOutput(*resultsPath, appendMode)
 	if err != nil {
 		return err
 	}
 	defer resultsFile.Close()
 	var quarantineOut io.Writer
 	if *quarantinePath != "" {
-		qf, err := openOut(*quarantinePath)
+		qf, err := openOutput(*quarantinePath, appendMode)
 		if err != nil {
 			return err
 		}

@@ -126,10 +126,6 @@ func TestRunCampaignErrors(t *testing.T) {
 	if err := run(bg(), []string{"campaign", "-config", cfg, "-shard", "9/2"}, os.Stdout); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
-	if err := run(bg(), []string{"campaign", "-config", cfg,
-		"-results", "a.csv", "-csv", "b.csv"}, os.Stdout); err == nil {
-		t.Error("conflicting -results/-csv accepted")
-	}
 }
 
 // TestRunCampaignShardedMergeMatchesSequential drives the full

@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/safety"
 	"comfase/internal/scenario"
 )
@@ -40,7 +42,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := eng.RunCampaign(core.PaperDoSCampaign(), nil)
+		r, err := runner.New(eng, runner.Options{})
+		if err != nil {
+			return err
+		}
+		res, err := r.Run(context.Background(), core.PaperDoSCampaign())
 		if err != nil {
 			return err
 		}

@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
 )
@@ -52,7 +54,11 @@ func run() error {
 	}
 
 	fmt.Printf("running %d delay-attack experiments...\n", setup.NumExperiments())
-	res, err := eng.RunCampaign(setup, nil)
+	r, err := runner.New(eng, runner.Options{})
+	if err != nil {
+		return err
+	}
+	res, err := r.Run(context.Background(), setup)
 	if err != nil {
 		return err
 	}

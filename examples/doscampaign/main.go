@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/scenario"
 )
 
@@ -34,7 +36,11 @@ func run() error {
 	setup := core.PaperDoSCampaign()
 	fmt.Printf("running %d DoS experiments (PD pinned to the 60 s horizon)...\n",
 		setup.NumExperiments())
-	res, err := eng.RunCampaign(setup, nil)
+	r, err := runner.New(eng, runner.Options{})
+	if err != nil {
+		return err
+	}
+	res, err := r.Run(context.Background(), setup)
 	if err != nil {
 		return err
 	}

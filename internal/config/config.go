@@ -611,6 +611,19 @@ type Parsed struct {
 	Fabric   FabricSettings
 }
 
+// Grid returns the campaign as runner cells: the matrix cells, or the
+// single campaign wrapped as one unlabeled cell. matrix reports which of
+// the two the file described, which selects the results schema (11
+// columns with the scenario, or the 10-column single-campaign one).
+// Callers set per-engine overrides (metrics, flags) on the returned
+// cells.
+func (p *Parsed) Grid() (cells []runner.MatrixCell, matrix bool) {
+	if len(p.Cells) > 0 {
+		return p.Cells, true
+	}
+	return []runner.MatrixCell{{Engine: p.Engine, Setup: p.Campaign}}, false
+}
+
 // ControllerFactory maps a controller name to a factory.
 func ControllerFactory(name string) (scenario.ControllerFactory, error) {
 	switch name {

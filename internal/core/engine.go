@@ -377,19 +377,16 @@ func (e *Engine) GoldenRunCtx(ctx context.Context) (log *trace.FullLog, res Gold
 	return log, res, nil
 }
 
-// ensureGolden lazily executes the golden run.
-func (e *Engine) ensureGolden(ctx context.Context) error {
+// EnsureGolden executes the golden run unless one is already cached. It
+// is the priming step campaign runners call before spawning workers (the
+// cached log is shared read-only by every experiment).
+func (e *Engine) EnsureGolden(ctx context.Context) error {
 	if e.golden != nil {
 		return nil
 	}
 	_, _, err := e.GoldenRunCtx(ctx)
 	return err
 }
-
-// EnsureGolden executes the golden run unless one is already cached. It
-// is the priming step campaign runners call before spawning workers (the
-// cached log is shared read-only by every experiment).
-func (e *Engine) EnsureGolden(ctx context.Context) error { return e.ensureGolden(ctx) }
 
 // Golden returns the cached golden-run summary; ok is false before the
 // golden run has executed.
@@ -429,7 +426,7 @@ func (e *Engine) RunExperimentWithLog(spec ExperimentSpec) (ExperimentResult, *t
 }
 
 func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog bool) (res ExperimentResult, full *trace.FullLog, err error) {
-	if err := e.ensureGolden(ctx); err != nil {
+	if err := e.EnsureGolden(ctx); err != nil {
 		return ExperimentResult{}, nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -642,42 +639,4 @@ func removeAttack(sim *scenario.Simulation, model AttackModel) error {
 	default:
 		return fmt.Errorf("core: attack model %q implements neither Interceptor nor Installer", model.Name())
 	}
-}
-
-// RunCampaign executes Step-3 and Step-4 for the whole grid. progress may
-// be nil.
-func (e *Engine) RunCampaign(setup CampaignSetup, progress Progress) (*CampaignResult, error) {
-	return e.RunCampaignCtx(context.Background(), setup, progress)
-}
-
-// RunCampaignCtx is RunCampaign with cooperative cancellation: a canceled
-// ctx aborts the in-flight experiment and returns its error. Completed
-// results are discarded — campaigns that must survive interruption run
-// through internal/runner, which streams partial results to sinks.
-func (e *Engine) RunCampaignCtx(ctx context.Context, setup CampaignSetup, progress Progress) (*CampaignResult, error) {
-	if err := setup.Validate(); err != nil {
-		return nil, err
-	}
-	if err := e.ensureGolden(ctx); err != nil {
-		return nil, err
-	}
-	specs := setup.Experiments()
-	out := &CampaignResult{
-		Setup:       setup,
-		Golden:      *e.goldenRes,
-		Thresholds:  e.thresholds,
-		Experiments: make([]ExperimentResult, 0, len(specs)),
-	}
-	for i, spec := range specs {
-		res, err := e.RunExperimentCtx(ctx, spec)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %v: %w", spec, err)
-		}
-		out.Experiments = append(out.Experiments, res)
-		out.Counts.Add(res.Outcome)
-		if progress != nil {
-			progress(i+1, len(specs))
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"comfase/internal/classify"
@@ -163,45 +164,20 @@ func TestRunExperimentAttackWindowRespected(t *testing.T) {
 	}
 }
 
-func TestRunCampaignSmallGrid(t *testing.T) {
-	eng := paperEngine(t)
-	setup := CampaignSetup{
-		Attack:    AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.2, 2.0},
-		Starts:    []des.Time{18 * des.Second, 198 * 100 * des.Millisecond},
-		Durations: []des.Time{1 * des.Second, 10 * des.Second},
-	}
-	var progress []int
-	res, err := eng.RunCampaign(setup, func(done, total int) {
-		progress = append(progress, done)
-		if total != 8 {
-			t.Errorf("total = %d, want 8", total)
+// referenceCampaign is the campaign test oracle: every grid point runs
+// fresh through RunExperimentCtx, one after another in grid order.
+func referenceCampaign(t *testing.T, eng *Engine, setup CampaignSetup) *CampaignResult {
+	t.Helper()
+	out := &CampaignResult{Setup: setup}
+	for _, spec := range setup.Experiments() {
+		res, err := eng.RunExperimentCtx(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("experiment %v: %v", spec, err)
 		}
-	})
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		out.Experiments = append(out.Experiments, res)
+		out.Counts.Add(res.Outcome)
 	}
-	if len(res.Experiments) != 8 || res.Counts.Total() != 8 {
-		t.Fatalf("experiments = %d counts = %v", len(res.Experiments), res.Counts)
-	}
-	if len(progress) != 8 || progress[7] != 8 {
-		t.Errorf("progress = %v", progress)
-	}
-	// The strong/long grid point must dominate the weak/short one.
-	if res.Counts.Severe == 0 {
-		t.Error("no severe outcomes in mixed grid")
-	}
-	if res.Counts.Severe == 8 {
-		t.Error("every outcome severe in mixed grid")
-	}
-}
-
-func TestRunCampaignRejectsInvalidSetup(t *testing.T) {
-	eng := paperEngine(t)
-	if _, err := eng.RunCampaign(CampaignSetup{}, nil); err == nil {
-		t.Error("invalid setup accepted")
-	}
+	return out
 }
 
 // TestAEBPreventsCollisions exercises the paper's future-work safety
@@ -223,10 +199,7 @@ func TestAEBPreventsCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		res, err := eng.RunCampaign(PaperDoSCampaign(), nil)
-		if err != nil {
-			t.Fatalf("RunCampaign: %v", err)
-		}
+		res := referenceCampaign(t, eng, PaperDoSCampaign())
 		for _, e := range res.Experiments {
 			if e.Collided() {
 				collisions++
@@ -259,10 +232,7 @@ func TestDoSCampaignShape(t *testing.T) {
 		t.Skip("full DoS campaign in -short mode")
 	}
 	eng := paperEngine(t)
-	res, err := eng.RunCampaign(PaperDoSCampaign(), nil)
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
-	}
+	res := referenceCampaign(t, eng, PaperDoSCampaign())
 	if res.Counts.Total() != 25 {
 		t.Fatalf("total = %d", res.Counts.Total())
 	}

@@ -125,7 +125,7 @@ func (e *Engine) acquireScratch() *groupScratch {
 // configurations (fading channel, custom stateful controllers) that can
 // never be checkpointed.
 func (e *Engine) BeginGroup(ctx context.Context, start des.Time) (*GroupSession, error) {
-	if err := e.ensureGolden(ctx); err != nil {
+	if err := e.EnsureGolden(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -35,12 +35,13 @@ type ExecutorOptions struct {
 // campaignExecutor executes leased ranges through internal/runner with
 // Options.Range, preserving every execution feature of a local campaign
 // (checkpoint forking, trie chaining, retries, watchdogs) and therefore
-// the byte-identical-output invariant.
+// the byte-identical-output invariant. Its runner.Matrix keeps the last
+// scenario's engine across leases, so the golden run executes once per
+// scenario, not once per lease.
 type campaignExecutor struct {
-	parsed *config.Parsed
-	base   runner.Options
+	grid   *runner.Matrix
 	matrix bool
-	eng    *core.Engine // lazily built; reused across leases
+	base   runner.Options
 }
 
 // NewExecutor builds the production executor from the raw config JSON a
@@ -69,12 +70,11 @@ func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	if base.Workers == 0 {
 		base.Workers = -1 // all cores
 	}
-	matrix := len(parsed.Cells) > 0
-	parsed.Engine.Metrics = opts.Metrics
-	for i := range parsed.Cells {
-		parsed.Cells[i].Engine.Metrics = opts.Metrics
+	cells, matrix := parsed.Grid()
+	for i := range cells {
+		cells[i].Engine.Metrics = opts.Metrics
 	}
-	return &campaignExecutor{parsed: parsed, base: base, matrix: matrix}, nil
+	return &campaignExecutor{grid: &runner.Matrix{Cells: cells}, matrix: matrix, base: base}, nil
 }
 
 // Execute implements Executor.
@@ -84,24 +84,7 @@ func (e *campaignExecutor) Execute(ctx context.Context, from, to int) ([]ResultR
 	opts := e.base
 	opts.Range = runner.Range{From: from, To: to}
 	opts.Quarantine = fs
-	if e.matrix {
-		if _, err := runner.RunMatrix(ctx, e.parsed.Cells, opts, rs); err != nil {
-			return nil, nil, err
-		}
-		return rs.rows, fs.failures, nil
-	}
-	if e.eng == nil {
-		eng, err := core.NewEngine(e.parsed.Engine)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.eng = eng
-	}
-	r, err := runner.New(e.eng, opts, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := r.Run(ctx, e.parsed.Campaign); err != nil {
+	if _, err := e.grid.Run(ctx, opts, rs); err != nil {
 		return nil, nil, err
 	}
 	return rs.rows, fs.failures, nil

@@ -231,16 +231,8 @@ func gridDims(cfgJSON []byte) (base, total int, matrix bool, maxFailures int, er
 	if err != nil {
 		return 0, 0, false, 0, err
 	}
-	if len(parsed.Cells) > 0 {
-		matrix = true
-		base = parsed.Cells[0].Setup.Base
-		for _, cell := range parsed.Cells {
-			total += cell.Setup.NumExperiments()
-		}
-	} else {
-		base = parsed.Campaign.Base
-		total = parsed.Campaign.NumExperiments()
-	}
+	cells, matrix := parsed.Grid()
+	base, total = runner.GridSpan(cells)
 	if total == 0 {
 		return 0, 0, false, 0, errors.New("fabric: the config describes an empty campaign grid")
 	}

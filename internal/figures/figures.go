@@ -7,12 +7,14 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
 	"comfase/internal/trace"
@@ -77,7 +79,8 @@ func DelaySetup(quick bool) core.CampaignSetup {
 }
 
 // Run executes the full reproduction: golden run, delay campaign, DoS
-// campaign, and all derived series.
+// campaign, and all derived series. Both campaigns run through the
+// campaign runner on all cores.
 func Run(opts Options) (*Result, error) {
 	eng, err := core.NewEngine(core.EngineConfig{
 		Scenario: scenario.PaperScenario(),
@@ -92,15 +95,19 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	r, err := runner.New(eng, runner.Options{Progress: opts.Progress})
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	delay, err := eng.RunCampaign(DelaySetup(opts.Quick), opts.Progress)
+	delay, err := r.Run(context.TODO(), DelaySetup(opts.Quick))
 	if err != nil {
 		return nil, err
 	}
 	delayWall := time.Since(t0)
 
 	t0 = time.Now()
-	dos, err := eng.RunCampaign(core.PaperDoSCampaign(), opts.Progress)
+	dos, err := r.Run(context.TODO(), core.PaperDoSCampaign())
 	if err != nil {
 		return nil, err
 	}

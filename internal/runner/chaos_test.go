@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,18 +338,21 @@ func TestExperimentTimeoutClass(t *testing.T) {
 // TestFailureBudgetEdges pins the failure-budget policy at its edges
 // with a grid whose experiments all fail (the model factory errors).
 func TestFailureBudgetEdges(t *testing.T) {
+	var started atomic.Int64 // experiments attempted by the current run
 	grid := func() core.CampaignSetup {
 		setup := chaosGrid()
 		setup.Values = setup.Values[:2]
 		setup.Starts = setup.Starts[:2]
 		setup.Durations = setup.Durations[:1]
 		setup.Factory = func(spec core.ExperimentSpec, _ des.Time, _ uint64) (core.AttackModel, error) {
+			started.Add(1)
 			return nil, fmt.Errorf("chaos: experiment %d is unbuildable", spec.Nr)
 		}
 		return setup // 4 experiments, all destined to fail
 	}
 	run := func(t *testing.T, maxFailures int) (*core.CampaignResult, *MemoryFailureSink, error) {
 		t.Helper()
+		started.Store(0)
 		quarantine := &MemoryFailureSink{}
 		r, err := New(chaosEngine(t, 0), Options{
 			Workers:     1,
@@ -370,6 +374,10 @@ func TestFailureBudgetEdges(t *testing.T) {
 		// The triggering failure still reaches the quarantine sink.
 		if len(quarantine.Failures) != 1 || quarantine.Failures[0].Class != "error" {
 			t.Errorf("quarantine = %+v, want the triggering record", quarantine.Failures)
+		}
+		// The first failure stops dispatch: nothing after it starts.
+		if got := started.Load(); got != 1 {
+			t.Errorf("%d experiments started, want 1", got)
 		}
 	})
 	t.Run("budget = total completes", func(t *testing.T) {
@@ -495,7 +503,7 @@ func TestResumeFailuresSkipsQuarantined(t *testing.T) {
 		Resume:         resume,
 		ResumeFailures: resumeFailures,
 		Quarantine:     NewQuarantineSink(&jsonl2),
-	}, NewCSVAppendSink(&csv2))
+	}, NewResultsCSVSink(&csv2, false, false))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"comfase/internal/analysis"
 	"comfase/internal/core"
 )
 
@@ -26,6 +27,26 @@ func runForEquivalence(t *testing.T, setup core.CampaignSetup, opts Options, dis
 		t.Fatalf("Run (checkpoints disabled=%v): %v", disable, err)
 	}
 	return csv.String(), quarantine.Failures
+}
+
+// referenceCSV is the campaign oracle: every grid point built fresh and
+// run in grid order through RunExperimentCtx — no worker pool, prefix
+// checkpoints or trie — exported as the single-campaign results CSV.
+func referenceCSV(t *testing.T, eng *core.Engine, setup core.CampaignSetup) []byte {
+	t.Helper()
+	var exps []core.ExperimentResult
+	for _, spec := range setup.Experiments() {
+		res, err := eng.RunExperimentCtx(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("experiment %v: %v", spec, err)
+		}
+		exps = append(exps, res)
+	}
+	var buf bytes.Buffer
+	if err := analysis.ExperimentsCSV(&buf, exps); err != nil {
+		t.Fatalf("ExperimentsCSV: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // TestCheckpointCampaignEquivalence is the byte-equivalence proof for

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
-	"comfase/internal/analysis"
 	"comfase/internal/classify"
 	"comfase/internal/core"
 )
@@ -15,7 +13,8 @@ import (
 // engine configuration of the scenario plus the cell's campaign grid.
 // Cells are produced by registry.Matrix.Expand (via the config layer);
 // the runner deliberately takes the flattened form so it does not
-// depend on the registry package.
+// depend on the registry package. A single campaign is one cell with
+// empty Scenario and Attack labels.
 type MatrixCell struct {
 	// Scenario is the cell's scenario label (matches Setup.Scenario).
 	Scenario string
@@ -52,18 +51,54 @@ type MatrixResult struct {
 	FailureCounts core.FailureCounts
 }
 
-// RunMatrix executes the cells in matrix order against one Options set,
-// streaming all results to the shared sinks. Each distinct scenario
-// label gets one engine — its golden run is simulated once and its
-// workspace pool and prefix checkpoints are scoped to the cell, so the
-// checkpoint group key is effectively (scenario, attack start). Shard,
-// resume and quarantine semantics apply to the flattened global grid
-// exactly as they do to a single campaign: expNr is globally unique and
-// contiguous across cells, sinks receive rows in global grid order, and
-// Options.MaxFailures is a whole-matrix budget.
+// GridSpan returns the first expNr of cells laid out contiguously and
+// their total number of grid points.
+func GridSpan(cells []MatrixCell) (base, total int) {
+	if len(cells) > 0 {
+		base = cells[0].Setup.Base
+	}
+	for _, c := range cells {
+		total += c.Setup.NumExperiments()
+	}
+	return base, total
+}
+
+// Matrix is a campaign grid as runner cells — a matrix campaign, or a
+// single campaign as one unlabeled cell — plus the engine of the most
+// recently run scenario. That engine, and with it the scenario's golden
+// run, workspace pool and prefix checkpoints, survives across Run calls:
+// a caller that runs the grid range by range (the fabric executor)
+// simulates each scenario's golden run once, not once per call. The
+// engine is keyed by scenario label, so Cells must not change between
+// calls. A Matrix is not safe for concurrent use.
+type Matrix struct {
+	Cells []MatrixCell
+
+	eng         *core.Engine
+	engScenario string
+}
+
+// RunMatrix runs cells once through a new Matrix.
 func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...Sink) (*MatrixResult, error) {
+	return (&Matrix{Cells: cells}).Run(ctx, opts, sinks...)
+}
+
+// Run executes the cells in matrix order against one Options set,
+// streaming all results to the shared sinks. Consecutive cells of one
+// scenario label share an engine — its golden run is simulated once and
+// its workspace pool and prefix checkpoints are scoped to the cell, so
+// the checkpoint group key is effectively (scenario, attack start).
+// Shard, resume and quarantine semantics apply to the flattened global
+// grid exactly as they do to a single campaign: expNr is globally unique
+// and contiguous across cells, sinks receive rows in global grid order,
+// and Options.MaxFailures is a whole-matrix budget.
+func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixResult, error) {
+	cells := m.Cells
 	if len(cells) == 0 {
 		return nil, errors.New("runner: matrix has no cells")
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	// The global expNr space must be contiguous in cell order — sharding
 	// and merge correctness depend on it.
@@ -76,7 +111,7 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 				i, cell.Scenario, cell.Attack, cell.Setup.Base, base)
 		}
 		if err := cell.Setup.Validate(); err != nil {
-			return nil, fmt.Errorf("runner: matrix cell %s/%s: %w", cell.Scenario, cell.Attack, err)
+			return nil, cell.wrap(i, err)
 		}
 		n := cell.Setup.NumExperiments()
 		base += n
@@ -91,8 +126,6 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 	out := &MatrixResult{CellCounts: &classify.LabeledCounts{}}
 	remainingFailures := opts.MaxFailures
 	doneOffset := 0
-	var eng *core.Engine
-	prevScenario := ""
 	for i, cell := range cells {
 		if selected[i] == 0 {
 			// No grid point of this cell survives the shard/range filter:
@@ -105,13 +138,12 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 			})
 			continue
 		}
-		if eng == nil || cell.Scenario != prevScenario {
-			var err error
-			eng, err = core.NewEngine(cell.Engine)
+		if m.eng == nil || cell.Scenario != m.engScenario {
+			eng, err := core.NewEngine(cell.Engine)
 			if err != nil {
-				return nil, fmt.Errorf("runner: matrix cell %s/%s: %w", cell.Scenario, cell.Attack, err)
+				return nil, cell.wrap(i, err)
 			}
-			prevScenario = cell.Scenario
+			m.eng, m.engScenario = eng, cell.Scenario
 		}
 		cellOpts := opts
 		cellOpts.MaxFailures = remainingFailures
@@ -119,13 +151,13 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 			offset := doneOffset
 			cellOpts.Progress = func(done, _ int) { opts.Progress(offset+done, total) }
 		}
-		r, err := New(eng, cellOpts, sinks...)
+		r, err := New(m.eng, cellOpts, sinks...)
 		if err != nil {
 			return nil, err
 		}
 		res, err := r.Run(ctx, cell.Setup)
 		if err != nil {
-			return nil, fmt.Errorf("runner: matrix cell %d (%s/%s): %w", i, cell.Scenario, cell.Attack, err)
+			return nil, cell.wrap(i, err)
 		}
 		newFailures := 0
 		for _, f := range res.Failures {
@@ -155,39 +187,11 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 	return out, nil
 }
 
-// MatrixCSVSink streams one CSV row per result in the
-// analysis.MatrixCSVHeader schema (scenario column included), writing
-// through on every row like CSVSink and reusing the row buffer the same
-// way.
-type MatrixCSVSink struct {
-	w           io.Writer
-	buf         []byte
-	writeHeader bool
-}
-
-// NewMatrixCSVSink returns a sink that writes the matrix header before
-// the first row.
-func NewMatrixCSVSink(w io.Writer) *MatrixCSVSink {
-	return &MatrixCSVSink{w: w, writeHeader: true}
-}
-
-// NewMatrixCSVAppendSink returns a matrix sink that writes rows only —
-// the resume path appending to a file that already carries a header.
-func NewMatrixCSVAppendSink(w io.Writer) *MatrixCSVSink {
-	return &MatrixCSVSink{w: w}
-}
-
-// Put implements Sink.
-func (s *MatrixCSVSink) Put(res core.ExperimentResult) error {
-	s.buf = s.buf[:0]
-	if s.writeHeader {
-		s.buf = analysis.AppendMatrixCSVHeader(s.buf)
-		s.writeHeader = false
+// wrap names cell i in err. A single campaign's cell carries no scenario
+// label and adds nothing, so its errors read exactly as Runner.Run's.
+func (c MatrixCell) wrap(i int, err error) error {
+	if c.Scenario == "" {
+		return err
 	}
-	s.buf = analysis.AppendMatrixCSVRow(s.buf, res)
-	_, err := s.w.Write(s.buf)
-	return err
+	return fmt.Errorf("runner: matrix cell %d (%s/%s): %w", i, c.Scenario, c.Attack, err)
 }
-
-// Flush implements Sink. Put writes through, so nothing is buffered.
-func (s *MatrixCSVSink) Flush() error { return nil }

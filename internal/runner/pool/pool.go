@@ -1,6 +1,5 @@
-// Package pool implements the fail-fast worker pool shared by the
-// campaign execution paths (core.RunCampaignParallel and runner.Runner):
-// a fixed set of goroutines drains an index stream, and the first error —
+// Package pool implements the fail-fast worker pool of the campaign
+// runner (runner.Runner): a fixed set of goroutines drains an index stream, and the first error —
 // or a context cancellation — stops dispatch immediately instead of
 // draining the remaining jobs. In-flight jobs observe the cancellation
 // through the ctx handed to them (the DES kernel polls it cooperatively),

@@ -339,15 +339,37 @@ func mergeCSVBytes(t *testing.T, csvs ...[]byte) []byte {
 	return merged.Bytes()
 }
 
-// TestRunMatrixBaseValidation verifies the contiguity guard: a gap in
-// the global expNr space is a configuration bug and must be rejected
-// before any cell runs.
+// TestRunMatrixBaseValidation verifies the guards that run before any
+// cell does: a gap in the global expNr space is a configuration bug, and
+// an invalid campaign setup is rejected — naming its cell in a matrix,
+// unwrapped for a single campaign.
 func TestRunMatrixBaseValidation(t *testing.T) {
-	cells := testMatrixCells(t)
-	cells[1].Setup.Base += 5
-	_, err := RunMatrix(context.Background(), cells, Options{Workers: 1})
-	if err == nil || !strings.Contains(err.Error(), "base") {
-		t.Fatalf("RunMatrix accepted a non-contiguous base: %v", err)
+	for _, tc := range []struct {
+		name  string
+		cells func() []MatrixCell
+		want  string
+	}{
+		{name: "non-contiguous base", want: "runner: matrix cell 1 (cell-a/packet-loss) has base", cells: func() []MatrixCell {
+			cells := testMatrixCells(t)
+			cells[1].Setup.Base += 5
+			return cells
+		}},
+		{name: "invalid cell setup", want: "runner: matrix cell 2 (cell-b/delay): core: campaign needs attack values",
+			cells: func() []MatrixCell {
+				cells := testMatrixCells(t)
+				cells[2].Setup.Values = nil
+				return cells
+			}},
+		{name: "invalid single campaign", want: "core: unknown attack kind", cells: func() []MatrixCell {
+			return []MatrixCell{{Engine: chaosEngineConfig(0)}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunMatrix(context.Background(), tc.cells(), Options{Workers: 1})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("RunMatrix error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -375,7 +397,7 @@ func TestRunMatrixResume(t *testing.T) {
 	}
 	var tail bytes.Buffer
 	if _, err := RunMatrix(context.Background(), cells, Options{Workers: 1, Resume: done},
-		NewMatrixCSVAppendSink(&tail)); err != nil {
+		NewResultsCSVSink(&tail, true, false)); err != nil {
 		t.Fatalf("resumed RunMatrix: %v", err)
 	}
 	combined := append(append([]byte(nil), prefix...), tail.Bytes()...)

@@ -247,13 +247,18 @@ func New(eng *core.Engine, opts Options, sinks ...Sink) (*Runner, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("runner: nil engine")
 	}
-	if err := opts.Shard.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Range.Validate(); err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	return &Runner{eng: eng, opts: opts, sinks: sinks, met: newRunnerMetrics(opts.Metrics)}, nil
+}
+
+// validate checks the grid selection designators.
+func (o Options) validate() error {
+	if err := o.Shard.Validate(); err != nil {
+		return err
+	}
+	return o.Range.Validate()
 }
 
 // slot tracks one shard grid point through the run. A slot holds either

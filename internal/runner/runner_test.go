@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"comfase/internal/analysis"
 	"comfase/internal/core"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
@@ -167,7 +166,7 @@ func TestRunnerCancelFlushesPartialResults(t *testing.T) {
 		executed.Add(1)
 		return core.NewDelayAttack(des.FromSeconds(spec.Value), spec.Targets...)
 	}
-	r2, err := New(newEngine(t), Options{Workers: 2, Resume: completed}, NewCSVAppendSink(&buf))
+	r2, err := New(newEngine(t), Options{Workers: 2, Resume: completed}, NewResultsCSVSink(&buf, false, false))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -187,47 +186,59 @@ func TestRunnerCancelFlushesPartialResults(t *testing.T) {
 	}
 }
 
-// TestRunnerProgressMonotonicWithResume checks done counts start at the
-// resumed offset and increase by one per completion.
+// TestRunnerProgressMonotonicWithResume checks done counts increase by
+// one per completion under a parallel pool and end at the grid total:
+// from 1 on a fresh run, and from the resumed offset on a resumed one.
 func TestRunnerProgressMonotonicWithResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments in -short mode")
 	}
 	setup := testGrid()
 	full, _ := runToCSV(t, Options{Workers: 1}, setup)
-	resume := map[int]core.ExperimentResult{
-		full.Experiments[0].Spec.Nr: full.Experiments[0],
-		full.Experiments[3].Spec.Nr: full.Experiments[3],
-	}
-	var mu sync.Mutex
-	var dones []int
-	r, err := New(newEngine(t), Options{
-		Workers: 4,
-		Resume:  resume,
-		Progress: func(done, total int) {
-			mu.Lock()
-			dones = append(dones, done)
-			mu.Unlock()
-			if total != 8 {
-				t.Errorf("total = %d, want 8", total)
+	for _, tc := range []struct {
+		name   string
+		resume map[int]core.ExperimentResult
+		first  int // the first done count reported
+	}{
+		{name: "fresh", first: 1},
+		// The initial resumed notification reports 2, then 6 completions.
+		{name: "resume", first: 2, resume: map[int]core.ExperimentResult{
+			full.Experiments[0].Spec.Nr: full.Experiments[0],
+			full.Experiments[3].Spec.Nr: full.Experiments[3],
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var dones []int
+			r, err := New(newEngine(t), Options{
+				Workers: 4,
+				Resume:  tc.resume,
+				Progress: func(done, total int) {
+					mu.Lock()
+					dones = append(dones, done)
+					mu.Unlock()
+					if total != 8 {
+						t.Errorf("total = %d, want 8", total)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := r.Run(context.Background(), setup); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(dones) != 7 { // initial resumed notification + 6 completions
-		t.Fatalf("progress called %d times (%v), want 7", len(dones), dones)
-	}
-	for i, d := range dones {
-		if d != i+2 {
-			t.Fatalf("progress sequence %v, want 2..8", dones)
-		}
+			if _, err := r.Run(context.Background(), setup); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(dones) != 8-tc.first+1 {
+				t.Fatalf("progress called %d times (%v), want %d", len(dones), dones, 8-tc.first+1)
+			}
+			for i, d := range dones {
+				if d != tc.first+i {
+					t.Fatalf("progress sequence %v, want %d..8", dones, tc.first)
+				}
+			}
+		})
 	}
 }
 
@@ -273,7 +284,8 @@ func TestReadResultsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments in -short mode")
 	}
-	res, csvBytes := runToCSV(t, Options{Workers: 1}, core.CampaignSetup{
+	// More workers than grid points: the pool shrinks to the grid.
+	res, csvBytes := runToCSV(t, Options{Workers: 4}, core.CampaignSetup{
 		Attack:    core.AttackDelay,
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{2.0},
@@ -354,23 +366,16 @@ func TestJSONAndMemorySinks(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesEngineCampaign ties the runner to the legacy
-// Engine.RunCampaign path: same grid, same results.
+// TestRunnerMatchesEngineCampaign ties the runner to the campaign oracle:
+// same grid, same results as fresh experiments run one by one.
 func TestRunnerMatchesEngineCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments in -short mode")
 	}
 	setup := testGrid()
-	legacy, err := newEngine(t).RunCampaign(setup, nil)
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := analysis.ExperimentsCSV(&buf, legacy.Experiments); err != nil {
-		t.Fatalf("ExperimentsCSV: %v", err)
-	}
+	want := referenceCSV(t, newEngine(t), setup)
 	_, runnerCSV := runToCSV(t, Options{Workers: 4}, setup)
-	if !bytes.Equal(buf.Bytes(), runnerCSV) {
-		t.Errorf("runner CSV differs from legacy RunCampaign export")
+	if !bytes.Equal(want, runnerCSV) {
+		t.Errorf("runner CSV differs from the reference export:\nwant:\n%s\ngot:\n%s", want, runnerCSV)
 	}
 }

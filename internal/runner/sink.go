@@ -23,38 +23,52 @@ type Sink interface {
 	Flush() error
 }
 
-// CSVSink streams one CSV row per result in the analysis.ExperimentsCSV
-// schema, writing through on every row so an interrupted campaign leaves
-// a complete, parseable prefix on disk — the file Resume reads back.
-// Rows are encoded with the analysis.AppendExperimentCSVRow appender
-// into a buffer reused across Puts, so the per-row path is
-// allocation-free in steady state while staying byte-identical to
-// encoding/csv output.
+// CSVSink streams one CSV row per result, writing through on every row so
+// an interrupted campaign leaves a complete, parseable prefix on disk —
+// the file Resume reads back. A single campaign uses the 10-column
+// analysis.ExperimentsCSV schema; a matrix uses the 11-column
+// analysis.MatrixCSVHeader schema with the scenario column. Rows are
+// encoded with the analysis appenders into a buffer reused across Puts,
+// so the per-row path is allocation-free in steady state while staying
+// byte-identical to encoding/csv output.
 type CSVSink struct {
-	w           io.Writer
-	buf         []byte
-	writeHeader bool
+	w      io.Writer
+	buf    []byte
+	header bool // a header is still to be written before the next row
+	matrix bool
 }
 
-// NewCSVSink returns a sink that writes a header before the first row.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: w, writeHeader: true}
+// NewResultsCSVSink returns a sink in the matrix or the single-campaign
+// schema. header asks for a header before the first row; the resume path
+// appending to a result file that already carries one passes false.
+func NewResultsCSVSink(w io.Writer, matrix, header bool) *CSVSink {
+	return &CSVSink{w: w, header: header, matrix: matrix}
 }
 
-// NewCSVAppendSink returns a sink that writes rows only — the resume path
-// appending to a result file that already carries a header.
-func NewCSVAppendSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: w}
-}
+// NewCSVSink returns a single-campaign sink that writes a header before
+// the first row.
+func NewCSVSink(w io.Writer) *CSVSink { return NewResultsCSVSink(w, false, true) }
+
+// NewMatrixCSVSink returns a matrix sink that writes a header before the
+// first row.
+func NewMatrixCSVSink(w io.Writer) *CSVSink { return NewResultsCSVSink(w, true, true) }
 
 // Put implements Sink.
 func (s *CSVSink) Put(res core.ExperimentResult) error {
 	s.buf = s.buf[:0]
-	if s.writeHeader {
-		s.buf = analysis.AppendExperimentCSVHeader(s.buf)
-		s.writeHeader = false
+	if s.header {
+		if s.matrix {
+			s.buf = analysis.AppendMatrixCSVHeader(s.buf)
+		} else {
+			s.buf = analysis.AppendExperimentCSVHeader(s.buf)
+		}
+		s.header = false
 	}
-	s.buf = analysis.AppendExperimentCSVRow(s.buf, res)
+	if s.matrix {
+		s.buf = analysis.AppendMatrixCSVRow(s.buf, res)
+	} else {
+		s.buf = analysis.AppendExperimentCSVRow(s.buf, res)
+	}
 	_, err := s.w.Write(s.buf)
 	return err
 }

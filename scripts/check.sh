@@ -1,42 +1,6 @@
 #!/bin/sh
-# Tier-1 verification gate (same as `make check`): build + vet +
-# race-enabled tests + a one-shot benchmark sanity pass. The campaign
-# runner executes experiments on a worker pool, so -race is part of the
-# gate, not an optional extra; the -benchtime=1x pass keeps the perf
-# harness compiling and executable without paying for a full measurement.
+# Tier-1 verification gate: the Makefile's `check` target is the one list
+# of gates; this script only runs it from the repository root.
 set -eu
 cd "$(dirname "$0")/.."
-
-echo "==> go build ./..."
-go build ./...
-echo "==> go vet ./..."
-go vet ./...
-echo "==> go test -race ./..."
-go test -race ./...
-echo "==> chaos self-test (-race)"
-go test -race -run 'TestChaosCampaign' ./internal/runner
-echo "==> checkpoint equivalence self-test (-race)"
-go test -race -run 'TestCheckpointCampaignEquivalence' ./internal/runner
-echo "==> trie + early-exit equivalence self-test (-race)"
-go test -race -run 'TestTrieCampaignEquivalence|TestTrieEarlyExitClassificationEquivalence|TestOrderGroupChainsTotalOrder' ./internal/runner
-echo "==> observability equivalence self-test (-race)"
-go test -race -run 'TestMetricsCampaignEquivalence' ./internal/runner
-echo "==> registry equivalence self-test (-race)"
-go test -race -run 'TestRegistryCampaignEquivalence|TestRegistryChaosEquivalence|TestRunMatrixDeterminism' ./internal/runner
-echo "==> fabric equivalence chaos drills (-race)"
-go test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestCoordinatorStaleCompletionExactlyOnce|TestRangeSplitEquivalence' ./internal/fabric ./internal/runner
-echo "==> fuzz smoke (5s per target)"
-go test -run '^$' -fuzz 'FuzzParse$' -fuzztime 5s ./internal/config >/dev/null
-go test -run '^$' -fuzz 'FuzzMatrixConfigDecode' -fuzztime 5s ./internal/config >/dev/null
-go test -run '^$' -fuzz 'FuzzKernelSchedule' -fuzztime 5s ./internal/sim/des >/dev/null
-go test -run '^$' -fuzz 'FuzzKernelSnapshot' -fuzztime 5s ./internal/sim/des >/dev/null
-go test -run '^$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner >/dev/null
-go test -run '^$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner >/dev/null
-go test -run '^$' -fuzz 'FuzzHeartbeatDecode' -fuzztime 5s ./internal/obs >/dev/null
-go test -run '^$' -fuzz 'FuzzLeaseProtocolDecode' -fuzztime 5s ./internal/fabric >/dev/null
-go test -run '^$' -fuzz 'FuzzCampaignSubmitDecode' -fuzztime 5s ./internal/fabric >/dev/null
-echo "==> coverage report + internal/obs floor"
-scripts/cover.sh
-echo "==> go test -bench . -benchtime 1x (sanity)"
-go test -run '^$' -bench . -benchtime 1x ./... >/dev/null
-echo "OK"
+exec make check
