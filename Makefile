@@ -74,7 +74,7 @@ registry-equiv:
 # — must leave every campaign's on-disk artifacts byte-identical to
 # its own sequential run.
 fabric-equiv:
-	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestCoordinatorStaleCompletionExactlyOnce|TestRangeSplitEquivalence' ./internal/fabric ./internal/runner
+	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence' ./internal/fabric ./internal/runner
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler and
@@ -124,9 +124,10 @@ bench-sanity:
 bench-e2e-module:
 	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
 
-# CPU+heap profile capture on the campaign benchmarks, distilled to
-# pprof -top text under profiles/ and diffed (scripts/profdiff.go)
-# against the committed bench/PROFILE_baseline_{cpu,mem}.txt captures.
-# UPDATE_BASELINE=1 refreshes the committed baselines instead.
+# The one profiling ledger: a traced end-to-end run of the paper-delay
+# workload, whose pprof samples roll up into the 12 cpu_frac.* layers
+# (des, traffic, phy, nic, platoon, core, trace, runner, fabric,
+# runtime, harness, other) alongside the per-layer counters, printed as
+# a metric table with the result as JSON on the last line.
 profile:
-	scripts/profile.sh
+	sh bench/e2e/run.sh --workload paper-delay --seed 1 --seconds 10 --trace 1

@@ -43,7 +43,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"comfase/internal/analysis"
 	"comfase/internal/config"
@@ -192,9 +191,8 @@ Subcommands:
                    -metrics-addr HOST:PORT, -v (log fabric events)
             the first SIGINT drains (finish what's leased, lease nothing
             new) and exits 2 with a -resume hint; a second force-exits.
-            with -dir DIR the coordinator becomes a multi-campaign
-            service: campaigns arrive via "comfase submit", run oldest-
-            first under a per-campaign -fairness-cap, and every
+            with -dir DIR campaigns arrive via "comfase submit", run
+            oldest-first under a per-campaign -fairness-cap, and every
             campaign's config/results/quarantine/status files live side
             by side in DIR; -resume re-adopts everything in DIR, and
             -config becomes optional (fabric defaults only)
@@ -620,10 +618,13 @@ func openOutput(path string, appendTo bool) (*os.File, error) {
 	return os.OpenFile(path, mode, 0o644)
 }
 
-// runServe is the fabric coordinator: it owns the campaign grid, leases
-// contiguous ranges to `comfase work` processes, re-leases ranges whose
-// worker goes silent past the TTL, and streams the merged results CSV
-// (and quarantine) in grid order — byte-identical to a sequential run.
+// runServe is the fabric service: it owns campaign grids, leases
+// contiguous expNr ranges to `comfase work` processes, re-leases ranges
+// whose worker goes silent past the TTL, and streams each campaign's
+// merged results CSV (and quarantine) in grid order — byte-identical to
+// a sequential run. With -dir, campaigns arrive via `comfase submit` and
+// the service runs until drained; without it, the campaign -config names
+// is added at startup and the service finishes with it.
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	cfgPath := fs.String("config", "", "JSON experiment configuration (required); served to workers at registration")
@@ -646,7 +647,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if *cfgPath == "" && *dirFlag == "" {
 		return fmt.Errorf("serve: -config is required")
 	}
-	// In submit mode the config file is optional and only supplies fabric
+	// With -dir the config file is optional and only supplies fabric
 	// defaults; campaigns bring their own configs over the API.
 	var cfgJSON []byte
 	var parsed *config.Parsed
@@ -670,27 +671,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if explicit["dir"] {
 		dir = *dirFlag
 	}
-	if dir != "" {
-		return runServeSubmitMode(ctx, stdout, explicit, parsed, serveSubmitFlags{
-			dir: dir, addr: *addr, leaseSize: *leaseSize, leaseTTL: *leaseTTL,
-			fairnessCap: *fairnessCap, resume: *resume, verbose: *verbose,
-			heartbeatPath: *heartbeatPath, heartbeatInterval: *heartbeatInterval,
-			metricsAddr: *metricsAddr,
-		})
-	}
-	if *cfgPath == "" {
-		return fmt.Errorf("serve: -config is required")
-	}
-	if *resultsPath == "" {
+	if dir == "" && *resultsPath == "" {
 		return fmt.Errorf("serve: -results is required")
 	}
-
-	cells, matrixMode := parsed.Grid()
-	base, total := runner.GridSpan(cells)
-	if total == 0 {
-		return fmt.Errorf("serve: the config describes an empty campaign grid")
-	}
-
 	listenAddr := parsed.Fabric.Addr
 	if explicit["addr"] {
 		listenAddr = *addr
@@ -706,48 +689,43 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if explicit["lease-ttl"] {
 		ttl = *leaseTTL
 	}
-	budget := parsed.Runtime.MaxFailures
-	if explicit["max-failures"] {
-		budget = *maxFailures
-	}
-
-	// Resume: the coordinator's release frontier writes a contiguous grid
-	// prefix, so "done so far" is exactly the rows + quarantine records
-	// below the first missing expNr. ReadMergedPrefix also chops any
-	// partial trailing line a mid-write crash left, and its rejection
-	// names the offending file — with several campaigns' outputs on one
-	// disk, "which file was refused" must never be ambiguous.
-	prefix := 0
-	if *resume {
-		p, err := runner.ReadMergedPrefix(*resultsPath, *quarantinePath, base, total)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		prefix = p
-	}
-
-	appendMode := false
-	if *resume {
-		if st, err := os.Stat(*resultsPath); err == nil && st.Size() > 0 {
-			appendMode = true
-		}
-	}
-	resultsFile, err := openOutput(*resultsPath, appendMode)
-	if err != nil {
-		return err
-	}
-	defer resultsFile.Close()
-	var quarantineOut io.Writer
-	if *quarantinePath != "" {
-		qf, err := openOutput(*quarantinePath, appendMode)
-		if err != nil {
-			return err
-		}
-		defer qf.Close()
-		quarantineOut = qf
+	fairness := parsed.Fabric.FairnessCap
+	if explicit["fairness-cap"] {
+		fairness = *fairnessCap
 	}
 
 	reg := obs.NewRegistry()
+	var logf func(string, ...any)
+	if *verbose {
+		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
+	}
+	svc, err := fabric.NewService(fabric.ServiceOptions{
+		Dir:         dir,
+		Resume:      *resume,
+		LeaseSize:   size,
+		LeaseTTL:    ttl,
+		FairnessCap: fairness,
+		Metrics:     reg,
+		Logf:        logf,
+	})
+	if err != nil {
+		return err
+	}
+	// Without -dir the -config campaign is the service's only one: it
+	// writes no config or status document, and no quarantine file unless
+	// -quarantine names one.
+	var single fabric.CampaignStatus
+	if dir == "" {
+		var budget *int
+		if explicit["max-failures"] {
+			budget = maxFailures
+		}
+		files := runner.CampaignFiles{ID: "c1", Results: *resultsPath, Quarantine: *quarantinePath}
+		if single, err = svc.Add("", cfgJSON, files, *resume, budget); err != nil {
+			return err
+		}
+	}
+
 	if *metricsAddr != "" {
 		srv, err := obs.NewServer(*metricsAddr, reg)
 		if err != nil {
@@ -756,9 +734,8 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		defer srv.Close()
 		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
-	var hb *obs.Heartbeat
 	if *heartbeatPath != "" {
-		hb = obs.NewHeartbeat(*heartbeatPath, *heartbeatInterval, reg.Snapshot)
+		hb := obs.NewHeartbeat(*heartbeatPath, *heartbeatInterval, reg.Snapshot)
 		if err := hb.Start(); err != nil {
 			return fmt.Errorf("serve: heartbeat: %w", err)
 		}
@@ -768,64 +745,58 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	var logf func(string, ...any)
-	if *verbose {
-		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
-	}
-
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		ConfigJSON:   cfgJSON,
-		Base:         base,
-		Total:        total,
-		Matrix:       matrixMode,
-		LeaseSize:    size,
-		LeaseTTL:     ttl,
-		Results:      resultsFile,
-		NoHeader:     appendMode,
-		Quarantine:   quarantineOut,
-		ResumePrefix: prefix,
-		MaxFailures:  budget,
-		Metrics:      reg,
-		Logf:         logf,
-	})
-	if err != nil {
-		return err
-	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return fmt.Errorf("serve: listen: %w", err)
 	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
+	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
-	fmt.Fprintf(stdout, "fabric coordinator on http://%s: %d grid points (%d resumed), lease TTL %v\n",
-		ln.Addr(), total, prefix, ttlOrDefault(ttl))
-	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
+	url := "http://" + ln.Addr().String()
+	if dir == "" {
+		fmt.Fprintf(stdout, "fabric coordinator on %s: %d grid points (%d resumed), lease TTL %v\n",
+			url, single.Total, single.Merged, svc.LeaseTTL())
+	} else {
+		fmt.Fprintf(stdout, "fabric campaign service on %s: %d campaign(s) in %s, lease TTL %v\n",
+			url, len(svc.ListCampaigns()), dir, svc.LeaseTTL())
+		fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator %s -config FILE\n", url)
+	}
+	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator %s\n", url)
 
-	err = coord.Wait(ctx)
+	err = svc.Wait(ctx)
 	// Keep the socket up until live workers have been told the run is
-	// over (bounded by one TTL); killing it mid-poll would make a clean
-	// finish look like a dead coordinator on their side.
-	coord.Linger()
-	switch {
-	case errors.Is(err, fabric.ErrDrained):
-		fmt.Fprintf(stdout, "campaign drained: %d/%d grid points merged to %s; continue with -resume\n",
-			coord.Merged(), total, *resultsPath)
-		return errInterrupted
-	case err != nil:
+	// over or draining (bounded by one TTL); killing it mid-poll would
+	// make a clean finish look like a dead coordinator on their side.
+	svc.Linger()
+	drained := errors.Is(err, fabric.ErrDrained)
+	if err != nil && !drained {
 		return err
 	}
-	fmt.Fprintf(stdout, "campaign complete: %d grid points merged to %s (%d quarantined)\n",
-		coord.Merged(), *resultsPath, coord.Failures())
-	return nil
-}
-
-// ttlOrDefault mirrors the coordinator's TTL defaulting for log output.
-func ttlOrDefault(ttl time.Duration) time.Duration {
-	if ttl <= 0 {
-		return fabric.DefaultLeaseTTL
+	if dir != "" {
+		campaigns := svc.ListCampaigns()
+		if drained {
+			incomplete := 0
+			for _, st := range campaigns {
+				if st.State == fabric.StateQueued || st.State == fabric.StateRunning {
+					incomplete++
+				}
+			}
+			fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete; configs and merged prefixes are in %s — continue with -resume\n",
+				incomplete, dir)
+			return errInterrupted
+		}
+		fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(campaigns), dir)
+		return nil
 	}
-	return ttl
+	st, _ := svc.CampaignStatusByID(single.ID)
+	if drained {
+		fmt.Fprintf(stdout, "campaign drained: %d/%d grid points merged to %s; continue with -resume\n",
+			st.Merged, st.Total, *resultsPath)
+		return errInterrupted
+	}
+	fmt.Fprintf(stdout, "campaign complete: %d grid points merged to %s (%d quarantined)\n",
+		st.Merged, *resultsPath, st.Failures)
+	return nil
 }
 
 // runWork is a fabric worker: it registers with a coordinator, receives

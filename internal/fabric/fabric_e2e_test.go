@@ -101,21 +101,13 @@ func TestFabricChaosEquivalence(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	var csvBuf, qBuf bytes.Buffer
-	coord, err := NewCoordinator(CoordinatorOptions{
-		ConfigJSON:  []byte(e2eConfig),
-		Total:       total,
-		LeaseSize:   2,
-		LeaseTTL:    400 * time.Millisecond,
-		Results:     &csvBuf,
-		Quarantine:  &qBuf,
-		MaxFailures: -1,
-		Metrics:     reg,
-		Logf:        t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	unlimited := -1
+	coord, files := singleCampaign(t, ServiceOptions{
+		LeaseSize: 2,
+		LeaseTTL:  400 * time.Millisecond,
+		Metrics:   reg,
+		Logf:      t.Logf,
+	}, []byte(e2eConfig), t.TempDir(), false, &unlimited)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -177,9 +169,11 @@ func TestFabricChaosEquivalence(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 
-	if got := coord.Merged(); got != total {
-		t.Fatalf("merged %d/%d grid points", got, total)
+	if st, _ := coord.CampaignStatusByID(files.ID); st.Merged != total {
+		t.Fatalf("merged %d/%d grid points", st.Merged, total)
 	}
+	csvBuf := bytes.NewBufferString(readString(t, files.Results))
+	qBuf := bytes.NewBufferString(readString(t, files.Quarantine))
 	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
 		t.Errorf("merged CSV differs from the sequential run:\nfabric:\n%s\nsequential:\n%s", csvBuf.Bytes(), wantCSV)
 	}
@@ -206,23 +200,10 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 		t.Skip("multi-second end-to-end campaign")
 	}
 	wantCSV, _ := sequentialReference(t)
-	parsed, err := config.Parse(bytes.NewReader([]byte(e2eConfig)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := parsed.Campaign.NumExperiments()
-
-	var csvBuf bytes.Buffer
-	coord, err := NewCoordinator(CoordinatorOptions{
-		ConfigJSON: []byte(e2eConfig),
-		Total:      total,
-		LeaseSize:  3,
-		LeaseTTL:   2 * time.Second,
-		Results:    &csvBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, files := singleCampaign(t, ServiceOptions{
+		LeaseSize: 3,
+		LeaseTTL:  2 * time.Second,
+	}, []byte(e2eConfig), t.TempDir(), false, nil)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -258,6 +239,7 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 	if err := <-coordErr; err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
+	csvBuf := bytes.NewBufferString(readString(t, files.Results))
 	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
 		t.Errorf("distributed CSV differs from sequential:\nfabric:\n%s\nsequential:\n%s", csvBuf.Bytes(), wantCSV)
 	}

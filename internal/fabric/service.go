@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"comfase/internal/analysis"
 	"comfase/internal/config"
 	"comfase/internal/obs"
 	"comfase/internal/runner"
@@ -30,6 +31,23 @@ const (
 	StateCancelled = "cancelled" // cancelled by the operator
 )
 
+// ErrDrained marks a service that shut down in draining mode with work
+// incomplete: everything leased at drain time was finished (or expired)
+// and flushed, but un-leased ranges were never executed. A later
+// `comfase serve -resume` run picks up exactly where each campaign's
+// merged prefix ends.
+var ErrDrained = errors.New("fabric: drained before the grid completed")
+
+// DefaultLeaseTTL is the worker lease time-to-live used when the service
+// is configured without one. Long enough that a loaded worker renewing
+// at TTL/3 never flaps, short enough that a dead worker's range is
+// re-leased promptly.
+const DefaultLeaseTTL = 15 * time.Second
+
+// DefaultLeaseSize is the per-lease range length used when the service
+// is configured without one.
+const DefaultLeaseSize = 16
+
 // DefaultFairnessCap bounds how many chunks one campaign may hold leased
 // while other active campaigns still have pending work. The scheduler is
 // work-conserving: the cap shapes preference, it never idles a worker.
@@ -38,10 +56,11 @@ const DefaultFairnessCap = 4
 // ServiceOptions configure a multi-campaign fabric Service.
 type ServiceOptions struct {
 	// Dir, when set, enables submit mode: campaigns arrive over the
-	// /v1/campaigns API and every campaign's artifacts live side by side
-	// in this directory under the runner.CampaignFilesIn layout. When
-	// empty the service only runs campaigns added programmatically (the
-	// single-campaign Coordinator wrapper).
+	// /v1/campaigns API, every campaign's artifacts live side by side in
+	// this directory under the runner.CampaignFilesIn layout, and the
+	// service runs until drained. When empty the service accepts no
+	// submissions, runs only the campaigns added with Add, and finishes
+	// once every one of them is terminal.
 	Dir string
 	// Resume, with Dir, re-adopts every campaign already in the
 	// directory: each `<id>.config.json` is re-submitted with its merged
@@ -57,10 +76,6 @@ type ServiceOptions struct {
 	// FairnessCap bounds per-campaign concurrent leases while other
 	// campaigns have pending work (<= 0 selects DefaultFairnessCap).
 	FairnessCap int
-	// FinishWhenDone makes Wait return once every submitted campaign is
-	// terminal — the single-campaign Coordinator behavior. Without it
-	// the service runs until drained, accepting submissions forever.
-	FinishWhenDone bool
 	// Metrics receives the fabric counters and gauges; nil disables.
 	Metrics *obs.Registry
 	// Now is the clock (nil = time.Now); injectable for expiry tests.
@@ -69,22 +84,22 @@ type ServiceOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// campaignSpec is the internal submission record: everything addCampaign
-// needs, whether the campaign came over the wire (submit mode derives
-// the grid from the config) or from the Coordinator wrapper (explicit
-// dims and external writers).
-type campaignSpec struct {
-	id, name     string
-	configJSON   []byte
-	base, total  int
-	matrix       bool
-	maxFailures  int
-	resumePrefix int
-	noHeader     bool
-	// results/quarantine, when non-nil, are the wrapper's external
-	// writers; otherwise submit mode opens the campaign's own files.
-	results    io.Writer
-	quarantine io.Writer
+// chunkPayload buffers an accepted range until the frontier reaches it.
+type chunkPayload struct {
+	rows     []ResultRow
+	failures []FailureRow
+}
+
+// workerInfo is the service's per-worker liveness record.
+type workerInfo struct {
+	host     string
+	pid      int
+	lastSeen time.Time
+	snapshot *obs.Snapshot
+	// notifiedEnd: this worker has been told the run is over (a Done
+	// lease/complete response or a Draining lease response), so it will
+	// not poll again. Linger waits for every live worker to reach it.
+	notifiedEnd bool
 }
 
 // serviceCampaign is one campaign's full server-side state. The lease
@@ -98,7 +113,7 @@ type serviceCampaign struct {
 	matrix      bool
 	maxFailures int
 	configJSON  []byte
-	files       runner.CampaignFiles // zero value in wrapper mode
+	files       runner.CampaignFiles // empty paths are not written
 	table       *LeaseTable
 
 	// Sinks. cw writes through to the primary sink and the in-memory
@@ -124,7 +139,7 @@ type serviceCampaign struct {
 	// through worker or lease-table state.
 	snapshot atomic.Pointer[CampaignResultsResponse]
 
-	rowsMerged     *obs.Counter // labeled per campaign in submit mode
+	rowsMerged     *obs.Counter // labeled per campaign
 	failuresMerged *obs.Counter
 }
 
@@ -132,20 +147,24 @@ type serviceCampaign struct {
 // grids, each with its own namespaced lease table, generation counters,
 // release frontier and output files, drained oldest-first by a shared
 // worker fleet under a per-campaign fairness cap. Create with
-// NewService, mount Handler, submit campaigns (over the API in submit
-// mode, or via the Coordinator wrapper), then Wait.
+// NewService, mount Handler, add campaigns (Add, or Submit over the API
+// in submit mode), then Wait.
 type Service struct {
 	opts       ServiceOptions
 	now        func() time.Time
 	mux        *http.ServeMux
 	submitMode bool
 
+	// submitMu serializes submissions, so a rejected config does not
+	// consume a campaign ID; nextSeq is guarded by it.
+	submitMu sync.Mutex
+	nextSeq  int
+
 	mu        sync.Mutex
 	campaigns map[string]*serviceCampaign
 	order     []string // campaign IDs in submission order
 	workers   map[string]*workerInfo
 	nextWID   int
-	nextSeq   int
 	draining  bool
 	err       error
 	doneCh    chan struct{}
@@ -223,9 +242,11 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
+// LeaseTTL reports the resolved worker lease time-to-live.
+func (s *Service) LeaseTTL() time.Duration { return s.opts.LeaseTTL }
+
 // gridDims derives the grid geometry and failure budget from a raw
-// campaign/matrix config file — the submit path's counterpart to what
-// `comfase serve` computes for its single grid.
+// campaign/matrix config file.
 func gridDims(cfgJSON []byte) (base, total int, matrix bool, maxFailures int, err error) {
 	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
 	if err != nil {
@@ -234,42 +255,29 @@ func gridDims(cfgJSON []byte) (base, total int, matrix bool, maxFailures int, er
 	cells, matrix := parsed.Grid()
 	base, total = runner.GridSpan(cells)
 	if total == 0 {
-		return 0, 0, false, 0, errors.New("fabric: the config describes an empty campaign grid")
+		return 0, 0, false, 0, errors.New("the config describes an empty campaign grid")
 	}
 	return base, total, matrix, parsed.Runtime.MaxFailures, nil
 }
 
-// Submit enqueues a new campaign from its raw config file, persists the
-// config under the service directory, and returns the assigned ID. Only
-// valid in submit mode.
+// Submit enqueues a new campaign from its raw config file under the
+// next free ID in the service directory. Only valid in submit mode.
 func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
 	if !s.submitMode {
 		return SubmitResponse{}, errors.New("fabric: campaign submission requires a service directory (start serve with -dir)")
 	}
-	base, total, matrix, budget, err := gridDims(cfgJSON)
-	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("fabric: submitted config: %w", err)
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	s.submitMu.Lock()
+	defer s.submitMu.Unlock()
+	if s.drainingNow() {
 		return SubmitResponse{}, errors.New("fabric: service is draining; submissions closed")
 	}
-	s.nextSeq++
-	id := "c" + strconv.Itoa(s.nextSeq)
-	s.mu.Unlock()
-	files := runner.CampaignFilesIn(s.opts.Dir, id)
-	if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
-		return SubmitResponse{}, fmt.Errorf("fabric: persisting campaign config: %w", err)
-	}
-	c, err := s.addCampaign(campaignSpec{
-		id: id, name: name, configJSON: cfgJSON,
-		base: base, total: total, matrix: matrix, maxFailures: budget,
-	})
+	id := "c" + strconv.Itoa(s.nextSeq+1)
+	st, err := s.Add(name, cfgJSON, runner.CampaignFilesIn(s.opts.Dir, id), false, nil)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	return SubmitResponse{CampaignID: c.id, Base: c.base, Total: c.total, Position: c.seq}, nil
+	s.nextSeq++
+	return SubmitResponse{CampaignID: st.ID, Base: st.Base, Total: st.Total, Position: st.SubmittedSeq}, nil
 }
 
 // resumeDir re-adopts every campaign in the service directory: the
@@ -286,14 +294,6 @@ func (s *Service) resumeDir() error {
 		if err != nil {
 			return fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
 		}
-		base, total, matrix, budget, err := gridDims(cfgJSON)
-		if err != nil {
-			return fmt.Errorf("fabric: campaign %s config %s: %w", files.ID, files.Config, err)
-		}
-		prefix, err := runner.ReadMergedPrefix(files.Results, files.Quarantine, base, total)
-		if err != nil {
-			return fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
-		}
 		name := ""
 		if data, err := os.ReadFile(files.Status); err == nil {
 			var st CampaignStatus
@@ -301,14 +301,11 @@ func (s *Service) resumeDir() error {
 				name = st.Name
 			}
 		}
-		if _, err := s.addCampaign(campaignSpec{
-			id: files.ID, name: name, configJSON: cfgJSON,
-			base: base, total: total, matrix: matrix, maxFailures: budget,
-			resumePrefix: prefix,
-		}); err != nil {
+		st, err := s.Add(name, cfgJSON, files, true, nil)
+		if err != nil {
 			return err
 		}
-		s.logf("resumed campaign %s: %d/%d grid points already merged", files.ID, prefix, total)
+		s.logf("resumed campaign %s: %d/%d grid points already merged", files.ID, st.Merged, st.Total)
 		if _, n, ok := splitTrailingCampaignInt(files.ID); ok && n >= s.nextSeq {
 			s.nextSeq = n
 		}
@@ -333,86 +330,96 @@ func splitTrailingCampaignInt(id string) (prefix string, n int, ok bool) {
 	return id[:i], n, true
 }
 
-// addCampaign builds the campaign's lease table, opens its sinks, and
-// registers it with the scheduler.
-func (s *Service) addCampaign(spec campaignSpec) (*serviceCampaign, error) {
-	if spec.resumePrefix < 0 || spec.resumePrefix > spec.total {
-		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.resumePrefix, spec.total)
-	}
-	var labels []string
-	if s.submitMode {
-		labels = []string{"campaign", spec.id}
-	}
-	table, err := NewLeaseTable(spec.base, spec.total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
+// Add is the one way a campaign enters the service: a submission, a
+// campaign re-adopted from the service directory, or the campaign
+// `comfase serve -config` names. It derives the grid from the raw config
+// file, opens the campaign's results and quarantine files, and queues
+// the grid for the fleet under files.ID. Empty paths in files are not
+// written: no config or status document without a service directory, no
+// quarantine file unless one is named. With resume, the contiguous
+// prefix already merged on disk is skipped and both files are appended
+// to; otherwise the config is persisted and both files start empty.
+// maxFailures, when non-nil, overrides the config's failure budget.
+func (s *Service) Add(name string, cfgJSON []byte, files runner.CampaignFiles, resume bool, maxFailures *int) (CampaignStatus, error) {
+	base, total, matrix, budget, err := gridDims(cfgJSON)
 	if err != nil {
-		return nil, err
+		return CampaignStatus{}, fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
+	}
+	if maxFailures != nil {
+		budget = *maxFailures
+	}
+	prefix := 0
+	if resume {
+		// The release frontier writes a contiguous grid prefix, so "done
+		// so far" is exactly the rows + quarantine records below the first
+		// missing expNr. ReadMergedPrefix also chops any partial trailing
+		// line a mid-write crash left, and its rejection names the file.
+		if prefix, err = runner.ReadMergedPrefix(files.Results, files.Quarantine, base, total); err != nil {
+			return CampaignStatus{}, fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
+		}
+	} else if files.Config != "" {
+		if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
+			return CampaignStatus{}, fmt.Errorf("fabric: persisting campaign config: %w", err)
+		}
+	}
+	table, err := NewLeaseTable(base, total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, "campaign", files.ID)
+	if err != nil {
+		return CampaignStatus{}, err
 	}
 	c := &serviceCampaign{
-		id: spec.id, name: spec.name,
-		base: spec.base, total: spec.total,
-		matrix: spec.matrix, maxFailures: spec.maxFailures,
-		configJSON: spec.configJSON,
-		table:      table,
-		quarantine: spec.quarantine,
-		mem:        &bytes.Buffer{},
-		memQ:       &bytes.Buffer{},
-		buffered:   make(map[int]chunkPayload),
+		id: files.ID, name: name,
+		base: base, total: total,
+		matrix: matrix, maxFailures: budget,
+		configJSON:     cfgJSON,
+		files:          files,
+		table:          table,
+		mem:            &bytes.Buffer{},
+		memQ:           &bytes.Buffer{},
+		buffered:       make(map[int]chunkPayload),
+		rowsMerged:     s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", files.ID)),
+		failuresMerged: s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", files.ID)),
 	}
-	if s.submitMode {
-		c.files = runner.CampaignFilesIn(s.opts.Dir, spec.id)
-		c.rowsMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", spec.id))
-		c.failuresMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", spec.id))
-		if err := s.openCampaignSinks(c, spec.resumePrefix > 0); err != nil {
-			return nil, err
-		}
-	} else {
-		c.rowsMerged = s.rowsMerged
-		c.failuresMerged = s.failuresMerged
-		mw := io.MultiWriter(spec.results, c.mem)
-		c.cw = csv.NewWriter(mw)
-		c.headerPending = !spec.noHeader
+	if err := c.openSinks(resume); err != nil {
+		return CampaignStatus{}, err
 	}
-	if spec.resumePrefix > 0 {
-		table.MarkDonePrefix(spec.base + spec.resumePrefix)
+	if prefix > 0 {
+		table.MarkDonePrefix(base + prefix)
 		for c.nextChunk < table.NumChunks() {
 			_, to, _ := table.Bounds(c.nextChunk)
-			if to > spec.base+spec.resumePrefix {
+			if to > base+prefix {
 				break
 			}
 			c.nextChunk++
 		}
-		c.merged = spec.resumePrefix
+		c.merged = prefix
 	}
 
 	s.mu.Lock()
-	if _, dup := s.campaigns[spec.id]; dup {
+	if _, dup := s.campaigns[c.id]; dup {
 		s.mu.Unlock()
 		c.closeSinks()
-		return nil, fmt.Errorf("fabric: duplicate campaign ID %q", spec.id)
+		return CampaignStatus{}, fmt.Errorf("fabric: duplicate campaign ID %q", c.id)
 	}
 	c.seq = len(s.order) + 1
-	s.campaigns[spec.id] = c
-	s.order = append(s.order, spec.id)
+	s.campaigns[c.id] = c
+	s.order = append(s.order, c.id)
 	s.publishLocked(c)
+	st := c.statusLocked()
 	s.mu.Unlock()
 	s.submitted.Inc()
-	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", spec.id, spec.base, spec.base+spec.total, table.NumChunks())
-	return c, nil
+	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", c.id, base, base+total, table.NumChunks())
+	return st, nil
 }
 
-// openCampaignSinks opens (or, resuming, re-opens in append mode) a
-// submit-mode campaign's results and quarantine files, loading the
-// already-merged bytes into the in-memory mirrors so the results
-// endpoint sees the full stream.
-func (s *Service) openCampaignSinks(c *serviceCampaign, resumed bool) error {
+// openSinks opens the campaign's results and quarantine files. A fresh
+// campaign truncates both. A resumed one appends to both — its merged
+// prefix, quarantine records included, stays on disk — and loads the
+// merged bytes into the in-memory mirrors so the results endpoint sees
+// the full stream; the CSV header then goes out only if the results
+// file holds none yet.
+func (c *serviceCampaign) openSinks(resume bool) error {
 	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	appendMode := false
-	if resumed {
-		if st, err := os.Stat(c.files.Results); err == nil && st.Size() > 0 {
-			appendMode = true
-		}
-	}
-	if appendMode {
+	if resume {
 		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 		if data, err := os.ReadFile(c.files.Results); err == nil {
 			c.mem.Write(data)
@@ -425,15 +432,18 @@ func (s *Service) openCampaignSinks(c *serviceCampaign, resumed bool) error {
 	if err != nil {
 		return fmt.Errorf("fabric: campaign %s results: %w", c.id, err)
 	}
-	qf, err := os.OpenFile(c.files.Quarantine, mode, 0o644)
-	if err != nil {
-		rf.Close()
-		return fmt.Errorf("fabric: campaign %s quarantine: %w", c.id, err)
-	}
-	c.closers = append(c.closers, rf, qf)
+	c.closers = append(c.closers, rf)
 	c.cw = csv.NewWriter(io.MultiWriter(rf, c.mem))
-	c.quarantine = qf
-	c.headerPending = !appendMode
+	c.headerPending = c.mem.Len() == 0
+	if c.files.Quarantine != "" {
+		qf, err := os.OpenFile(c.files.Quarantine, mode, 0o644)
+		if err != nil {
+			c.closeSinks()
+			return fmt.Errorf("fabric: campaign %s quarantine: %w", c.id, err)
+		}
+		c.closers = append(c.closers, qf)
+		c.quarantine = qf
+	}
 	return nil
 }
 
@@ -482,7 +492,7 @@ func (c *serviceCampaign) statusLocked() CampaignStatus {
 }
 
 // publishLocked refreshes the campaign's atomic results snapshot and,
-// in submit mode, its on-disk status document. Service.mu held. The
+// when it has one, its on-disk status document. Service.mu held. The
 // snapshot is the results endpoint's ONLY data source; it carries what
 // the frontier has durably released, never in-flight worker state.
 func (s *Service) publishLocked(c *serviceCampaign) {
@@ -495,7 +505,7 @@ func (s *Service) publishLocked(c *serviceCampaign) {
 		CSV:        c.mem.String(),
 		Quarantine: c.memQ.String(),
 	})
-	if s.submitMode {
+	if c.files.Status != "" {
 		if err := writeStatusDoc(c.files.Status, st); err != nil {
 			s.logf("campaign %s: status doc: %v", c.id, err)
 		}
@@ -538,11 +548,10 @@ func (s *Service) acquire(workerID string) (c *serviceCampaign, lease Lease, sta
 			terminal++
 		}
 	}
-	finishWhenDone := s.opts.FinishWhenDone
 	s.mu.Unlock()
 
 	if len(actives) == 0 {
-		if finishWhenDone && terminal > 0 {
+		if !s.submitMode && terminal > 0 {
 			return nil, Lease{}, AcquireDone
 		}
 		// Submit mode: the queue is empty *right now*, but new campaigns
@@ -631,20 +640,9 @@ func (s *Service) Results(id string) (*CampaignResultsResponse, bool) {
 	return c.snapshot.Load(), true
 }
 
-// campaignMerged reports a campaign's merged/failure counts (wrapper
-// accessors).
-func (s *Service) campaignCounts(id string) (merged, failures int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.campaigns[id]; ok {
-		return c.merged, c.failures
-	}
-	return 0, 0
-}
-
-// failCampaign records a campaign-fatal error. In FinishWhenDone mode
-// (the single-campaign wrapper) the campaign's failure is the service's
-// failure, preserving the Coordinator's semantics; in submit mode the
+// failCampaign records a campaign-fatal error. Without a service
+// directory the campaign's failure is the service's failure, so Wait
+// surfaces it (a failure-budget abort included); in submit mode the
 // service keeps serving the other campaigns.
 func (s *Service) failCampaign(c *serviceCampaign, err error) {
 	s.mu.Lock()
@@ -659,7 +657,7 @@ func (s *Service) failCampaign(c *serviceCampaign, err error) {
 		s.finished.Inc()
 		s.logf("campaign %s failed: %v", c.id, err)
 	}
-	if s.opts.FinishWhenDone {
+	if !s.submitMode {
 		s.fail(err)
 	}
 }
@@ -757,8 +755,8 @@ func (s *Service) idle() bool {
 }
 
 // completionError distinguishes "everything complete" (nil) from
-// "drained early" at shutdown; a recorded fatal error wins, then the
-// first failed campaign's error in FinishWhenDone mode.
+// "drained early" at shutdown; a recorded fatal error wins, then — without
+// a service directory — the first failed campaign's error.
 func (s *Service) completionError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -778,7 +776,7 @@ func (s *Service) completionError() error {
 			incomplete++
 		}
 	}
-	if s.opts.FinishWhenDone && firstFailed != nil {
+	if !s.submitMode && firstFailed != nil {
 		return firstFailed
 	}
 	if incomplete > 0 {
@@ -787,15 +785,15 @@ func (s *Service) completionError() error {
 	return nil
 }
 
-// Wait blocks until the run completes (FinishWhenDone), a fatal error
-// occurs, or — after ctx is canceled — the drain finishes. It owns the
-// liveness sweeper.
+// Wait blocks until every campaign is terminal (without a service
+// directory), a fatal error occurs, or — after ctx is canceled — the
+// drain finishes. It owns the liveness sweeper.
 func (s *Service) Wait(ctx context.Context) error {
 	sweep := time.NewTicker(s.sweepInterval())
 	defer sweep.Stop()
 	// A service constructed over already-complete campaigns (a resume of
 	// a finished grid) has nothing to wait for.
-	if s.opts.FinishWhenDone && s.allTerminal() {
+	if !s.submitMode && s.allTerminal() {
 		s.finish(s.completionError())
 	}
 	ctxDone := ctx.Done()
@@ -824,7 +822,7 @@ func (s *Service) Wait(ctx context.Context) error {
 				s.logf("expired %d lease(s); ranges return to the pool", expired)
 			}
 			s.updateLiveness()
-			if s.opts.FinishWhenDone && s.allTerminal() {
+			if !s.submitMode && s.allTerminal() {
 				s.finish(s.completionError())
 			}
 			if s.drainingNow() && s.idle() {
@@ -914,6 +912,24 @@ func (s *Service) Linger() {
 }
 
 // ---- worker data-plane handlers ------------------------------------
+
+// readBody slurps a protocol request under the message size cap.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMessageBytes))
+	if err != nil {
+		http.Error(w, "fabric: oversized or unreadable body", http.StatusBadRequest)
+		return nil, false
+	}
+	return data, true
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		// The client will see a truncated body and retry.
+		return
+	}
+}
 
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	data, ok := readBody(w, r)
@@ -1110,18 +1126,18 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if campaignDone {
 		s.finished.Inc()
 		s.logf("campaign %s complete: %d grid points merged (%d quarantined)", c.id, c.merged, c.failures)
-		if s.opts.FinishWhenDone && s.allTerminal() {
+		if !s.submitMode && s.allTerminal() {
 			s.finish(s.completionError())
 		}
 	}
 }
 
 // finishedDone reports whether the whole service is finishing: every
-// campaign terminal AND the run configured to end then. In submit mode
-// the service keeps running (new submissions may arrive), so workers are
-// never told Done — they exit on Draining at shutdown instead.
+// campaign terminal and no service directory. In submit mode the service
+// keeps running (new submissions may arrive), so workers are never told
+// Done — they exit on Draining at shutdown instead.
 func (s *Service) finishedDone() bool {
-	return s.opts.FinishWhenDone && s.allTerminal()
+	return !s.submitMode && s.allTerminal()
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -1247,9 +1263,7 @@ func (s *Service) releaseLocked(c *serviceCampaign) error {
 					return fmt.Errorf("fabric: results write: %w", err)
 				}
 				c.rowsMerged.Inc()
-				if s.submitMode {
-					s.rowsMerged.Inc() // keep the aggregate counter aggregate
-				}
+				s.rowsMerged.Inc()
 				ri++
 			} else {
 				rec := append(payload.failures[fi].Record, '\n')
@@ -1260,9 +1274,7 @@ func (s *Service) releaseLocked(c *serviceCampaign) error {
 				}
 				c.memQ.Write(rec)
 				c.failuresMerged.Inc()
-				if s.submitMode {
-					s.failuresMerged.Inc()
-				}
+				s.failuresMerged.Inc()
 				fi++
 			}
 			c.merged++
@@ -1283,4 +1295,35 @@ func (c *serviceCampaign) writeHeader() error {
 	}
 	c.cw.Flush()
 	return c.cw.Error()
+}
+
+// verifyCoverage checks that rows and failures partition [from, to):
+// each sorted strictly ascending, union exactly the interval.
+func verifyCoverage(from, to int, rows []ResultRow, failures []FailureRow) error {
+	ri, fi := 0, 0
+	for nr := from; nr < to; nr++ {
+		switch {
+		case ri < len(rows) && rows[ri].Nr == nr:
+			if fi < len(failures) && failures[fi].Nr == nr {
+				return fmt.Errorf("%w: expNr %d present as both result and failure", ErrProtocol, nr)
+			}
+			ri++
+		case fi < len(failures) && failures[fi].Nr == nr:
+			fi++
+		default:
+			return fmt.Errorf("%w: completion of [%d,%d) is missing expNr %d", ErrProtocol, from, to, nr)
+		}
+	}
+	if ri != len(rows) || fi != len(failures) {
+		return fmt.Errorf("%w: completion of [%d,%d) carries expNrs outside the range", ErrProtocol, from, to)
+	}
+	return nil
+}
+
+// resultHeader is the CSV header for the configured schema.
+func resultHeader(matrix bool) []string {
+	if matrix {
+		return analysis.MatrixCSVHeader()
+	}
+	return analysis.ExperimentCSVHeader()
 }
