@@ -72,9 +72,14 @@ registry-equiv:
 # the multi-campaign drill — three campaigns with distinct grids
 # submitted concurrently to one service, one worker crashing mid-lease
 # — must leave every campaign's on-disk artifacts byte-identical to
-# its own sequential run.
+# its own sequential run. The long-poll lease tests ride along: a parked
+# lease request must be granted on a lease expiry or a submission, answer
+# Done or Draining the moment the run ends, answer empty only at its
+# bound, return promptly when its client goes away, and never let an
+# idle worker busy-loop; Linger must hold the socket for a worker not
+# yet told the run is over, and only while that worker is live.
 fabric-equiv:
-	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence' ./internal/fabric ./internal/runner
+	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence|TestLeaseLongPoll|TestWorkerIdleLongPollNoBusyLoop|TestServiceLingerAgesOutSilentWorker' ./internal/fabric ./internal/runner
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler and

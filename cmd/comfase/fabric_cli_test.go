@@ -139,6 +139,69 @@ func TestRunServeWorkDistributedCLI(t *testing.T) {
 	}
 }
 
+// TestRunServeWorkRepeatedCleanExit is the shutdown regression drill:
+// `serve -config` and two `work` processes drain a small grid, again and
+// again. The coordinator must keep its socket open until the last Done
+// reply is out, so every worker exits cleanly (none ends "coordinator
+// unreachable"), serve finishes, and the merged CSV is byte-identical to
+// `comfase campaign` each time.
+func TestRunServeWorkRepeatedCleanExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs experiments in -short mode")
+	}
+	dir := t.TempDir()
+	cfg := writeGridConfig(t, dir)
+	ref := filepath.Join(dir, "ref.csv")
+	if err := run(bg(), []string{"campaign", "-config", cfg, "-results", ref}, os.Stdout); err != nil {
+		t.Fatalf("sequential campaign: %v", err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iter := 0; iter < 20; iter++ {
+		merged := filepath.Join(dir, "merged.csv")
+		serveOut := &syncBuffer{}
+		serveErr := make(chan error, 1)
+		go func() {
+			serveErr <- run(bg(), []string{"serve", "-config", cfg, "-results", merged,
+				"-addr", "127.0.0.1:0", "-lease-size", "1"}, serveOut)
+		}()
+		url := waitForCoordinatorURL(t, serveOut)
+		var wg sync.WaitGroup
+		workErrs := make([]error, 2)
+		for i := range workErrs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				workErrs[i] = run(bg(), []string{"work", "-coordinator", url, "-workers", "1",
+					"-max-coordinator-retries", "2", "-retry-base", "10ms"}, &syncBuffer{})
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range workErrs {
+			if err != nil {
+				t.Fatalf("iteration %d: worker %d: %v", iter, i, err)
+			}
+		}
+		select {
+		case err := <-serveErr:
+			if err != nil {
+				t.Fatalf("iteration %d: serve: %v\noutput: %q", iter, err, serveOut.String())
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("iteration %d: serve did not finish after workers exited: %q", iter, serveOut.String())
+		}
+		got, err := os.ReadFile(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("iteration %d: fabric-merged CSV differs from sequential run:\nseq:\n%s\nfabric:\n%s", iter, want, got)
+		}
+	}
+}
+
 // TestRunServeDrainOnCancel covers the SIGINT path: a canceled context
 // drains the coordinator, which exits with the interrupted code and a
 // -resume hint.

@@ -189,6 +189,9 @@ Subcommands:
                    -max-failures N (campaign failure budget),
                    -heartbeat FILE, -heartbeat-interval D,
                    -metrics-addr HOST:PORT, -v (log fabric events)
+            a lease request with nothing to grant waits on the service
+            until a range frees up or the run ends; at the end serve
+            answers every waiting worker, then closes.
             the first SIGINT drains (finish what's leased, lease nothing
             new) and exits 2 with a -resume hint; a second force-exits.
             with -dir DIR campaigns arrive via "comfase submit", run
@@ -202,8 +205,10 @@ Subcommands:
   campaigns inspect a campaign service: list all campaigns, or one of
             -id ID (status JSON), -cancel ID, -results ID [-o FILE]
             [-quarantine-out FILE]; plus -coordinator URL (required)
-  work      execute leased ranges for a "comfase serve" coordinator; the
-            campaign config arrives from the coordinator at registration
+  work      execute leased ranges for a "comfase serve" coordinator; each
+            campaign's config arrives with its first lease, an idle worker
+            waits on the coordinator instead of sleeping, and it exits
+            once told the run is done or draining
             flags: -coordinator URL (required unless -config supplies
                    fabric.addr), -config FILE (optional local defaults),
                    -workers N (local experiment pool; 0 = all cores),
@@ -751,7 +756,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
 	url := "http://" + ln.Addr().String()
 	if dir == "" {
 		fmt.Fprintf(stdout, "fabric coordinator on %s: %d grid points (%d resumed), lease TTL %v\n",
@@ -764,10 +768,17 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator %s\n", url)
 
 	err = svc.Wait(ctx)
-	// Keep the socket up until live workers have been told the run is
-	// over or draining (bounded by one TTL); killing it mid-poll would
-	// make a clean finish look like a dead coordinator on their side.
+	// Keep the socket up until every live worker has been answered Done
+	// or Draining (Linger, bounded by one TTL): a worker between two
+	// requests when the run ended is about to ask again. Then close
+	// gracefully, so the handlers still writing those answers finish
+	// first; a clean finish never looks like a dead coordinator.
 	svc.Linger()
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), svc.LeaseTTL())
+	if httpSrv.Shutdown(shutdownCtx) != nil {
+		httpSrv.Close()
+	}
+	cancelShutdown()
 	drained := errors.Is(err, fabric.ErrDrained)
 	if err != nil && !drained {
 		return err

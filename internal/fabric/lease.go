@@ -292,13 +292,6 @@ func (t *LeaseTable) Drain() {
 	t.draining = true
 }
 
-// Draining reports whether Drain was called.
-func (t *LeaseTable) Draining() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.draining
-}
-
 // Done reports whether every chunk completed.
 func (t *LeaseTable) Done() bool {
 	t.mu.Lock()

@@ -38,8 +38,11 @@ import (
 // when coordinator and worker disagree, so a fleet never silently mixes
 // incompatible binaries. v2 namespaced every lease by campaign ID and
 // moved config delivery from registration to the first lease grant of
-// each campaign.
-const ProtocolVersion = 2
+// each campaign. v3 made lease requests long polls: an empty answer means
+// "ask again now", not "sleep". The lease answer is now the only
+// end-of-run signal, so v3 dropped the completion's done flag and the
+// report response's unread drain flag.
+const ProtocolVersion = 3
 
 // Paths of the coordinator's HTTP endpoints. The /v1/campaigns family is
 // the control plane (submissions, status, cancellation, results); the
@@ -88,7 +91,10 @@ type LeaseRequest struct {
 	Known    []string `json:"known,omitempty"`
 }
 
-// LeaseResponse grants a range, or explains why none was granted.
+// LeaseResponse grants a range, or explains why none was granted. An
+// ungranted request parks on the coordinator until a range comes free or
+// the run ends, so a response with none of Granted, Done and Draining set
+// means only that the park bound elapsed: ask again at once.
 type LeaseResponse struct {
 	// Granted reports whether Campaign/Chunk/From/To/Gen carry a lease.
 	Granted bool `json:"granted"`
@@ -110,14 +116,12 @@ type LeaseResponse struct {
 	// it with the ordinary config loader and caches the executor.
 	Config json.RawMessage `json:"config,omitempty"`
 	// Done: every campaign is complete and the coordinator is about to
-	// shut down — the worker should exit cleanly.
+	// shut down — the worker should exit cleanly. It is the only way a
+	// worker learns the run is over; the coordinator keeps its socket
+	// open until every live worker has been told.
 	Done bool `json:"done"`
 	// Draining: the coordinator is shutting down and leases nothing new.
 	Draining bool `json:"draining"`
-	// RetryMS, when no lease was granted and the service is still live,
-	// suggests when to ask again (outstanding leases may expire, and new
-	// campaigns may be submitted at any time).
-	RetryMS int64 `json:"retryMS,omitempty"`
 }
 
 // ReportRequest is the combined progress report + lease renewal + worker
@@ -142,9 +146,6 @@ type ReportResponse struct {
 	// the range completed elsewhere, or the campaign was cancelled):
 	// abandon the work, ask anew.
 	Cancel bool `json:"cancel,omitempty"`
-	// Draining mirrors the coordinator's drain flag so long-running
-	// workers learn about a shutdown without a lease round-trip.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // ResultRow is one classified experiment in wire form: the expNr plus
@@ -184,11 +185,6 @@ type CompleteResponse struct {
 	// report from a presumed-dead worker: not an error, just "your work
 	// was no longer wanted".
 	Stale bool `json:"stale,omitempty"`
-	// Done: every campaign is finished and the coordinator is about to
-	// shut down. The worker should exit without polling for another
-	// lease — a follow-up request would only see a dead socket and burn
-	// its retry budget.
-	Done bool `json:"done,omitempty"`
 }
 
 // SubmitRequest enqueues a new campaign on a submit-mode coordinator.

@@ -48,6 +48,10 @@ const DefaultLeaseTTL = 15 * time.Second
 // is configured without one.
 const DefaultLeaseSize = 16
 
+// maxLeaseWait caps how long an ungranted lease request parks on the
+// service, safely below the worker's 30 s HTTP client timeout.
+const maxLeaseWait = 20 * time.Second
+
 // DefaultFairnessCap bounds how many chunks one campaign may hold leased
 // while other active campaigns still have pending work. The scheduler is
 // work-conserving: the cap shapes preference, it never idles a worker.
@@ -96,9 +100,8 @@ type workerInfo struct {
 	pid      int
 	lastSeen time.Time
 	snapshot *obs.Snapshot
-	// notifiedEnd: this worker has been told the run is over (a Done
-	// lease/complete response or a Draining lease response), so it will
-	// not poll again. Linger waits for every live worker to reach it.
+	// notifiedEnd: this worker has been answered Done or Draining, so it
+	// will not call again. Linger waits for every live worker to reach it.
 	notifiedEnd bool
 }
 
@@ -169,6 +172,10 @@ type Service struct {
 	err       error
 	doneCh    chan struct{}
 	doneOnce  sync.Once
+	// wake is closed and replaced on every state change that can turn an
+	// empty acquire into a grant, Done or Draining, and on every Done or
+	// Draining answer; parked lease requests and Linger wait on it.
+	wake chan struct{}
 
 	rowsMerged     *obs.Counter
 	failuresMerged *obs.Counter
@@ -176,6 +183,8 @@ type Service struct {
 	workersSeen    *obs.Counter
 	submitted      *obs.Counter
 	finished       *obs.Counter
+	leaseParked    *obs.Gauge
+	leaseWait      *obs.Histogram
 }
 
 // NewService validates the options and, in resume mode, re-adopts every
@@ -201,12 +210,15 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		campaigns:      make(map[string]*serviceCampaign),
 		workers:        make(map[string]*workerInfo),
 		doneCh:         make(chan struct{}),
+		wake:           make(chan struct{}),
 		rowsMerged:     opts.Metrics.Counter("fabric.rows_merged"),
 		failuresMerged: opts.Metrics.Counter("fabric.failures_merged"),
 		workersLive:    opts.Metrics.Gauge("fabric.workers_live"),
 		workersSeen:    opts.Metrics.Counter("fabric.workers_registered"),
 		submitted:      opts.Metrics.Counter("fabric.campaigns_submitted"),
 		finished:       opts.Metrics.Counter("fabric.campaigns_finished"),
+		leaseParked:    opts.Metrics.Gauge("fabric.lease_parked"),
+		leaseWait:      opts.Metrics.Histogram("fabric.lease_wait", obs.DurationBounds()...),
 	}
 	if s.submitMode {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -404,6 +416,7 @@ func (s *Service) Add(name string, cfgJSON []byte, files runner.CampaignFiles, r
 	s.campaigns[c.id] = c
 	s.order = append(s.order, c.id)
 	s.publishLocked(c)
+	s.wakeLocked()
 	st := c.statusLocked()
 	s.mu.Unlock()
 	s.submitted.Inc()
@@ -555,7 +568,7 @@ func (s *Service) acquire(workerID string) (c *serviceCampaign, lease Lease, sta
 			return nil, Lease{}, AcquireDone
 		}
 		// Submit mode: the queue is empty *right now*, but new campaigns
-		// may arrive any moment — keep the fleet polling.
+		// may arrive any moment — park the request.
 		return nil, Lease{}, AcquireEmpty
 	}
 	// Pass 1: oldest-first, honoring the fairness cap.
@@ -575,6 +588,49 @@ func (s *Service) acquire(workerID string) (c *serviceCampaign, lease Lease, sta
 		}
 	}
 	return nil, Lease{}, AcquireEmpty
+}
+
+// acquireWait is acquire as a long poll: an empty answer parks the
+// request until a state change lets acquire answer otherwise, the client
+// goes away, or the bound — TTL/2, capped by maxLeaseWait — elapses.
+func (s *Service) acquireWait(ctx context.Context, workerID string) (*serviceCampaign, Lease, AcquireStatus) {
+	var bound <-chan time.Time
+	for {
+		// Read the wake channel before acquiring, so a state change
+		// between the two is not lost.
+		s.mu.Lock()
+		wake := s.wake
+		s.mu.Unlock()
+		if c, lease, status := s.acquire(workerID); status != AcquireEmpty {
+			return c, lease, status
+		}
+		if bound == nil {
+			timer := time.NewTimer(min(s.opts.LeaseTTL/2, maxLeaseWait))
+			start := time.Now()
+			s.leaseParked.Add(1)
+			defer func() {
+				timer.Stop()
+				s.leaseParked.Add(-1)
+				s.leaseWait.ObserveDuration(time.Since(start))
+				s.touchWorker(workerID, nil)
+			}()
+			bound = timer.C
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, Lease{}, AcquireEmpty
+		case <-bound:
+			return nil, Lease{}, AcquireEmpty
+		}
+	}
+}
+
+// wakeLocked releases every parked lease request to re-run acquire;
+// Service.mu held.
+func (s *Service) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // ---- campaign control ----------------------------------------------
@@ -599,6 +655,7 @@ func (s *Service) Cancel(id string) (CancelResponse, bool) {
 	c.cancelled = true
 	c.table.Drain()
 	s.publishLocked(c)
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.finished.Inc()
 	s.logf("campaign %s cancelled", id)
@@ -650,6 +707,7 @@ func (s *Service) failCampaign(c *serviceCampaign, err error) {
 	if fresh {
 		c.failedErr = err
 		s.publishLocked(c)
+		s.wakeLocked()
 	}
 	s.mu.Unlock()
 	c.table.Drain()
@@ -690,6 +748,7 @@ func (s *Service) finish(err error) {
 			}
 			c.closeSinks()
 		}
+		s.wakeLocked()
 		s.mu.Unlock()
 		close(s.doneCh)
 	})
@@ -706,6 +765,7 @@ func (s *Service) Drain() {
 	for _, c := range s.campaigns {
 		c.table.Drain()
 	}
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.logf("draining: finishing leased ranges, leasing nothing new")
 }
@@ -808,20 +868,7 @@ func (s *Service) Wait(ctx context.Context) error {
 				s.finish(s.completionError())
 			}
 		case <-sweep.C:
-			expired := 0
-			s.mu.Lock()
-			tables := make([]*LeaseTable, 0, len(s.order))
-			for _, id := range s.order {
-				tables = append(tables, s.campaigns[id].table)
-			}
-			s.mu.Unlock()
-			for _, t := range tables {
-				expired += t.Sweep()
-			}
-			if expired > 0 {
-				s.logf("expired %d lease(s); ranges return to the pool", expired)
-			}
-			s.updateLiveness()
+			s.sweep()
 			if !s.submitMode && s.allTerminal() {
 				s.finish(s.completionError())
 			}
@@ -830,6 +877,30 @@ func (s *Service) Wait(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// sweep returns every campaign's expired leases to the pool, refreshes
+// the workers-live gauge and wakes parked lease requests. It wakes them
+// even when it expired nothing, because a late renew or completion may
+// have expired a lease on its own since the last tick.
+func (s *Service) sweep() {
+	expired := 0
+	s.mu.Lock()
+	tables := make([]*LeaseTable, 0, len(s.order))
+	for _, id := range s.order {
+		tables = append(tables, s.campaigns[id].table)
+	}
+	s.mu.Unlock()
+	for _, t := range tables {
+		expired += t.Sweep()
+	}
+	if expired > 0 {
+		s.logf("expired %d lease(s); ranges return to the pool", expired)
+	}
+	s.updateLiveness()
+	s.mu.Lock()
+	s.wakeLocked()
+	s.mu.Unlock()
 }
 
 func (s *Service) runError() error {
@@ -877,37 +948,41 @@ func (s *Service) touchWorker(id string, snap *obs.Snapshot) {
 	s.mu.Unlock()
 }
 
-// markNotified records that a worker has been handed an end-of-run
-// response and will not call back.
+// markNotified records that a worker has been answered Done or Draining
+// and will not call back, and wakes Linger to re-check.
 func (s *Service) markNotified(id string) {
 	s.mu.Lock()
 	if w, ok := s.workers[id]; ok {
 		w.notifiedEnd = true
 	}
+	s.wakeLocked()
 	s.mu.Unlock()
 }
 
-// Linger blocks until every live worker has received an end-of-run
-// response, or one lease TTL elapses — whichever comes first. Call after
-// Wait, before tearing down the HTTP server.
+// Linger blocks until every live worker has been answered Done or
+// Draining, or one lease TTL passes. Call it after Wait and before
+// shutting the HTTP server down: a worker between two requests when the
+// run ended is about to ask for a lease, and must find the socket open.
+// An answer wakes it at once; the ticker notices a silent worker ageing
+// out of liveness.
 func (s *Service) Linger() {
 	deadline := time.Now().Add(s.opts.LeaseTTL)
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
 	for time.Now().Before(deadline) {
-		cutoff := s.now().Add(-s.opts.LeaseTTL)
-		pending := 0
 		s.mu.Lock()
+		wake, cutoff, pending := s.wake, s.now().Add(-s.opts.LeaseTTL), false
 		for _, w := range s.workers {
-			if !w.notifiedEnd && w.lastSeen.After(cutoff) {
-				pending++
-			}
+			pending = pending || (!w.notifiedEnd && w.lastSeen.After(cutoff))
 		}
 		s.mu.Unlock()
-		if pending == 0 {
+		if !pending {
 			return
 		}
-		<-ticker.C
+		select {
+		case <-wake:
+		case <-ticker.C:
+		}
 	}
 }
 
@@ -966,7 +1041,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.touchWorker(req.WorkerID, nil)
-	c, lease, status := s.acquire(req.WorkerID)
+	c, lease, status := s.acquireWait(r.Context(), req.WorkerID)
 	switch status {
 	case AcquireGranted:
 		s.mu.Lock()
@@ -997,8 +1072,8 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	case AcquireDraining:
 		s.markNotified(req.WorkerID)
 		writeJSON(w, LeaseResponse{Draining: true})
-	default: // AcquireEmpty: leases may expire, campaigns may arrive.
-		writeJSON(w, LeaseResponse{RetryMS: (s.opts.LeaseTTL / 2).Milliseconds()})
+	default: // AcquireEmpty: the parked request reached its bound.
+		writeJSON(w, LeaseResponse{})
 	}
 }
 
@@ -1026,21 +1101,20 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("fabric: unknown campaign %q", req.Campaign), http.StatusBadRequest)
 		return
 	}
-	draining := s.drainingNow()
 	s.mu.Lock()
 	dead := c.cancelled || c.failedErr != nil
 	s.mu.Unlock()
 	if dead {
 		// Cancelled/failed campaign: the range will never be merged.
-		writeJSON(w, ReportResponse{OK: false, Cancel: true, Draining: draining})
+		writeJSON(w, ReportResponse{OK: false, Cancel: true})
 		return
 	}
 	if err := c.table.Renew(req.WorkerID, req.Chunk, req.Gen); err != nil {
 		// The lease is gone; tell the worker to abandon the range.
-		writeJSON(w, ReportResponse{OK: false, Cancel: true, Draining: draining})
+		writeJSON(w, ReportResponse{OK: false, Cancel: true})
 		return
 	}
-	writeJSON(w, ReportResponse{OK: true, Draining: draining})
+	writeJSON(w, ReportResponse{OK: true})
 }
 
 func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -1067,7 +1141,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// reject the late completion idempotently — same contract as a
 		// superseded generation.
 		s.logf("rejected completion of cancelled %s chunk %d from %s", c.id, req.Chunk, req.WorkerID)
-		writeJSON(w, CompleteResponse{OK: false, Stale: true, Done: s.finishedDone()})
+		writeJSON(w, CompleteResponse{OK: false, Stale: true})
 		return
 	}
 
@@ -1087,11 +1161,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// Late completion from a presumed-dead worker: the range was (or
 		// will be) re-executed elsewhere. Discard idempotently.
 		s.logf("rejected stale completion of %s chunk %d gen %d from %s", c.id, req.Chunk, req.Gen, req.WorkerID)
-		done := s.finishedDone()
-		if done {
-			s.markNotified(req.WorkerID)
-		}
-		writeJSON(w, CompleteResponse{OK: false, Stale: true, Done: done})
+		writeJSON(w, CompleteResponse{OK: false, Stale: true})
 		return
 	}
 
@@ -1110,11 +1180,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, werr.Error(), http.StatusInternalServerError)
 		return
 	}
-	done := s.finishedDone()
-	if done {
-		s.markNotified(req.WorkerID)
-	}
-	writeJSON(w, CompleteResponse{OK: true, Done: done})
+	writeJSON(w, CompleteResponse{OK: true})
 	if overBudget {
 		// The triggering records are already merged and durable; stop
 		// granting this campaign's work and surface the budget error,
@@ -1130,14 +1196,6 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 			s.finish(s.completionError())
 		}
 	}
-}
-
-// finishedDone reports whether the whole service is finishing: every
-// campaign terminal and no service directory. In submit mode the service
-// keeps running (new submissions may arrive), so workers are never told
-// Done — they exit on Draining at shutdown instead.
-func (s *Service) finishedDone() bool {
-	return !s.submitMode && s.allTerminal()
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -171,6 +171,7 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 		LeaseTTL:    10 * time.Second,
 		FairnessCap: fairnessCap,
 		Now:         clock.Now,
+		Metrics:     obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
@@ -1047,5 +1048,280 @@ func TestRunnerFilesHelpers(t *testing.T) {
 	_, err = runner.ReadMergedPrefix(bad.Results, bad.Quarantine, 0, 10)
 	if err == nil || !strings.Contains(err.Error(), bad.Results) || !strings.Contains(err.Error(), "contiguous") {
 		t.Errorf("gapped prefix error = %v, want it to name %s", err, bad.Results)
+	}
+}
+
+// parkLease posts a lease request from a goroutine and returns the
+// channel its response arrives on. ctx is the request's context, so a
+// test can play a client that goes away.
+func parkLease(ctx context.Context, t *testing.T, h http.Handler, worker string) <-chan LeaseResponse {
+	t.Helper()
+	body, err := json.Marshal(LeaseRequest{WorkerID: worker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan LeaseResponse, 1)
+	go func() {
+		r := httptest.NewRequest(http.MethodPost, PathLease, bytes.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		var resp LeaseResponse
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil {
+			resp = LeaseResponse{Campaign: fmt.Sprintf("HTTP %d: %s", w.Code, w.Body.String())}
+		}
+		out <- resp
+	}()
+	return out
+}
+
+// waitParked blocks until the service holds n parked lease requests,
+// read off its fabric.lease_parked gauge (the service needs Metrics).
+func waitParked(t *testing.T, svc *Service, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.leaseParked.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("lease_parked = %d, want %d", svc.leaseParked.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkedAnswer waits for a parked request's response, failing unless it
+// arrives within limit — well inside the 5 s park bound of a 10 s TTL,
+// so a response means a wakeup, not the bound.
+func parkedAnswer(t *testing.T, ch <-chan LeaseResponse, limit time.Duration) LeaseResponse {
+	t.Helper()
+	select {
+	case resp := <-ch:
+		return resp
+	case <-time.After(limit):
+		t.Fatalf("parked lease request still waiting after %v", limit)
+		return LeaseResponse{}
+	}
+}
+
+// leaseOutcome names which answer a lease response carries.
+func leaseOutcome(r LeaseResponse) string {
+	switch {
+	case r.Granted:
+		return "granted"
+	case r.Done:
+		return "done"
+	case r.Draining:
+		return "draining"
+	case r.Campaign != "" || len(r.Config) > 0:
+		return "malformed"
+	}
+	return "empty"
+}
+
+// TestLeaseLongPollGrantedOnExpiry: a request parked behind another
+// worker's lease is granted that range, with a bumped generation, as
+// soon as the sweeper expires it on the fake clock.
+func TestLeaseLongPollGrantedOnExpiry(t *testing.T) {
+	clock := newFakeClock()
+	svc, _ := newSchedulerService(t, clock, 1, 2) // one chunk
+	h := svc.Handler()
+	w1, w2 := register(t, h), register(t, h)
+	dead := leaseFull(t, h, w1)
+
+	ch := parkLease(context.Background(), t, h, w2)
+	waitParked(t, svc, 1)
+	clock.Advance(11 * time.Second) // past the 10s TTL: w1 presumed dead
+	svc.sweep()
+	got := parkedAnswer(t, ch, 2*time.Second)
+	if !got.Granted || got.Campaign != "c1" || got.Chunk != dead.Chunk || got.Gen != dead.Gen+1 {
+		t.Fatalf("parked request answered %+v, want c1 chunk %d gen %d", got, dead.Chunk, dead.Gen+1)
+	}
+	waitParked(t, svc, 0)
+}
+
+// TestLeaseLongPollGrantedOnSubmit: a request parked on an empty submit
+// mode service is granted the first range of the next submission.
+func TestLeaseLongPollGrantedOnSubmit(t *testing.T) {
+	svc, err := NewService(ServiceOptions{Dir: t.TempDir(), LeaseSize: 2, LeaseTTL: 10 * time.Second, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	w1 := register(t, h)
+	ch := parkLease(context.Background(), t, h, w1)
+	waitParked(t, svc, 1)
+	if _, err := svc.Submit("late", gridConfig(4, -1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := parkedAnswer(t, ch, 2*time.Second); !got.Granted || got.Campaign != "c1" || got.From != 0 {
+		t.Fatalf("parked request answered %+v, want c1's first range", got)
+	}
+}
+
+// TestLeaseLongPollDoneOnFinish: the completion that finishes a dir-less
+// service answers the parked request Done. Linger then holds until the
+// completing worker, which is between requests, has asked for a lease
+// and been answered Done too.
+func TestLeaseLongPollDoneOnFinish(t *testing.T) {
+	svc, _ := singleCampaign(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Metrics: obs.NewRegistry()}, gridConfig(2, 0), t.TempDir(), false, nil)
+	h := svc.Handler()
+	w1, w2 := register(t, h), register(t, h)
+	l := lease(t, h, w1)
+	ch := parkLease(context.Background(), t, h, w2)
+	waitParked(t, svc, 1)
+	if resp := completeLease(t, h, w1, "c1", l); !resp.OK {
+		t.Fatalf("last completion answered %+v, want ok", resp)
+	}
+	if got := parkedAnswer(t, ch, 2*time.Second); leaseOutcome(got) != "done" {
+		t.Fatalf("parked request answered %+v, want done", got)
+	}
+	if err := waitDone(t, svc); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+
+	lingered := make(chan struct{})
+	go func() {
+		svc.Linger()
+		close(lingered)
+	}()
+	select {
+	case <-lingered:
+		t.Fatal("Linger returned while w1 had not been told the run is over")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := parkedAnswer(t, parkLease(context.Background(), t, h, w1), 2*time.Second); leaseOutcome(got) != "done" {
+		t.Fatalf("w1's next lease request answered %+v, want done", got)
+	}
+	select {
+	case <-lingered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Linger still waiting after every worker was told the run is over")
+	}
+}
+
+// TestLeaseLongPollEndOfRun covers the other ways a run ends under a
+// parked request: a drain and a failure-budget abort answer Draining,
+// and cancelling a dir-less service's only campaign answers Done.
+func TestLeaseLongPollEndOfRun(t *testing.T) {
+	cases := []struct {
+		name string
+		end  func(t *testing.T, svc *Service, h http.Handler, w1 string, l Lease)
+		want string
+	}{
+		{
+			name: "drain",
+			end:  func(t *testing.T, svc *Service, _ http.Handler, _ string, _ Lease) { svc.Drain() },
+			want: "draining",
+		},
+		{
+			name: "failure budget",
+			end: func(t *testing.T, _ *Service, h http.Handler, w1 string, l Lease) {
+				var cr CompleteResponse
+				postProto(t, h, PathComplete, CompleteRequest{
+					WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen,
+					Rows:     []ResultRow{{Nr: 0, Fields: []string{"0", "v"}}},
+					Failures: []FailureRow{{Nr: 1, Record: json.RawMessage(`{"expNr":1}`)}},
+				}, &cr)
+			},
+			want: "draining",
+		},
+		{
+			name: "cancel",
+			end: func(t *testing.T, svc *Service, _ http.Handler, _ string, _ Lease) {
+				if resp, ok := svc.Cancel("c1"); !ok || !resp.OK {
+					t.Fatalf("Cancel = %+v, %v", resp, ok)
+				}
+			},
+			want: "done",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two chunks, both leased by w1, so w2's request parks.
+			svc, _ := singleCampaign(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Metrics: obs.NewRegistry()}, gridConfig(4, 0), t.TempDir(), false, nil)
+			h := svc.Handler()
+			w1, w2 := register(t, h), register(t, h)
+			l := lease(t, h, w1)
+			lease(t, h, w1)
+			ch := parkLease(context.Background(), t, h, w2)
+			waitParked(t, svc, 1)
+			tc.end(t, svc, h, w1, l)
+			if got := parkedAnswer(t, ch, 2*time.Second); leaseOutcome(got) != tc.want {
+				t.Fatalf("parked request answered %+v, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestLeaseLongPollBound: with nothing to hand out and nothing changing,
+// a parked request answers empty once TTL/2 has elapsed, and records
+// its wait in fabric.lease_wait.
+func TestLeaseLongPollBound(t *testing.T) {
+	clock := newFakeClock()
+	reg := obs.NewRegistry()
+	const ttl = 80 * time.Millisecond
+	svc, err := NewService(ServiceOptions{Dir: t.TempDir(), LeaseTTL: ttl, Now: clock.Now, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	w1 := register(t, h)
+	start := time.Now()
+	got := parkedAnswer(t, parkLease(context.Background(), t, h, w1), 5*time.Second)
+	if elapsed := time.Since(start); elapsed < ttl/2 {
+		t.Errorf("parked request answered after %v, before its %v bound", elapsed, ttl/2)
+	}
+	if leaseOutcome(got) != "empty" {
+		t.Fatalf("parked request answered %+v at its bound, want an empty response", got)
+	}
+	snap := reg.Snapshot()
+	if h := snap.Histograms["fabric.lease_wait"]; h.Count != 1 || h.Sum < (ttl/2).Seconds() {
+		t.Errorf("fabric.lease_wait = %+v, want one wait of at least %v", h, ttl/2)
+	}
+	if g := snap.Gauges["fabric.lease_parked"]; g != 0 {
+		t.Errorf("fabric.lease_parked = %d after the answer, want 0", g)
+	}
+}
+
+// TestLeaseLongPollClientGone: a parked request whose client goes away
+// returns promptly, long before its bound, and leaves nothing parked.
+func TestLeaseLongPollClientGone(t *testing.T) {
+	svc, err := NewService(ServiceOptions{Dir: t.TempDir(), LeaseTTL: 10 * time.Second, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	w1 := register(t, h)
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := parkLease(ctx, t, h, w1)
+	waitParked(t, svc, 1)
+	cancel()
+	if got := parkedAnswer(t, ch, 2*time.Second); leaseOutcome(got) != "empty" {
+		t.Fatalf("abandoned request answered %+v, want empty", got)
+	}
+	waitParked(t, svc, 0)
+}
+
+// TestServiceLingerAgesOutSilentWorker: Linger stops waiting for a
+// worker that was never told the run is over once that worker has been
+// silent for a full TTL — a crashed worker holds serve up no longer
+// than its liveness window.
+func TestServiceLingerAgesOutSilentWorker(t *testing.T) {
+	clock := newFakeClock()
+	svc, _ := newSchedulerService(t, clock, 1)
+	register(t, svc.Handler())
+	lingered := make(chan struct{})
+	go func() {
+		svc.Linger()
+		close(lingered)
+	}()
+	select {
+	case <-lingered:
+		t.Fatal("Linger returned while a live worker had not been told the run is over")
+	case <-time.After(50 * time.Millisecond):
+	}
+	clock.Advance(11 * time.Second) // past the 10s TTL: the worker is presumed dead
+	select {
+	case <-lingered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Linger still waiting for a worker silent past its TTL")
 	}
 }

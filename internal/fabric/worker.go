@@ -26,11 +26,6 @@ var ErrCoordinatorUnreachable = errors.New("fabric: coordinator unreachable")
 // abandons the range and asks for a new lease.
 var errLeaseLost = errors.New("fabric: lease lost")
 
-// errGridDone is the internal signal that this worker's completion
-// finished the grid: the coordinator is about to shut down, so the
-// worker must exit without polling for another lease.
-var errGridDone = errors.New("fabric: grid complete")
-
 // WorkerOptions configure a fabric worker.
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:7app".
@@ -180,15 +175,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("coordinator draining; exiting")
 			return nil
 		case !lr.Granted:
-			// Nothing pending right now; outstanding leases may expire
-			// and new campaigns may be submitted.
-			wait := time.Duration(lr.RetryMS) * time.Millisecond
-			if wait <= 0 {
-				wait = w.ttl / 2
-			}
-			if err := sleepCtx(ctx, wait); err != nil {
-				return err
-			}
+			// The request parked on the coordinator for its full bound
+			// and nothing came free: ask again.
 			continue
 		}
 		exec, err := w.executorFor(lr.Campaign, lr.Config)
@@ -199,16 +187,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.leases.Inc()
 		w.logf("lease %s/%d gen %d: range [%d,%d)", lr.Campaign, lease.Chunk, lease.Gen, lease.From, lease.To)
 		if err := w.runLease(ctx, lr.Campaign, lease, exec); err != nil {
-			switch {
-			case errors.Is(err, errLeaseLost):
+			if errors.Is(err, errLeaseLost) {
 				w.cancels.Inc()
 				w.logf("lease %s/%d gen %d lost; asking for new work", lr.Campaign, lease.Chunk, lease.Gen)
 				continue
-			case errors.Is(err, errGridDone):
-				// Our completion finished the run: the coordinator is
-				// shutting down, so don't poll it for another lease.
-				w.logf("run complete; exiting")
-				return nil
 			}
 			return err
 		}
@@ -327,9 +309,6 @@ func (w *Worker) runLease(ctx context.Context, campaign string, lease Lease, exe
 		w.completed.Inc()
 		w.rowsSent.Add(uint64(len(rows)))
 	}
-	if resp.Done {
-		return errGridDone
-	}
 	return nil
 }
 
@@ -342,8 +321,10 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 	for attempt := 0; attempt <= w.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			w.retries.Inc()
-			if err := sleepCtx(ctx, w.backoff(attempt)); err != nil {
-				return err
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(w.backoff(attempt)):
 			}
 		}
 		err := w.postOnce(ctx, path, req, resp)
@@ -422,16 +403,4 @@ func (w *Worker) backoff(attempt int) time.Duration {
 	jittered := d/2 + time.Duration(w.rng.Int63n(int64(d/2)+1))
 	w.rngMu.Unlock()
 	return jittered
-}
-
-// sleepCtx sleeps d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
 }

@@ -138,3 +138,46 @@ func TestWorkerRunRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("version skew not rejected: %v", err)
 	}
 }
+
+// TestWorkerIdleLongPollNoBusyLoop: an idle worker facing a service
+// whose only range is leased elsewhere parks on each lease request for
+// the full bound, so it makes at most ceil(elapsed/bound)+1 lease calls —
+// no sleep, and no busy loop either.
+func TestWorkerIdleLongPollNoBusyLoop(t *testing.T) {
+	clock := newFakeClock() // the outstanding lease never expires
+	const ttl = 200 * time.Millisecond
+	bound := ttl / 2
+	svc, err := NewService(ServiceOptions{Dir: t.TempDir(), LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit("", gridConfig(2, -1)); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	lease(t, h, register(t, h))
+
+	var leaseCalls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathLease {
+			leaseCalls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 550*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := w.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("idle worker Run = %v, want its context deadline", err)
+	}
+	elapsed := time.Since(start)
+	limit := int32((elapsed+bound-1)/bound) + 1
+	if got := leaseCalls.Load(); got < 1 || got > limit {
+		t.Errorf("idle worker made %d lease calls in %v, want 1..%d (bound %v)", got, elapsed, limit, bound)
+	}
+}
