@@ -1,0 +1,271 @@
+package nic
+
+import (
+	"math"
+	"testing"
+
+	"comfase/internal/geo"
+	"comfase/internal/mac"
+	"comfase/internal/phy"
+	"comfase/internal/sim/des"
+	"comfase/internal/wave1609"
+)
+
+// The tests in this file pin the delivery fast path against the
+// computation it replaces, bit for bit (math.Float64bits). A rewrite that
+// is only "equal up to rounding" must fail them.
+
+// lineNet builds a medium with radios registered in the given order at
+// the given X positions. Positions are read through xs on every call, so
+// a test may move a radio between transmissions. Decoded frames at every
+// radio are appended to *rx.
+func lineNet(t *testing.T, ch phy.ChannelConfig, ids []string, xs []float64, rx *[]rxRecord) (*des.Kernel, *Air, []*Radio) {
+	t.Helper()
+	k := des.NewKernel()
+	air, err := NewAir(Config{
+		Kernel:   k,
+		Channel:  ch,
+		Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatalf("NewAir: %v", err)
+	}
+	radios := make([]*Radio, len(ids))
+	for i, id := range ids {
+		i := i
+		r, err := air.AddRadio(id, func() geo.Vec { return geo.Vec{X: xs[i]} }, func(f *mac.Frame, m RxMeta) {
+			*rx = append(*rx, rxRecord{at: k.Now(), f: *f, meta: m})
+		})
+		if err != nil {
+			t.Fatalf("AddRadio(%s): %v", id, err)
+		}
+		radios[i] = r
+	}
+	return k, air, radios
+}
+
+// referenceSINR is the full SINR chain the interference-free shortcut
+// stands in for.
+func referenceSINR(ch phy.ChannelConfig, rxPowerDBm, interferenceMw float64) float64 {
+	return ch.SINRdBWithNoiseMw(rxPowerDBm, phy.MilliwattToDBm(interferenceMw),
+		phy.DBmToMilliwatt(ch.NoiseFloorDBm))
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestInterferenceFreeSINRExact pins p - MilliwattToDBm(noiseMw) to the
+// full chain with zero interference, over a sweep of powers and noise
+// floors, and then through real deliveries at platoon-to-edge ranges.
+func TestInterferenceFreeSINRExact(t *testing.T) {
+	for nf := -110.0; nf <= -80; nf += 1.3 {
+		ch := phy.DefaultChannelConfig()
+		ch.NoiseFloorDBm = nf
+		noiseDBm := phy.MilliwattToDBm(phy.DBmToMilliwatt(nf))
+		for p := -120.0; p <= 30; p += 0.37 {
+			if got, want := p-noiseDBm, referenceSINR(ch, p, 0); !sameBits(got, want) {
+				t.Fatalf("noise %v dBm, power %v dBm: shortcut %v, full chain %v", nf, p, got, want)
+			}
+		}
+	}
+
+	// -101.3 dBm does not survive the dB -> mW -> dB round trip, so the
+	// noise term must be MilliwattToDBm(noiseMw), not the configured floor.
+	if phy.MilliwattToDBm(phy.DBmToMilliwatt(-101.3)) == -101.3 {
+		t.Fatal("setup: -101.3 dBm round-trips exactly")
+	}
+	dists := []float64{1, 3.7, 10, 25, 55.5, 100, 333, 1000, 1400}
+	for _, nf := range []float64{-98, -101.3, -104.5, -93.1} {
+		ch := phy.DefaultChannelConfig()
+		ch.NoiseFloorDBm = nf
+		ids := []string{"s"}
+		xs := []float64{0}
+		for i, d := range dists {
+			ids = append(ids, scratchID(i))
+			xs = append(xs, d)
+		}
+		var rx []rxRecord
+		k, _, radios := lineNet(t, ch, ids, xs, &rx)
+		if err := radios[0].Send("x", 200, mac.ACVideo, 1); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(rx) != len(dists) {
+			t.Fatalf("noise %v dBm: %d deliveries, want %d", nf, len(rx), len(dists))
+		}
+		for _, r := range rx {
+			p := r.meta.RxPowerDBm
+			if want := referenceSINR(ch, p, 0); !sameBits(r.meta.SINRdB, want) {
+				t.Errorf("noise %v dBm, power %v dBm: SINRdB %v, full chain %v", nf, p, r.meta.SINRdB, want)
+			}
+		}
+	}
+}
+
+// TestLazyMilliwattMatchesEager pins the deferred conversion to the eager
+// DBmToMilliwatt it replaces, on first use and from the cache.
+func TestLazyMilliwattMatchesEager(t *testing.T) {
+	for p := -200.0; p <= 40; p += 0.173 {
+		rec := &reception{powerDBm: p}
+		want := phy.DBmToMilliwatt(p)
+		if got := rec.mw(); !sameBits(got, want) || !rec.mwKnown {
+			t.Fatalf("power %v dBm: lazy %v (known %v), eager %v", p, got, rec.mwKnown, want)
+		}
+		if got := rec.mw(); !sameBits(got, want) {
+			t.Fatalf("power %v dBm: cached %v, eager %v", p, got, want)
+		}
+	}
+}
+
+// TestOverlapSINRExact is the decodable sibling of
+// TestHiddenTerminalSINRCollision: a strong frame overlapped by two
+// hidden senders is captured, and its SINR must equal the full chain
+// over the interference summed in arrival order, with each interferer's
+// milliwatts converted exactly as an eager conversion would.
+func TestOverlapSINRExact(t *testing.T) {
+	ch := phy.DefaultChannelConfig()
+	// far1 and far2 sit on opposite sides, 4550 m apart: neither they nor
+	// near sense one another, so all three transmit at once.
+	ids := []string{"rx", "near", "far1", "far2"}
+	xs := []float64{0, 10, 2250, -2300}
+	var rx []rxRecord
+	k, air, radios := lineNet(t, ch, ids, xs, &rx)
+	for i, r := range radios[1:] {
+		if err := r.Send("x", 200, mac.ACVideo, uint64(i+1)); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var got *rxRecord
+	for i := range rx {
+		if rx[i].f.Src == "near" && rx[i].meta.RxPowerDBm == ch.RxPowerDBm(10) {
+			got = &rx[i]
+		}
+	}
+	if got == nil {
+		t.Fatalf("near frame not captured at rx: %+v", rx)
+	}
+	at := func(x float64) float64 { return ch.RxPowerDBm(geo.Vec{}.Dist(geo.Vec{X: x})) }
+	// far1 (2250 m) arrives before far2 (2300 m).
+	intMw := 0.0
+	intMw += phy.DBmToMilliwatt(at(2250))
+	intMw += phy.DBmToMilliwatt(at(2300))
+	want := referenceSINR(ch, got.meta.RxPowerDBm, intMw)
+	if !sameBits(got.meta.SINRdB, want) {
+		t.Errorf("overlap SINRdB %v (%#x), full chain %v (%#x)",
+			got.meta.SINRdB, math.Float64bits(got.meta.SINRdB), want, math.Float64bits(want))
+	}
+	if sameBits(got.meta.SINRdB, referenceSINR(ch, got.meta.RxPowerDBm, 0)) {
+		t.Error("overlap path not taken: SINR equals the interference-free value")
+	}
+	known := 0
+	for _, rec := range air.allRecs {
+		if rec.mwKnown {
+			known++
+			if !sameBits(rec.powerMw, phy.DBmToMilliwatt(rec.powerDBm)) {
+				t.Errorf("lazy mW %v for %v dBm, eager %v", rec.powerMw, rec.powerDBm, phy.DBmToMilliwatt(rec.powerDBm))
+			}
+		}
+	}
+	if known < 3 {
+		t.Errorf("%d receptions converted to mW, want >= 3 overlapping", known)
+	}
+}
+
+// TestSnapshotRestoresLazyMilliwatt checkpoints while a reception whose
+// milliwatts are not yet known is on the air, lets that pooled object be
+// reused and converted at a different power, restores, and lets a frame
+// land on top of the restored reception. The overlapping frame's SINR
+// reads the restored reception's milliwatts, so it and the delivery must
+// be bit-identical to the uninterrupted run.
+func TestSnapshotRestoresLazyMilliwatt(t *testing.T) {
+	ch := phy.DefaultChannelConfig()
+	// far's frame at rx is above sensitivity but below CCA, and near and
+	// far cannot sense each other: near's strong frame overlaps far's.
+	ids := []string{"rx", "far", "near"}
+	xs := []float64{0, 1300, 10}
+	var rx []rxRecord
+	k, air, radios := lineNet(t, ch, ids, xs, &rx)
+	rxRadio, far, near := radios[0], radios[1], radios[2]
+	if err := far.Send("weak", 200, mac.ACVideo, 1); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	k.ScheduleAt(30*des.Microsecond, func() {
+		if err := near.Send("strong", 200, mac.ACVideo, 2); err != nil {
+			t.Errorf("Send: %v", err)
+		}
+	})
+	for len(rxRadio.active) == 0 {
+		if err := k.RunUntil(k.Now() + des.Microsecond); err != nil {
+			t.Fatalf("RunUntil: %v", err)
+		}
+	}
+	inFlight := rxRadio.active[0]
+	if inFlight.mwKnown {
+		t.Fatal("setup: reception converted before the checkpoint")
+	}
+	p0 := inFlight.powerDBm
+
+	var ks des.KernelState
+	var as AirState
+	k.Snapshot(&ks)
+	if err := air.SaveState(&as); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	mark := len(rx)
+
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ref := append([]rxRecord(nil), rx[mark:]...)
+	refStats := air.Stats()
+	if len(ref) != 1 || ref[0].f.Src != "near" {
+		t.Fatalf("setup: uninterrupted run delivered %+v, want near's frame", ref)
+	}
+
+	// Reuse every pooled reception at new powers, each one overlapped so
+	// its milliwatts get converted.
+	xs[1], xs[2] = 1250, 12
+	for i, r := range radios {
+		if err := r.Send("reuse", 200, mac.ACVideo, uint64(10+i)); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !inFlight.mwKnown || inFlight.powerDBm == p0 {
+		t.Fatalf("setup: pooled reception not reused at a new power (known %v, %v dBm)",
+			inFlight.mwKnown, inFlight.powerDBm)
+	}
+
+	xs[1], xs[2] = 1300, 10
+	if err := k.Restore(&ks); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if err := air.LoadState(&as); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	rx = rx[:mark]
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	got := rx[mark:]
+	if len(got) != len(ref) {
+		t.Fatalf("restored run delivered %d frames, uninterrupted %d", len(got), len(ref))
+	}
+	for i := range got {
+		g, w := got[i], ref[i]
+		if g.at != w.at || g.f != w.f || g.meta.RxAt != w.meta.RxAt ||
+			!sameBits(g.meta.RxPowerDBm, w.meta.RxPowerDBm) || !sameBits(g.meta.SINRdB, w.meta.SINRdB) {
+			t.Errorf("restored delivery %+v, uninterrupted %+v", g, w)
+		}
+	}
+	if s := air.Stats(); s != refStats {
+		t.Errorf("restored stats %+v, uninterrupted %+v", s, refStats)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"comfase/internal/geo"
-	"comfase/internal/phy"
 	"comfase/internal/sim/des"
 )
 
@@ -84,7 +83,6 @@ func (j *Jammer) emit() {
 		rec.start = now.Add(a.cfg.Delay.Delay(dist))
 		rec.end = rec.start.Add(j.burst)
 		rec.powerDBm = rxPower
-		rec.powerMw = phy.DBmToMilliwatt(rxPower)
 		a.k.ScheduleAt(rec.start, rec.beginFn)
 		a.k.ScheduleAt(rec.end, rec.endFn)
 	}

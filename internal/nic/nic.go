@@ -45,8 +45,10 @@ type RxMeta struct {
 	SINRdB float64
 }
 
-// RxHandler consumes successfully decoded frames.
-type RxHandler func(f mac.Frame, meta RxMeta)
+// RxHandler consumes successfully decoded frames. f points into the
+// medium's pooled reception and is valid only for the duration of the
+// call: a handler that keeps any part of the frame must copy it.
+type RxHandler func(f *mac.Frame, meta RxMeta)
 
 // Verdict is an Interceptor's decision about one frame delivery on one
 // link.
@@ -136,8 +138,11 @@ type Air struct {
 
 	// noiseMw caches DBmToMilliwatt(Channel.NoiseFloorDBm) — a pure
 	// function of the configuration hoisted out of the per-delivery SINR
-	// computation (bit-identical to converting on every call).
-	noiseMw float64
+	// computation (bit-identical to converting on every call). noiseDBm
+	// caches MilliwattToDBm(noiseMw), the noise term of the SINR of a
+	// reception that saw no interference.
+	noiseMw  float64
+	noiseDBm float64
 
 	// airtimeFn is the bound airtime method, created once and shared by
 	// every MAC so per-radio wiring does not allocate method values.
@@ -187,6 +192,7 @@ func (a *Air) Reset(cfg Config) error {
 	a.sched = cfg.Schedule
 	a.seed = cfg.Seed
 	a.noiseMw = phy.DBmToMilliwatt(cfg.Channel.NoiseFloorDBm)
+	a.noiseDBm = phy.MilliwattToDBm(a.noiseMw)
 	a.interceptor = nil
 	a.stats = Stats{}
 	if a.deciderRNG == nil {
@@ -207,6 +213,15 @@ func (a *Air) Reset(cfg Config) error {
 	}
 	a.radios = a.radios[:0]
 	clear(a.byID)
+	// The kernel was reset before the medium, dropping the begin/end
+	// events of every reception still in flight; none of them will ever
+	// finish, so return the whole registry to the freelist.
+	a.recFree = a.recFree[:0]
+	for _, rec := range a.allRecs {
+		rec.frame = mac.Frame{}
+		rec.dst = nil
+		a.recFree = append(a.recFree, rec)
+	}
 	return nil
 }
 
@@ -271,6 +286,7 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 		handler: handler,
 		macRNG:  rng.New(a.seed, "nic.mac."+id),
 	}
+	r.transmitFn = r.transmitFrame
 	m, err := mac.New(r.macConfig())
 	if err != nil {
 		return nil, err
@@ -283,7 +299,8 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 }
 
 // macConfig assembles the MAC wiring for this radio. The transmit hook
-// captures only the radio, whose identity is stable across pool reuse.
+// is bound once per radio, whose identity is stable across pool reuse, so
+// recycling a radio allocates no method value.
 func (r *Radio) macConfig() mac.Config {
 	a := r.air
 	return mac.Config{
@@ -291,7 +308,7 @@ func (r *Radio) macConfig() mac.Config {
 		RNG:      r.macRNG,
 		Schedule: a.sched,
 		Airtime:  a.airtimeFn,
-		Transmit: r.transmitFrame,
+		Transmit: r.transmitFn,
 	}
 }
 
@@ -349,7 +366,9 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 		}
 		dist := srcPos.Dist(dst.pos())
 		delay := a.cfg.Delay.Delay(dist)
-		df := f
+		// The frame is written straight into the pooled reception; the
+		// verdict's overrides are applied there in place.
+		var rec *reception
 		if a.interceptor != nil {
 			v := a.interceptor.Intercept(now, src.id, dst.id, f)
 			if v.Drop {
@@ -360,24 +379,26 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 				delay = v.Delay
 				a.stats.DelayOverridden++
 			}
-			if v.OverrideBeacon && df.HasBeacon {
-				df.Beacon = v.Beacon
+			rec = a.acquireReception(dst)
+			rec.frame = f
+			if v.OverrideBeacon && f.HasBeacon {
+				rec.frame.Beacon = v.Beacon
 			}
 			if v.Payload != nil {
-				df.Payload = v.Payload
+				rec.frame.Payload = v.Payload
 			}
+		} else {
+			rec = a.acquireReception(dst)
+			rec.frame = f
 		}
 		rxPower := a.cfg.RxPowerDBm(dist)
 		if a.cfg.Fading != nil {
 			rxPower += a.cfg.Fading.GainDB(dist)
 		}
-		rec := a.acquireReception(dst)
-		rec.frame = df
 		rec.sentAt = now
 		rec.start = now.Add(delay)
 		rec.end = rec.start.Add(dur)
 		rec.powerDBm = rxPower
-		rec.powerMw = phy.DBmToMilliwatt(rxPower)
 		rec.delay = delay
 		a.k.ScheduleAt(rec.start, rec.beginFn)
 		a.k.ScheduleAt(rec.end, rec.endFn)
@@ -394,10 +415,13 @@ type reception struct {
 	start  des.Time
 	end    des.Time
 	// powerDBm is the received power; powerMw caches its milliwatt
-	// conversion (same pure function, computed once at transmit time
-	// instead of per overlapping reception).
+	// conversion once mwKnown is set. The conversion is the same pure
+	// function whenever it runs, so it is deferred to the first overlap
+	// that reads it (see mw): a reception that never overlaps another
+	// never pays for it.
 	powerDBm float64
 	powerMw  float64
+	mwKnown  bool
 	delay    des.Time
 	// interferenceMw accumulates the power of every overlapping
 	// reception at this radio (worst-case SINR, like Veins' per-segment
@@ -416,6 +440,15 @@ type reception struct {
 	endFn   des.Handler
 }
 
+// mw returns the received power in milliwatts, converting on first use.
+func (rec *reception) mw() float64 {
+	if !rec.mwKnown {
+		rec.powerMw = phy.DBmToMilliwatt(rec.powerDBm)
+		rec.mwKnown = true
+	}
+	return rec.powerMw
+}
+
 // Radio is one node's network interface on the Air.
 type Radio struct {
 	id      string
@@ -425,8 +458,10 @@ type Radio struct {
 	mac     *mac.EDCA
 	macRNG  *rng.Source
 	// txDoneFn is the bound mac.TxDone method, created once so transmit
-	// completions do not allocate method values.
-	txDoneFn des.Handler
+	// completions do not allocate method values; transmitFn is the bound
+	// transmitFrame, the MAC's Transmit hook.
+	txDoneFn   des.Handler
+	transmitFn func(mac.Frame)
 
 	active  []*reception
 	txStart des.Time
@@ -470,10 +505,12 @@ func (r *Radio) SendBeacon(b msg.Beacon, payloadBits int, ac mac.AccessCategory,
 // beginReception registers an incoming frame: it interferes with every
 // overlapping reception and may raise carrier sense.
 func (r *Radio) beginReception(rec *reception) {
-	mw := rec.powerMw
-	for _, other := range r.active {
-		other.interferenceMw += mw
-		rec.interferenceMw += other.powerMw
+	if len(r.active) > 0 {
+		mw := rec.mw()
+		for _, other := range r.active {
+			other.interferenceMw += mw
+			rec.interferenceMw += other.mw()
+		}
 	}
 	r.active = append(r.active, rec)
 	if rec.powerDBm >= r.air.cfg.CCAThresholdDBm {
@@ -505,7 +542,7 @@ func (r *Radio) endReception(rec *reception) {
 	}
 
 	a := r.air
-	cfg := a.cfg
+	cfg := &a.cfg
 	switch {
 	case rec.noise:
 		// Jamming bursts are never decoded; their effect is the carrier
@@ -523,7 +560,15 @@ func (r *Radio) endReception(rec *reception) {
 		return
 	}
 
-	sinr := cfg.SINRdBWithNoiseMw(rec.powerDBm, phy.MilliwattToDBm(rec.interferenceMw), a.noiseMw)
+	// Without interference the SINR chain reduces exactly to p - noiseDBm:
+	// MilliwattToDBm(0) = -Inf, Pow(10, -Inf) = 0 and noiseMw + 0 =
+	// noiseMw, leaving MilliwattToDBm(noiseMw).
+	var sinr float64
+	if rec.interferenceMw == 0 {
+		sinr = rec.powerDBm - a.noiseDBm
+	} else {
+		sinr = cfg.SINRdBWithNoiseMw(rec.powerDBm, phy.MilliwattToDBm(rec.interferenceMw), a.noiseMw)
+	}
 	ok := false
 	switch cfg.Decider {
 	case phy.DeciderThreshold:
@@ -540,7 +585,7 @@ func (r *Radio) endReception(rec *reception) {
 	if r.handler == nil {
 		return
 	}
-	f := rec.frame
+	f := &rec.frame
 	r.handler(f, RxMeta{
 		Src:        f.Src,
 		SentAt:     rec.sentAt,

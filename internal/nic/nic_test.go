@@ -39,8 +39,8 @@ func newNet(t *testing.T, positions map[string]geo.Vec) *testNet {
 	n.air = air
 	for id, p := range positions {
 		id, p := id, p
-		_, err := air.AddRadio(id, func() geo.Vec { return p }, func(f mac.Frame, m RxMeta) {
-			n.rx[id] = append(n.rx[id], rxRecord{at: n.k.Now(), f: f, meta: m})
+		_, err := air.AddRadio(id, func() geo.Vec { return p }, func(f *mac.Frame, m RxMeta) {
+			n.rx[id] = append(n.rx[id], rxRecord{at: n.k.Now(), f: *f, meta: m})
 		})
 		if err != nil {
 			t.Fatalf("AddRadio(%s): %v", id, err)
@@ -356,7 +356,7 @@ func TestProbabilisticDeciderDropsAtLowSNR(t *testing.T) {
 	// Use 1.4 km: rx ~ -86.6, SNR ~11.4 -> deliverable.
 	a, _ := air.AddRadio("a", func() geo.Vec { return geo.Vec{} }, nil)
 	_, _ = air.AddRadio("b", func() geo.Vec { return geo.Vec{X: 1400} },
-		func(mac.Frame, RxMeta) { got++ })
+		func(*mac.Frame, RxMeta) { got++ })
 	for i := 0; i < 20; i++ {
 		k.ScheduleAt(des.Time(i)*10*des.Millisecond, func() {
 			_ = a.Send("x", 200, mac.ACVideo, 0)
@@ -453,7 +453,7 @@ func TestNakagamiFadingCausesLossAtRange(t *testing.T) {
 		got := 0
 		a, _ := air.AddRadio("a", func() geo.Vec { return geo.Vec{} }, nil)
 		_, _ = air.AddRadio("b", func() geo.Vec { return geo.Vec{X: dist} },
-			func(mac.Frame, RxMeta) { got++ })
+			func(*mac.Frame, RxMeta) { got++ })
 		for i := 0; i < 200; i++ {
 			k.ScheduleAt(des.Time(i)*10*des.Millisecond, func() {
 				_ = a.Send("x", 200, mac.ACVideo, 0)

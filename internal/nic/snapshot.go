@@ -20,6 +20,7 @@ type receptionState struct {
 	end            des.Time
 	powerDBm       float64
 	powerMw        float64
+	mwKnown        bool
 	delay          des.Time
 	interferenceMw float64
 	sensedBusy     bool
@@ -89,6 +90,7 @@ func (a *Air) SaveState(st *AirState) error {
 			end:            rec.end,
 			powerDBm:       rec.powerDBm,
 			powerMw:        rec.powerMw,
+			mwKnown:        rec.mwKnown,
 			delay:          rec.delay,
 			interferenceMw: rec.interferenceMw,
 			sensedBusy:     rec.sensedBusy,
@@ -149,6 +151,7 @@ func (a *Air) LoadState(st *AirState) error {
 		rec.end = rs.end
 		rec.powerDBm = rs.powerDBm
 		rec.powerMw = rs.powerMw
+		rec.mwKnown = rs.mwKnown
 		rec.delay = rs.delay
 		rec.interferenceMw = rs.interferenceMw
 		rec.sensedBusy = rs.sensedBusy

@@ -31,7 +31,10 @@ type mcsInfo struct {
 	constelBits int     // bits per modulation symbol (1 BPSK, 2 QPSK, ...)
 }
 
-var mcsTable = map[MCS]mcsInfo{
+// mcsTable is indexed by MCS; entry 0 is unused (MCS values start at 1).
+// An array lookup replaces the map probe on every transmit (airtime) and
+// reception (decoding threshold).
+var mcsTable = [...]mcsInfo{
 	MCSBpskR12:  {name: "BPSK-1/2", bitrate: 3, bitsPerSym: 24, minSNRdB: 1.0, constelBits: 1},
 	MCSBpskR34:  {name: "BPSK-3/4", bitrate: 4.5, bitsPerSym: 36, minSNRdB: 2.0, constelBits: 1},
 	MCSQpskR12:  {name: "QPSK-1/2", bitrate: 6, bitsPerSym: 48, minSNRdB: 3.0, constelBits: 2},
@@ -43,35 +46,31 @@ var mcsTable = map[MCS]mcsInfo{
 }
 
 // Valid reports whether the MCS is one of the defined schemes.
-func (m MCS) Valid() bool {
-	_, ok := mcsTable[m]
-	return ok
+func (m MCS) Valid() bool { return m >= MCSBpskR12 && m <= MCSQam64R34 }
+
+// info returns the scheme's parameters, falling back to QPSK 1/2 (the
+// Veins default) for an undefined MCS.
+func (m MCS) info() *mcsInfo {
+	if !m.Valid() {
+		m = MCSQpskR12
+	}
+	return &mcsTable[m]
 }
 
 // String implements fmt.Stringer.
 func (m MCS) String() string {
-	if info, ok := mcsTable[m]; ok {
-		return info.name
+	if m.Valid() {
+		return mcsTable[m].name
 	}
 	return fmt.Sprintf("MCS(%d)", int(m))
 }
 
 // BitrateMbps returns the data rate in Mbit/s (10 MHz channel).
-func (m MCS) BitrateMbps() float64 {
-	if info, ok := mcsTable[m]; ok {
-		return info.bitrate
-	}
-	return mcsTable[MCSQpskR12].bitrate
-}
+func (m MCS) BitrateMbps() float64 { return m.info().bitrate }
 
 // MinSNRdB returns the decoding SNR threshold used by the deterministic
 // decider mode.
-func (m MCS) MinSNRdB() float64 {
-	if info, ok := mcsTable[m]; ok {
-		return info.minSNRdB
-	}
-	return mcsTable[MCSQpskR12].minSNRdB
-}
+func (m MCS) MinSNRdB() float64 { return m.info().minSNRdB }
 
 // 802.11p OFDM timing on a 10 MHz channel: 8 us per symbol, 40 us
 // preamble + signal field.
@@ -86,10 +85,7 @@ const (
 // FrameAirtimeUs returns the on-air duration of a frame with the given
 // PSDU size in bits, in microseconds.
 func (m MCS) FrameAirtimeUs(psduBits int) float64 {
-	info, ok := mcsTable[m]
-	if !ok {
-		info = mcsTable[MCSQpskR12]
-	}
+	info := m.info()
 	if psduBits < 0 {
 		psduBits = 0
 	}
@@ -103,10 +99,7 @@ func (m MCS) FrameAirtimeUs(psduBits int) float64 {
 // family of curves Veins' NIST decider tabulates. The approximation only
 // needs to be faithful near the decoding cliff, which it is.
 func (m MCS) BitErrorRate(snrDB float64) float64 {
-	info, ok := mcsTable[m]
-	if !ok {
-		info = mcsTable[MCSQpskR12]
-	}
+	info := m.info()
 	// Coding gain: rate-1/2 convolutional ~5.1 dB, 2/3 ~4.2 dB, 3/4 ~3.8 dB.
 	var gain float64
 	switch info.bitrate {

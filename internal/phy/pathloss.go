@@ -44,6 +44,12 @@ func (m FreeSpace) LossDB(distance, freqHz float64) float64 {
 		alpha = 2
 	}
 	friis := 20 * math.Log10(4*math.Pi*d*freqHz/SpeedOfLight)
+	if alpha == 2 && !math.IsInf(d, 1) {
+		// The exponent term is 10*0*Log10(d) == +0 for every finite d >= 1,
+		// and friis + 0 == friis, so skipping it is the identical
+		// computation. At d = +Inf the term is 0*Inf = NaN and must stay.
+		return friis
+	}
 	return friis + 10*(alpha-2)*math.Log10(d)
 }
 

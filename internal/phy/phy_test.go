@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,45 @@ func TestMCSValidAndString(t *testing.T) {
 	}
 	if MCSQpskR12.BitrateMbps() != 6 {
 		t.Errorf("QPSK 1/2 bitrate = %v, want 6", MCSQpskR12.BitrateMbps())
+	}
+
+	// Every scheme's parameters, and the QPSK 1/2 fallback for undefined
+	// values.
+	want := []struct {
+		m       MCS
+		name    string
+		bitrate float64
+		minSNR  float64
+		airtime float64 // FrameAirtimeUs(424)
+	}{
+		{MCSBpskR12, "BPSK-1/2", 3, 1, 192},
+		{MCSBpskR34, "BPSK-3/4", 4.5, 2, 144},
+		{MCSQpskR12, "QPSK-1/2", 6, 3, 120},
+		{MCSQpskR34, "QPSK-3/4", 9, 5, 96},
+		{MCSQam16R12, "16QAM-1/2", 12, 8, 80},
+		{MCSQam16R34, "16QAM-3/4", 18, 11, 72},
+		{MCSQam64R23, "64QAM-2/3", 24, 15, 64},
+		{MCSQam64R34, "64QAM-3/4", 27, 17, 64},
+	}
+	for _, w := range want {
+		if !w.m.Valid() || w.m.String() != w.name || w.m.BitrateMbps() != w.bitrate ||
+			w.m.MinSNRdB() != w.minSNR || w.m.FrameAirtimeUs(424) != w.airtime {
+			t.Errorf("%d: valid=%v %q %v Mbit/s, min SNR %v dB, airtime %v us; want %q %v Mbit/s, %v dB, %v us",
+				int(w.m), w.m.Valid(), w.m.String(), w.m.BitrateMbps(), w.m.MinSNRdB(),
+				w.m.FrameAirtimeUs(424), w.name, w.bitrate, w.minSNR, w.airtime)
+		}
+	}
+	for _, m := range []MCS{-1, 0, 9, 99} {
+		if m.Valid() {
+			t.Errorf("MCS(%d) valid", int(m))
+		}
+		if got, want := m.String(), fmt.Sprintf("MCS(%d)", int(m)); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
+		if m.BitrateMbps() != 6 || m.MinSNRdB() != 3 || m.FrameAirtimeUs(424) != 120 ||
+			m.BitErrorRate(4) != MCSQpskR12.BitErrorRate(4) {
+			t.Errorf("MCS(%d) does not fall back to QPSK 1/2", int(m))
+		}
 	}
 }
 
@@ -266,5 +306,36 @@ func TestSINRWithInterference(t *testing.T) {
 	}
 	if withInt >= cfg.SNRdB(rx) {
 		t.Error("interference did not reduce SINR")
+	}
+}
+
+// freeSpaceFull is FreeSpace.LossDB without the alpha == 2 shortcut: the
+// full expression, exponent term included.
+func freeSpaceFull(distance, freqHz, alpha float64) float64 {
+	d := math.Max(distance, 1)
+	friis := 20 * math.Log10(4*math.Pi*d*freqHz/SpeedOfLight)
+	return friis + 10*(alpha-2)*math.Log10(d)
+}
+
+// TestFreeSpaceAlpha2FastPathExact pins the alpha == 2 shortcut to the
+// full expression bit for bit, from below the 1 m clamp through platoon
+// range to 1e6 m, plus the non-finite distances where the skipped term
+// is not +0.
+func TestFreeSpaceAlpha2FastPathExact(t *testing.T) {
+	dists := []float64{0.3, 1, 1.0000001, 3.7, 5, 8.25, 10, 12.5, 25, 33.3,
+		50, 75, 100, 150, 333, 1000, 1400, 2300, 1e6,
+		math.Inf(1), math.NaN()}
+	for _, alpha := range []float64{0, 2} {
+		m := FreeSpace{Alpha: alpha}
+		for _, freq := range []float64{5.89e9, 5.9e9, 2.4e9} {
+			for _, d := range dists {
+				got := m.LossDB(d, freq)
+				want := freeSpaceFull(d, freq, 2)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("Alpha=%v LossDB(%v, %v) = %v (%#x), full expression %v (%#x)",
+						alpha, d, freq, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
 	}
 }

@@ -277,11 +277,11 @@ func (m *Member) sendBeacon() {
 // handleRx caches leader/predecessor beacons. Only fresher states (by
 // sender time stamp) replace the cache, so a delayed frame that arrives
 // after a newer one cannot roll the cache back.
-func (m *Member) handleRx(f mac.Frame, meta nic.RxMeta) {
+func (m *Member) handleRx(f *mac.Frame, meta nic.RxMeta) {
 	if !f.HasBeacon || f.Beacon.PlatoonID != m.params.ID {
 		return
 	}
-	b := f.Beacon
+	b := &f.Beacon
 	st := KinState{
 		Pos:    b.Pos,
 		Speed:  b.Speed,

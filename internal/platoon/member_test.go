@@ -183,7 +183,7 @@ func TestForeignPlatoonBeaconIgnored(t *testing.T) {
 func TestNonBeaconPayloadIgnored(t *testing.T) {
 	rig := newMemberRig(t)
 	f := mac.Frame{Src: "vehicle.1", Bits: 424, AC: mac.ACVideo, Payload: "not a beacon"}
-	rig.follower.handleRx(f, nic.RxMeta{})
+	rig.follower.handleRx(&f, nic.RxMeta{})
 	if rig.follower.RxCount() != 0 {
 		t.Error("non-beacon payload accepted")
 	}
@@ -252,7 +252,8 @@ func TestMemberAccessors(t *testing.T) {
 
 // injectBeacon feeds a beacon directly into the member's rx path.
 func injectBeacon(m *Member, b msg.Beacon) {
-	m.handleRx(macFrame(b.Source, b), nic.RxMeta{})
+	f := macFrame(b.Source, b)
+	m.handleRx(&f, nic.RxMeta{})
 }
 
 func macFrame(src string, b msg.Beacon) mac.Frame {

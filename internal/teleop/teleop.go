@@ -215,7 +215,7 @@ func (rv *RemoteVehicle) LastCommandAge() des.Time {
 	return rv.k.Now().Sub(rv.lastRxAt)
 }
 
-func (rv *RemoteVehicle) handleRx(f mac.Frame, meta nic.RxMeta) {
+func (rv *RemoteVehicle) handleRx(f *mac.Frame, meta nic.RxMeta) {
 	cmd, ok := f.Payload.(Command)
 	if !ok {
 		return

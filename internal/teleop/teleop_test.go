@@ -198,8 +198,9 @@ func TestStaleCommandDoesNotRollBack(t *testing.T) {
 	r := newRig(t, 0, constantSpeedPolicy(10))
 	fresh := Command{Seq: 2, SentAt: 10 * des.Second, TargetSpeed: 30}
 	stale := Command{Seq: 1, SentAt: 5 * des.Second, TargetSpeed: 1}
-	r.rv.handleRx(frameWith(fresh), nic.RxMeta{RxAt: 10 * des.Second})
-	r.rv.handleRx(frameWith(stale), nic.RxMeta{RxAt: 11 * des.Second})
+	freshFrame, staleFrame := frameWith(fresh), frameWith(stale)
+	r.rv.handleRx(&freshFrame, nic.RxMeta{RxAt: 10 * des.Second})
+	r.rv.handleRx(&staleFrame, nic.RxMeta{RxAt: 11 * des.Second})
 	if r.rv.lastCmd.TargetSpeed != 30 {
 		t.Errorf("stale command rolled state back: %+v", r.rv.lastCmd)
 	}
