@@ -1,22 +1,32 @@
 GO ?= go
 
-.PHONY: check build vet test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
+.PHONY: check build vet fma-audit test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
 
 # Tier-1 verification gate, and the only list of gates (scripts/check.sh
-# runs it): build + vet + race-enabled tests, a short fuzz smoke over
+# runs it): build + vet + the fused multiply-add audit + race-enabled
+# tests, a short fuzz smoke over
 # every fuzz target, the coverage floor, a one-shot benchmark sanity pass
 # and the end-to-end benchmark module's own vet and tests. The campaign
 # runner executes experiments on a worker pool, so the race detector is
 # part of the default gate, not an optional extra. The race step runs
 # every equivalence self-test (chaos, checkpoint, trie, obs, registry,
 # fabric); their named targets below are shortcuts, not extra gate steps.
-check: build vet race fuzz-smoke cover bench-sanity bench-e2e-module
+check: build vet fma-audit race fuzz-smoke cover bench-sanity bench-e2e-module
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Cross-architecture determinism: cross-compile ./internal/... for the
+# four architectures whose compilers fuse x*y + z into one FMA
+# instruction (arm64, riscv64, ppc64le, s390x) and fail if any source
+# file compiles to more fused instructions than its committed baseline
+# (scripts/fma-baseline.txt). A fused multiply-add rounds once instead of
+# twice, so it changes result bits that amd64 computes unfused.
+fma-audit:
+	scripts/fma-audit.sh
 
 test:
 	$(GO) test ./...
@@ -83,8 +93,8 @@ fabric-equiv:
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler and
-# snapshot/restore, the shard designator, the heartbeat snapshot
-# decoder). 5s per target catches
+# snapshot/restore, the traffic simulator's reused lane order, the shard
+# designator, the heartbeat snapshot decoder). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
 fuzz-smoke:
@@ -92,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMatrixConfigDecode' -fuzztime 5s ./internal/config
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSchedule' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSnapshot' -fuzztime 5s ./internal/sim/des
+	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzHeartbeatDecode' -fuzztime 5s ./internal/obs

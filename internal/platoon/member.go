@@ -309,7 +309,7 @@ func (m *Member) handleRx(f *mac.Frame, meta nic.RxMeta) {
 // seconds.
 func (m *Member) ControlStep(now des.Time, dt float64) {
 	if m.index == 0 {
-		m.veh.Command(m.tracker.Accel(now.Seconds(), m.veh.State))
+		m.veh.Command(m.tracker.AccelAt(now, m.veh.State))
 		return
 	}
 	self := Snapshot{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"comfase/internal/platoon"
 	"comfase/internal/sim/des"
 	"comfase/internal/trace"
 )
@@ -135,5 +136,58 @@ func TestCheckpointRestoreAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Restore allocated %.1f per call, want 0", allocs)
+	}
+}
+
+// rammer is a stateless follower controller that always commands full
+// throttle, so it drives into its predecessor within a few seconds.
+type rammer struct{}
+
+func (rammer) Name() string { return "rammer" }
+func (rammer) Update(float64, platoon.Snapshot, platoon.KinState, platoon.KinState) float64 {
+	return 10
+}
+func (rammer) Reset()                             {}
+func (rammer) SaveState() platoon.ControllerState { return platoon.ControllerState{} }
+func (rammer) LoadState(platoon.ControllerState)  {}
+
+// TestCheckpointRestoreAllocsAfterCollision is the post-collision twin
+// of TestCheckpointRestoreAllocs: a checkpoint taken while a halted
+// wreck holds entries in the collision log restores without touching
+// the allocator either.
+func TestCheckpointRestoreAllocsAfterCollision(t *testing.T) {
+	w := NewWorkspace()
+	ts := PaperScenario()
+	ts.TotalSimTime = 5 * des.Second
+	cacc := DefaultControllers()
+	sim, err := w.Build(ts, PaperCommModel(), 42, func(i int) platoon.Controller {
+		if i == 1 {
+			return rammer{}
+		}
+		return cacc(i)
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sim.RunUntil(4 * des.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if sim.Traffic.CollisionCount() == 0 {
+		t.Fatal("no collision before the fork point")
+	}
+	var cp Checkpoint
+	if err := w.Snapshot(&cp); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := w.Restore(&cp); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Restore after a collision allocated %.1f per call, want 0", allocs)
 	}
 }

@@ -140,11 +140,12 @@ func (w *Workspace) Build(ts TrafficScenario, cm CommModel, seed uint64, factory
 		PayloadBits:    cm.PacketBits,
 		AC:             cm.AC,
 	}
-	w.tracker = traffic.SpeedTracker{
-		Maneuver: ts.Maneuver,
-		Gain:     ts.TrackerGain,
-		LagComp:  ts.TrackerLagComp,
-	}
+	// The tracker keeps its per-step profile memo across builds; the new
+	// maneuver starts it over.
+	w.tracker.Maneuver = ts.Maneuver
+	w.tracker.Gain = ts.TrackerGain
+	w.tracker.LagComp = ts.TrackerLagComp
+	w.tracker.SetStepGrid(sim.StepLength(), ts.TotalSimTime)
 	tracker := &w.tracker
 
 	v0 := ts.Maneuver.TargetSpeed(0)

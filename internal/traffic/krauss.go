@@ -55,8 +55,8 @@ func (k *Krauss) SafeSpeed(gap, leaderSpeed float64) float64 {
 	if gap <= 0 {
 		return 0
 	}
-	bt := k.Decel * k.Tau
-	v := -bt + math.Sqrt(bt*bt+leaderSpeed*leaderSpeed+2*k.Decel*gap)
+	bt := float64(k.Decel * k.Tau)
+	v := -bt + math.Sqrt(float64(bt*bt)+float64(leaderSpeed*leaderSpeed)+float64(2*k.Decel*gap))
 	if v < 0 {
 		return 0
 	}
@@ -66,7 +66,7 @@ func (k *Krauss) SafeSpeed(gap, leaderSpeed float64) float64 {
 // DesiredSpeed computes the next-step target speed for dt seconds:
 // min(v + a*dt, v_safe, v_max), minus the stochastic imperfection.
 func (k *Krauss) DesiredSpeed(dt, speed, gap, leaderSpeed float64, hasLeader bool) float64 {
-	v := speed + k.Accel*dt
+	v := speed + float64(k.Accel*dt)
 	if hasLeader {
 		if vs := k.SafeSpeed(gap, leaderSpeed); vs < v {
 			v = vs
@@ -76,7 +76,7 @@ func (k *Krauss) DesiredSpeed(dt, speed, gap, leaderSpeed float64, hasLeader boo
 		v = k.MaxSpeed
 	}
 	if k.RNG != nil && k.Sigma > 0 {
-		v -= k.Sigma * k.Accel * dt * k.RNG.Float64()
+		v -= float64(k.Sigma * k.Accel * dt * k.RNG.Float64())
 	}
 	if v < 0 {
 		v = 0

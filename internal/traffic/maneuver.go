@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 
+	"comfase/internal/sim/des"
 	"comfase/internal/vehicle"
 )
 
@@ -35,21 +36,87 @@ type SpeedTracker struct {
 	// profile's feedforward (Plexe drives its leader through the same
 	// inverse-engine trick).
 	LagComp float64
+
+	// stepLen and profile are AccelAt's per-step memo (see SetStepGrid):
+	// profile[k] holds the maneuver terms at kernel time k*stepLen.
+	stepLen des.Time
+	profile []profileStep
 }
+
+// profileStep is one memoised step of the leader profile.
+type profileStep struct {
+	ff, target float64 // terms at the step's time
+	known      bool    // ff and target are filled
+}
+
+// maxProfileSteps caps the memo at ~3 MB; steps beyond it are evaluated
+// directly.
+const maxProfileSteps = 1 << 17
 
 // Accel returns the leader's acceleration command at time t.
 func (c SpeedTracker) Accel(t float64, s vehicle.State) float64 {
+	ff, target := c.terms(t)
+	return c.command(ff, target, s)
+}
+
+// AccelAt returns Accel(now.Seconds(), s). On the step grid set by
+// SetStepGrid the maneuver terms come from a per-step memo filled on
+// first use: they depend only on the maneuver and the exact kernel time,
+// so every experiment replayed on one build reads the same bits the
+// first one computed. Any other time is evaluated directly.
+func (c *SpeedTracker) AccelAt(now des.Time, s vehicle.State) float64 {
+	if c.stepLen <= 0 || now < 0 || now%c.stepLen != 0 || now/c.stepLen >= des.Time(len(c.profile)) {
+		return c.Accel(now.Seconds(), s)
+	}
+	p := &c.profile[now/c.stepLen]
+	if !p.known {
+		p.ff, p.target = c.terms(now.Seconds())
+		p.known = true
+	}
+	return c.command(p.ff, p.target, s)
+}
+
+// SetStepGrid points AccelAt's memo at the kernel times 0, step,
+// 2*step, ... up to horizon and forgets every memoised step; a
+// non-positive step disables the memo. Call it whenever Maneuver or
+// LagComp changes.
+func (c *SpeedTracker) SetStepGrid(step, horizon des.Time) {
+	c.stepLen = step
+	n := 0
+	if step > 0 && horizon >= 0 {
+		n = int(min(horizon/step+1, maxProfileSteps))
+	}
+	if cap(c.profile) < n {
+		c.profile = make([]profileStep, n)
+		return
+	}
+	c.profile = c.profile[:n]
+	clear(c.profile)
+}
+
+// terms evaluates the maneuver at time t: the feedforward acceleration,
+// including the lag-compensation lead term, and the target speed.
+func (c *SpeedTracker) terms(t float64) (ff, target float64) {
+	ff = c.Maneuver.FeedforwardAccel(t)
+	if c.LagComp > 0 {
+		const h = 1e-3 // numeric derivative step (s)
+		dff := (c.Maneuver.FeedforwardAccel(t+h) - c.Maneuver.FeedforwardAccel(t-h)) / (2 * h)
+		ff += float64(c.LagComp * dff)
+	}
+	return ff, c.Maneuver.TargetSpeed(t)
+}
+
+// command closes the loop on the vehicle's speed. Converting the
+// product to float64 forces it to round, so no architecture fuses it
+// into the add: a fused multiply-add rounds once and changes the bits.
+// The package's other float64(x*y) conversions are there for the same
+// reason.
+func (c *SpeedTracker) command(ff, target float64, s vehicle.State) float64 {
 	g := c.Gain
 	if g <= 0 {
 		g = 2.0
 	}
-	ff := c.Maneuver.FeedforwardAccel(t)
-	if c.LagComp > 0 {
-		const h = 1e-3 // numeric derivative step (s)
-		dff := (c.Maneuver.FeedforwardAccel(t+h) - c.Maneuver.FeedforwardAccel(t-h)) / (2 * h)
-		ff += c.LagComp * dff
-	}
-	return ff + g*(c.Maneuver.TargetSpeed(t)-s.Speed)
+	return ff + float64(g*(target-s.Speed))
 }
 
 // ConstantSpeed is a trivial maneuver: hold a fixed cruise speed.
@@ -93,7 +160,7 @@ var _ Maneuver = Sinusoidal{}
 
 // TargetSpeed implements Maneuver.
 func (m Sinusoidal) TargetSpeed(t float64) float64 {
-	return m.Base + m.Amplitude*math.Sin(2*math.Pi*m.Frequency*(t-m.Phase))
+	return m.Base + float64(m.Amplitude*math.Sin(2*math.Pi*m.Frequency*(t-m.Phase)))
 }
 
 // FeedforwardAccel implements Maneuver.
@@ -127,7 +194,7 @@ func (m Braking) TargetSpeed(t float64) float64 {
 	if t < m.BrakeAt || m.Decel <= 0 {
 		return m.CruiseSpeed
 	}
-	v := m.CruiseSpeed - m.Decel*(t-m.BrakeAt)
+	v := m.CruiseSpeed - float64(m.Decel*(t-m.BrakeAt))
 	if v < m.FinalSpeed {
 		return m.FinalSpeed
 	}

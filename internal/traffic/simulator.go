@@ -44,8 +44,12 @@ type Simulator struct {
 	// spare holds vehicles detached by Reset, recycled by AddVehicle so a
 	// reused simulator repopulates without reallocating vehicle objects.
 	spare []*vehicle.Vehicle
-	// laneScratch is the retained sort buffer of detectCollisions.
-	laneScratch []*vehicle.Vehicle
+	// laneOrder is the vehicles sorted by (lane, position), as built by
+	// the last detectCollisions and reused while it stays strictly
+	// increasing; laneOrderOK is false until it is built for the current
+	// vehicle set.
+	laneOrder   []*vehicle.Vehicle
+	laneOrderOK bool
 
 	// inv enables the runtime invariant checks (internal/invariant) on
 	// every step; prevPos is the retained pre-step position buffer the
@@ -58,11 +62,10 @@ type Simulator struct {
 	pre  []StepHook
 	post []StepHook
 
+	// collisions is the collision log, one entry per colliding pair: a
+	// wreck that stays overlapped is not re-reported (see reported).
 	collisions  []Collision
 	onCollision []func(Collision)
-	// collided tracks vehicles already involved in a reported collision
-	// pair so the same wreck is not re-reported every subsequent step.
-	collided map[string]bool
 
 	ticker  *des.Ticker
 	started bool
@@ -87,8 +90,7 @@ type Config struct {
 // NewSimulator builds an empty traffic simulation.
 func NewSimulator(cfg Config) (*Simulator, error) {
 	s := &Simulator{
-		byID:     make(map[string]*vehicle.Vehicle, 8),
-		collided: make(map[string]bool, 8),
+		byID: make(map[string]*vehicle.Vehicle, 8),
 	}
 	s.ticker = des.NewTicker(nil, des.Millisecond, des.PriorityLast, s.step)
 	if err := s.Reset(cfg); err != nil {
@@ -123,7 +125,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.vehicles = s.vehicles[:0]
 	clear(s.byID)
-	clear(s.collided)
+	s.laneOrderOK = false
 	// Hooks and listeners hold closures into the previous experiment's
 	// object graph; nil the slots so the retained arrays do not pin it.
 	for i := range s.pre {
@@ -173,6 +175,7 @@ func (s *Simulator) AddVehicle(spec vehicle.Spec, st vehicle.State) (*vehicle.Ve
 	}
 	s.vehicles = append(s.vehicles, v)
 	s.byID[spec.ID] = v
+	s.laneOrderOK = false
 	return v, nil
 }
 
@@ -275,8 +278,8 @@ func (s *Simulator) Fault() error { return s.fault }
 // been halted by detectCollisions — anything else means the integrator
 // or an attack model let vehicles drive through each other). The first
 // violation latches into s.fault and stops the kernel; the return value
-// reports whether that happened. laneScratch still holds the
-// (lane, position)-sorted order detectCollisions built this step.
+// reports whether that happened. laneOrder holds the (lane,
+// position)-sorted order detectCollisions used this step.
 func (s *Simulator) checkInvariants(now des.Time) bool {
 	fail := func(err error) bool {
 		s.fault = fmt.Errorf("traffic: at %v: %w", now, err)
@@ -289,10 +292,10 @@ func (s *Simulator) checkInvariants(now des.Time) bool {
 		}
 	}
 	if len(s.vehicles) < 2 {
-		return false // laneScratch is only (re)built with >= 2 vehicles
+		return false // laneOrder is only (re)built with >= 2 vehicles
 	}
-	for i := 0; i+1 < len(s.laneScratch); i++ {
-		rear, front := s.laneScratch[i], s.laneScratch[i+1]
+	for i := 0; i+1 < len(s.laneOrder); i++ {
+		rear, front := s.laneOrder[i], s.laneOrder[i+1]
 		if rear.State.Lane != front.State.Lane {
 			continue
 		}
@@ -315,36 +318,18 @@ func (s *Simulator) detectCollisions(now des.Time) {
 	if len(s.vehicles) < 2 {
 		return
 	}
-	// Sort a retained scratch copy by (lane, position): no per-step map or
-	// closure allocations, and lanes are visited in a deterministic order
-	// (the old per-lane map iterated in random order, which could permute
-	// same-step collision reports across lanes).
-	s.laneScratch = append(s.laneScratch[:0], s.vehicles...)
-	slices.SortStableFunc(s.laneScratch, func(a, b *vehicle.Vehicle) int {
-		if a.State.Lane != b.State.Lane {
-			return a.State.Lane - b.State.Lane
-		}
-		switch {
-		case a.State.Pos < b.State.Pos:
-			return -1
-		case a.State.Pos > b.State.Pos:
-			return 1
-		}
-		return 0
-	})
-	for i := 0; i+1 < len(s.laneScratch); i++ {
-		rear, front := s.laneScratch[i], s.laneScratch[i+1]
+	s.sortLanes()
+	for i := 0; i+1 < len(s.laneOrder); i++ {
+		rear, front := s.laneOrder[i], s.laneOrder[i+1]
 		if rear.State.Lane != front.State.Lane {
 			continue
 		}
 		if rear.State.Pos < front.State.Rear(front.Spec.Length) {
 			continue // gap open
 		}
-		pair := rear.Spec.ID + "|" + front.Spec.ID
-		if s.collided[pair] {
+		if s.reported(rear.Spec.ID, front.Spec.ID) {
 			continue
 		}
-		s.collided[pair] = true
 		c := Collision{
 			Time:     now,
 			Collider: rear.Spec.ID,
@@ -360,4 +345,57 @@ func (s *Simulator) detectCollisions(now des.Time) {
 			f(c)
 		}
 	}
+}
+
+// sortLanes brings laneOrder to what slices.SortStableFunc(laneCmp)
+// makes of a copy of s.vehicles. Vehicles rarely overtake within a step,
+// so last step's order usually still holds: if it is a permutation of
+// the current vehicle set and strictly increasing under laneCmp, it is
+// the only sorted order and therefore the stable sort's result. Any tie
+// or inversion rebuilds it from s.vehicles, whose order breaks ties.
+func (s *Simulator) sortLanes() {
+	if s.laneOrderOK {
+		sorted := true
+		for i := 0; i+1 < len(s.laneOrder); i++ {
+			if laneCmp(s.laneOrder[i], s.laneOrder[i+1]) >= 0 {
+				sorted = false
+				break
+			}
+		}
+		if sorted {
+			return
+		}
+	}
+	s.laneOrder = append(s.laneOrder[:0], s.vehicles...)
+	slices.SortStableFunc(s.laneOrder, laneCmp)
+	s.laneOrderOK = true
+}
+
+// laneCmp orders vehicles by lane, then by position along it. Lanes are
+// visited in a deterministic order, so same-step collision reports never
+// permute across lanes.
+func laneCmp(a, b *vehicle.Vehicle) int {
+	if a.State.Lane != b.State.Lane {
+		return a.State.Lane - b.State.Lane
+	}
+	switch {
+	case a.State.Pos < b.State.Pos:
+		return -1
+	case a.State.Pos > b.State.Pos:
+		return 1
+	}
+	return 0
+}
+
+// reported reports whether the pair (collider, victim) is already in the
+// collision log. The log holds one entry per pair, so it is at most a
+// handful long, and the scan allocates nothing where a set keyed on the
+// pair would build a key string on every step a wreck stays overlapped.
+func (s *Simulator) reported(collider, victim string) bool {
+	for i := range s.collisions {
+		if s.collisions[i].Collider == collider && s.collisions[i].Victim == victim {
+			return true
+		}
+	}
+	return false
 }

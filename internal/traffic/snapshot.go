@@ -12,8 +12,10 @@ import (
 // invariant fault and the stepping ticker. The vehicle set, hooks and
 // configuration are build-time wiring, stable across a checkpointed
 // experiment group, so they are validated rather than captured. The
-// collided-pair set is not stored either — it is rebuilt from the
-// collision log, which records exactly one entry per pair.
+// collision log also answers which pairs are already reported: it holds
+// exactly one entry per pair. The (lane, position) order detectCollisions
+// reuses needs no capture either: it is a permutation of the same
+// vehicle set, checked against the restored positions on the next step.
 //
 // The zero value is ready to use; buffers grow on first SaveState and are
 // reused afterwards, so steady-state restore cycles allocate nothing.
@@ -53,10 +55,6 @@ func (s *Simulator) LoadState(st *SimState) error {
 		v.LoadState(&st.vehicles[i])
 	}
 	s.collisions = append(s.collisions[:0], st.collisions...)
-	clear(s.collided)
-	for _, c := range s.collisions {
-		s.collided[c.Collider+"|"+c.Victim] = true
-	}
 	s.fault = st.fault
 	s.started = st.started
 	s.ticker.LoadState(st.ticker)
