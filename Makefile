@@ -69,9 +69,11 @@ obs-equiv:
 # campaigns resolved through the attack registry (by name) must emit
 # result CSVs byte-identical to the legacy kind/factory paths — healthy
 # and with chaos-injected failures — and matrix execution must stay
-# deterministic across sequential, parallel and sharded runs.
+# deterministic across worker counts, shards, resume, fabric-style
+# ranges and a failure-budget abort, with every cell's groups on one
+# work queue and each scenario's engine held only while it has work.
 registry-equiv:
-	$(GO) test -race -run 'TestRegistryCampaignEquivalence|TestRegistryChaosEquivalence|TestRunMatrixDeterminism' ./internal/runner
+	$(GO) test -race -run 'TestRegistryCampaignEquivalence|TestRegistryChaosEquivalence|TestRunMatrixDeterminism|TestRunMatrixOneQueue|TestRunMatrixEngineLifetime' ./internal/runner
 
 # The fabric-equivalence chaos drills by name, under the race detector:
 # a distributed campaign with a worker killed mid-lease (its ranges
@@ -92,8 +94,8 @@ fabric-equiv:
 	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence|TestLeaseLongPoll|TestWorkerIdleLongPollNoBusyLoop|TestServiceLingerAgesOutSilentWorker' ./internal/fabric ./internal/runner
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
-# parser, the matrix-section decoder, the DES kernel scheduler and
-# snapshot/restore, the traffic simulator's reused lane order, the shard
+# parser, the matrix-section decoder, the DES kernel scheduler,
+# snapshot/restore and batch chains against plain scheduling, the traffic simulator's reused lane order, the shard
 # designator, the heartbeat snapshot decoder). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -102,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMatrixConfigDecode' -fuzztime 5s ./internal/config
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSchedule' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSnapshot' -fuzztime 5s ./internal/sim/des
+	$(GO) test -run '^$$' -fuzz 'FuzzBatchOrder' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner

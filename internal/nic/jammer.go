@@ -68,12 +68,16 @@ func (j *Jammer) Start() { j.ticker.Start(j.air.k.Now()) }
 // Stop ceases jamming; bursts already on the air complete.
 func (j *Jammer) Stop() { j.ticker.StopTicker() }
 
-// emit radiates one burst: pure interference at every radio.
+// emit radiates one burst: pure interference at every radio. Like a
+// transmission's fan-out, the burst's receptions enter the kernel as one
+// batch.
 func (j *Jammer) emit() {
 	j.bursts++
 	a := j.air
-	now := a.k.Now()
+	k := a.k
+	now := k.Now()
 	srcPos := j.pos()
+	k.BeginBatch()
 	for _, dst := range a.radios {
 		dist := srcPos.Dist(dst.pos())
 		rxPower := j.powerDBm - a.cfg.PathLoss.LossDB(dist, a.cfg.FreqHz)
@@ -83,8 +87,9 @@ func (j *Jammer) emit() {
 		rec.start = now.Add(a.cfg.Delay.Delay(dist))
 		rec.end = rec.start.Add(j.burst)
 		rec.powerDBm = rxPower
-		a.k.ScheduleAt(rec.start, rec.beginFn)
-		a.k.ScheduleAt(rec.end, rec.endFn)
+		k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+		k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
 	}
+	k.EndBatch()
 	a.stats.NoiseBursts++
 }

@@ -350,14 +350,19 @@ func (a *Air) finishReception(rec *reception) {
 	a.recFree = append(a.recFree, rec)
 }
 
-// transmit fans a started transmission out to every other radio.
+// transmit fans a started transmission out to every other radio. The
+// transmitter's txDone and every reception's begin and end enter the
+// kernel as one batch, in the order a ScheduleAt per event would have
+// queued them (des.Kernel.BeginBatch).
 func (a *Air) transmit(src *Radio, f mac.Frame) {
-	now := a.k.Now()
+	k := a.k
+	now := k.Now()
 	dur := a.airtime(f.Bits)
 	a.stats.FramesSent++
 	src.txStart = now
 	src.txEnd = now.Add(dur)
-	a.k.ScheduleAt(src.txEnd, src.txDoneFn)
+	k.BeginBatch()
+	k.BatchAt(src.txEnd, des.PriorityNormal, src.txDoneFn)
 
 	srcPos := src.pos()
 	for _, dst := range a.radios {
@@ -400,9 +405,10 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 		rec.end = rec.start.Add(dur)
 		rec.powerDBm = rxPower
 		rec.delay = delay
-		a.k.ScheduleAt(rec.start, rec.beginFn)
-		a.k.ScheduleAt(rec.end, rec.endFn)
+		k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+		k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
 	}
+	k.EndBatch()
 }
 
 // reception is one frame arriving at one radio. Receptions are pooled on

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"comfase/internal/classify"
 	"comfase/internal/core"
@@ -64,18 +65,21 @@ func GridSpan(cells []MatrixCell) (base, total int) {
 }
 
 // Matrix is a campaign grid as runner cells — a matrix campaign, or a
-// single campaign as one unlabeled cell — plus the engine of the most
-// recently run scenario. That engine, and with it the scenario's golden
-// run, workspace pool and prefix checkpoints, survives across Run calls:
-// a caller that runs the grid range by range (the fabric executor)
-// simulates each scenario's golden run once, not once per call. The
-// engine is keyed by scenario label, so Cells must not change between
-// calls. A Matrix is not safe for concurrent use.
+// single campaign as one unlabeled cell — plus one engine slot per
+// scenario. Between Run calls the slot of the last scenario a run
+// touched keeps its engine, and with it the scenario's golden run,
+// workspace pool and prefix checkpoints: a caller that runs the grid
+// range by range (the fabric executor) simulates each scenario's golden
+// run once, not once per call. The slots are laid out on the first Run,
+// so Cells must not change between calls. A Matrix is not safe for
+// concurrent use.
 type Matrix struct {
 	Cells []MatrixCell
 
-	eng         *core.Engine
-	engScenario string
+	// scenarios holds one engine slot per run of consecutive cells with
+	// one scenario label; cellScenario maps each cell to its slot.
+	scenarios    []*scenarioEngine
+	cellScenario []*scenarioEngine
 }
 
 // RunMatrix runs cells once through a new Matrix.
@@ -83,11 +87,17 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 	return (&Matrix{Cells: cells}).Run(ctx, opts, sinks...)
 }
 
-// Run executes the cells in matrix order against one Options set,
-// streaming all results to the shared sinks. Consecutive cells of one
-// scenario label share an engine — its golden run is simulated once and
-// its workspace pool and prefix checkpoints are scoped to the cell, so
-// the checkpoint group key is effectively (scenario, attack start).
+// Run executes the cells against one Options set, streaming all results
+// to the shared sinks. Every cell's same-start groups feed one worker
+// pool in matrix order behind one release frontier, so a worker that
+// finishes a cell's last group starts on the next cell's groups instead
+// of waiting for the cell to drain. Consecutive cells of one scenario
+// label share an engine — its golden run is simulated once. The first
+// scenario's engine is built before the pool starts, each later one by
+// the first group that needs it, and each is dropped once its
+// scenario's last group completes, so a run holds at most one engine
+// beyond the scenario it is working through. Checkpoint groups never
+// span cells: the group key is effectively (scenario, attack, start).
 // Shard, resume and quarantine semantics apply to the flattened global
 // grid exactly as they do to a single campaign: expNr is globally unique
 // and contiguous across cells, sinks receive rows in global grid order,
@@ -103,8 +113,6 @@ func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixR
 	// The global expNr space must be contiguous in cell order — sharding
 	// and merge correctness depend on it.
 	base := cells[0].Setup.Base
-	total := 0
-	selected := make([]int, len(cells)) // shard+range-selected points per cell
 	for i, cell := range cells {
 		if cell.Setup.Base != base {
 			return nil, fmt.Errorf("runner: matrix cell %d (%s/%s) has base %d, want %d",
@@ -113,62 +121,79 @@ func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixR
 		if err := cell.Setup.Validate(); err != nil {
 			return nil, cell.wrap(i, err)
 		}
-		n := cell.Setup.NumExperiments()
-		base += n
-		for nr := cell.Setup.Base; nr < cell.Setup.Base+n; nr++ {
-			if opts.Shard.Contains(nr) && opts.Range.Contains(nr) {
-				selected[i]++
+		base += cell.Setup.NumExperiments()
+	}
+
+	if m.cellScenario == nil {
+		for i, cell := range cells {
+			if i == 0 || cell.Scenario != cells[i-1].Scenario {
+				m.scenarios = append(m.scenarios, &scenarioEngine{cfg: cell.Engine})
 			}
+			m.cellScenario = append(m.cellScenario, m.scenarios[len(m.scenarios)-1])
 		}
-		total += selected[i]
+	}
+	runs := make([]*cellRun, len(cells))
+	for i, cell := range cells {
+		runs[i] = &cellRun{setup: cell.Setup, eng: m.cellScenario[i], wrap: func(err error) error { return cell.wrap(i, err) }}
+	}
+	specs := opts.selectGrid(runs)
+	// An engine kept from the previous run serves this run if its
+	// scenario is the first one this run touches; the last one this run
+	// touches keeps its engine for the next.
+	var first, last *scenarioEngine
+	firstCell := -1
+	for i, c := range runs {
+		if c.hi > c.lo {
+			if first == nil {
+				first, firstCell = c.eng, i
+			}
+			last = c.eng
+		}
+	}
+	for _, s := range m.scenarios {
+		s.groups, s.err = 0, nil
+		s.keep = s == last
+		if s != first {
+			s.eng = nil
+		}
+	}
+
+	// The first scenario's golden run precedes the pool, as a single
+	// campaign's does: built inside a worker, with the other worker
+	// blocked on it, it cost paper-delay about 10% of its CPU time on 2
+	// workers. Later scenarios build inside the pool, overlapping the
+	// previous scenario's last groups.
+	if first != nil {
+		if _, err := first.acquire(ctx); err != nil {
+			return nil, cells[firstCell].wrap(firstCell, err)
+		}
+	}
+	r := &Runner{opts: opts, sinks: sinks, met: newRunnerMetrics(opts.Metrics)}
+	results, err := r.run(ctx, runs, specs)
+	for _, s := range m.scenarios {
+		if !s.keep {
+			s.eng = nil // a failed run, or a first scenario with no groups
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	out := &MatrixResult{CellCounts: &classify.LabeledCounts{}}
-	remainingFailures := opts.MaxFailures
-	doneOffset := 0
 	for i, cell := range cells {
-		if selected[i] == 0 {
-			// No grid point of this cell survives the shard/range filter:
-			// skip its engine (and golden run) entirely. The empty
-			// CellResult keeps the matrix shape intact for reporting.
-			out.Cells = append(out.Cells, CellResult{
-				Scenario: cell.Scenario,
-				Attack:   cell.Attack,
-				Result:   &core.CampaignResult{Setup: cell.Setup},
-			})
-			continue
-		}
-		if m.eng == nil || cell.Scenario != m.engScenario {
-			eng, err := core.NewEngine(cell.Engine)
-			if err != nil {
+		res := results[i]
+		if c := runs[i]; c.hi > c.lo {
+			// A scenario whose selected points were all resumed has run no
+			// group; its golden run still labels the result.
+			if res.Golden, res.Thresholds, err = c.eng.golden(ctx); err != nil {
 				return nil, cell.wrap(i, err)
 			}
-			m.eng, m.engScenario = eng, cell.Scenario
+		} else {
+			// No grid point of this cell survives the shard/range filter:
+			// its engine (and golden run) was never needed. The empty
+			// CellResult keeps the matrix shape intact for reporting.
+			res = &core.CampaignResult{Setup: cell.Setup}
 		}
-		cellOpts := opts
-		cellOpts.MaxFailures = remainingFailures
-		if opts.Progress != nil {
-			offset := doneOffset
-			cellOpts.Progress = func(done, _ int) { opts.Progress(offset+done, total) }
-		}
-		r, err := New(m.eng, cellOpts, sinks...)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.Run(ctx, cell.Setup)
-		if err != nil {
-			return nil, cell.wrap(i, err)
-		}
-		newFailures := 0
-		for _, f := range res.Failures {
-			if _, resumed := opts.ResumeFailures[f.Nr]; !resumed {
-				newFailures++
-			}
-		}
-		if remainingFailures >= 0 {
-			remainingFailures -= newFailures
-		}
-		doneOffset += len(res.Experiments) + len(res.Failures)
 		out.Cells = append(out.Cells, CellResult{Scenario: cell.Scenario, Attack: cell.Attack, Result: res})
 		out.Experiments = append(out.Experiments, res.Experiments...)
 		for _, e := range res.Experiments {
@@ -185,6 +210,73 @@ func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixR
 		}
 	}
 	return out, nil
+}
+
+// scenarioEngine is one scenario's engine slot. Within a run, the first
+// caller that needs the engine builds it and runs its golden run; every
+// group of the scenario shares it, and it is dropped when the scenario's
+// last group completes unless keep is set. A run therefore holds the
+// engines of the scenarios it has groups of queued or running — in
+// matrix order, the one it is working through plus at most one it is
+// finishing — and a kept one.
+type scenarioEngine struct {
+	cfg    core.EngineConfig
+	keep   bool
+	groups int // groups queued or running; set before the pool starts
+
+	mu     sync.Mutex
+	eng    *core.Engine
+	err    error
+	built  bool // gold and thresh hold the golden run's outcome
+	gold   core.GoldenResult
+	thresh classify.Thresholds
+}
+
+// acquire returns the scenario's engine, building it and running its
+// golden run on first use. A build error sticks: every later group of
+// the scenario fails with it.
+func (s *scenarioEngine) acquire(ctx context.Context) (*core.Engine, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eng == nil && s.err == nil {
+		eng, err := core.NewEngine(s.cfg)
+		if err == nil {
+			err = eng.EnsureGolden(ctx)
+		}
+		if err != nil {
+			s.err = err
+		} else {
+			s.eng, s.built = eng, true
+			s.gold, _ = eng.Golden()
+			s.thresh = eng.Thresholds()
+		}
+	}
+	return s.eng, s.err
+}
+
+// groupDone retires one completed group, dropping the engine after the
+// scenario's last one unless it is kept.
+func (s *scenarioEngine) groupDone() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.groups--
+	if s.groups == 0 && !s.keep {
+		s.eng = nil
+	}
+}
+
+// golden reports the scenario's golden-run outcome and thresholds,
+// building the engine if no group did.
+func (s *scenarioEngine) golden(ctx context.Context) (core.GoldenResult, classify.Thresholds, error) {
+	if !s.built {
+		if _, err := s.acquire(ctx); err != nil {
+			return core.GoldenResult{}, classify.Thresholds{}, err
+		}
+		if !s.keep {
+			s.eng = nil
+		}
+	}
+	return s.gold, s.thresh, nil
 }
 
 // wrap names cell i in err. A single campaign's cell carries no scenario

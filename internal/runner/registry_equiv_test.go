@@ -3,14 +3,17 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"comfase/internal/core"
+	"comfase/internal/obs"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
 	"comfase/internal/sim/rng"
@@ -217,39 +220,116 @@ func sortedClasses(m map[int]string) []string {
 	return out
 }
 
+// matrixOutput is what a matrix run writes: its results CSV and its
+// quarantine JSON lines.
+type matrixOutput struct{ csv, quarantine []byte }
+
+// runMatrixOutput runs m once with a CSV sink (with or without header)
+// and a quarantine sink.
+func runMatrixOutput(m *Matrix, opts Options, header bool) (*MatrixResult, matrixOutput, error) {
+	var csv, q bytes.Buffer
+	opts.Quarantine = NewQuarantineSink(&q)
+	res, err := m.Run(context.Background(), opts, NewResultsCSVSink(&csv, true, header))
+	return res, matrixOutput{csv.Bytes(), q.Bytes()}, err
+}
+
 // TestRunMatrixDeterminism is the matrix analogue of
-// TestRunnerDeterminism: a sequential matrix run, a parallel one, and a
-// sharded-then-merged pair must produce byte-identical matrix CSVs, and
-// the per-cell tallies must agree with the flat experiment stream.
+// TestRunnerDeterminism. Every way of scheduling the 2-scenario x
+// 2-family matrix through its one work queue must write the 1-worker
+// run's CSV and quarantine bytes: 2 and 3 workers; two shards, merged;
+// a resume from a file cut inside the second cell; the grid run range
+// by range through one Matrix, as the fabric executor does, with ranges
+// straddling cell and scenario boundaries; and a failure-budget abort
+// inside the first cell. The per-cell tallies must agree with the flat
+// experiment stream.
 func TestRunMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs matrix campaigns in -short mode")
 	}
 	cells := testMatrixCells(t)
-
-	runMatrix := func(opts Options) (*MatrixResult, []byte) {
-		var buf bytes.Buffer
-		res, err := RunMatrix(context.Background(), cells, opts, NewMatrixCSVSink(&buf))
+	mustRun := func(m *Matrix, opts Options, header bool) (*MatrixResult, matrixOutput) {
+		t.Helper()
+		res, out, err := runMatrixOutput(m, opts, header)
 		if err != nil {
-			t.Fatalf("RunMatrix(%+v): %v", opts, err)
+			t.Fatalf("Run(%+v): %v", opts, err)
 		}
-		return res, buf.Bytes()
+		return res, out
+	}
+	same := func(what string, got, want matrixOutput) {
+		t.Helper()
+		if !bytes.Equal(got.csv, want.csv) {
+			t.Errorf("%s: matrix CSV differs from 1 worker:\nwant:\n%s\ngot:\n%s", what, want.csv, got.csv)
+		}
+		if !bytes.Equal(got.quarantine, want.quarantine) {
+			t.Errorf("%s: quarantine differs from 1 worker:\nwant:\n%s\ngot:\n%s", what, want.quarantine, got.quarantine)
+		}
 	}
 
-	seq, seqCSV := runMatrix(Options{Workers: 1})
-	_, parCSV := runMatrix(Options{Workers: 4})
-	if !bytes.Equal(seqCSV, parCSV) {
-		t.Errorf("parallel matrix CSV differs from sequential:\nseq:\n%s\npar:\n%s", seqCSV, parCSV)
+	seq, want := mustRun(&Matrix{Cells: cells}, Options{Workers: 1}, true)
+	for _, w := range []int{2, 3} {
+		_, got := mustRun(&Matrix{Cells: cells}, Options{Workers: w}, true)
+		same(fmt.Sprintf("%d workers", w), got, want)
 	}
 
 	var shardCSVs [][]byte
 	for i := 1; i <= 2; i++ {
-		_, csvBytes := runMatrix(Options{Workers: 2, Shard: Shard{Index: i, Count: 2}})
-		shardCSVs = append(shardCSVs, csvBytes)
+		_, out := mustRun(&Matrix{Cells: cells}, Options{Workers: 2, Shard: Shard{Index: i, Count: 2}}, true)
+		shardCSVs = append(shardCSVs, out.csv)
 	}
-	merged := mergeCSVBytes(t, shardCSVs...)
-	if !bytes.Equal(seqCSV, merged) {
-		t.Errorf("merged matrix shards differ from sequential:\nseq:\n%s\nmerged:\n%s", seqCSV, merged)
+	same("merged shards", matrixOutput{csv: mergeCSVBytes(t, shardCSVs...)}, want)
+
+	// Cut the file inside the second cell (cell 0 holds rows 0-11) and
+	// resume it on two workers.
+	lines := bytes.SplitAfter(want.csv, []byte("\n"))
+	prefix := bytes.Join(lines[:1+15], nil)
+	done, err := ReadResults(bytes.NewReader(prefix))
+	if err != nil {
+		t.Fatalf("ReadResults: %v", err)
+	}
+	_, tail := mustRun(&Matrix{Cells: cells}, Options{Workers: 2, Resume: done}, false)
+	same("resumed", matrixOutput{csv: append(append([]byte(nil), prefix...), tail.csv...)}, want)
+
+	// Range by range through one Matrix: [7,16) straddles the cell 0/1
+	// boundary at 12, [16,30) the scenario boundary at 18.
+	m := &Matrix{Cells: cells}
+	var ranged matrixOutput
+	for i, rg := range []Range{{0, 7}, {7, 16}, {16, 30}, {30, 36}} {
+		_, out := mustRun(m, Options{Workers: 2, Range: rg}, i == 0)
+		ranged.csv = append(ranged.csv, out.csv...)
+		ranged.quarantine = append(ranged.quarantine, out.quarantine...)
+	}
+	same("ranges", ranged, want)
+
+	// Two failing grid points in the first cell's first group against a
+	// budget of one: the abort lands inside cell 0 while later groups
+	// are in flight on the other workers, and must write the same bytes
+	// at every worker count.
+	failing := append([]MatrixCell(nil), cells...)
+	delay := legacyFactory(core.AttackDelay)
+	failing[0].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
+		if spec.Nr == 1 || spec.Nr == 2 {
+			return nil, fmt.Errorf("injected failure #%d", spec.Nr)
+		}
+		return delay(spec, horizon, seed)
+	}
+	var abortWant matrixOutput
+	var abortErr string
+	for _, w := range []int{1, 2, 3} {
+		_, out, err := runMatrixOutput(&Matrix{Cells: failing}, Options{Workers: w, MaxFailures: 1}, true)
+		if !errors.Is(err, ErrFailureBudget) || !strings.Contains(err.Error(), "matrix cell 0 (cell-a/delay)") {
+			t.Fatalf("%d workers: error = %v, want a cell 0 failure-budget abort", w, err)
+		}
+		if w == 1 {
+			abortWant, abortErr = out, err.Error()
+			if len(bytes.Split(bytes.TrimSpace(out.quarantine), []byte("\n"))) != 2 {
+				t.Fatalf("abort quarantined:\n%s\nwant the 2 injected failures", out.quarantine)
+			}
+			continue
+		}
+		same(fmt.Sprintf("abort at %d workers", w), out, abortWant)
+		if err.Error() != abortErr {
+			t.Errorf("%d workers: abort error %q, want %q", w, err, abortErr)
+		}
 	}
 
 	// Per-cell tallies must re-derive from the flat stream.
@@ -268,6 +348,103 @@ func TestRunMatrixDeterminism(t *testing.T) {
 	for i, e := range seq.Experiments {
 		if e.Spec.Nr != i {
 			t.Fatalf("experiment %d has Nr %d; global grid order broken", i, e.Spec.Nr)
+		}
+	}
+}
+
+// TestRunMatrixOneQueue pins the single work queue: on two workers, a
+// group of the second cell starts while the first cell's last group is
+// still running. That group blocks until the second cell starts, which
+// a per-cell barrier would never allow.
+func TestRunMatrixOneQueue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs matrix campaigns in -short mode")
+	}
+	cells := append([]MatrixCell(nil), testMatrixCells(t)...)
+	// Cell 0's groups start at 1, 2 and 3 s; grid points 8-11 are the last.
+	started := make(chan struct{})
+	var once sync.Once
+	delay, loss := legacyFactory(core.AttackDelay), legacyFactory(core.AttackPacketLoss)
+	cells[0].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
+		if spec.Nr >= 8 {
+			select {
+			case <-started:
+			case <-time.After(20 * time.Second):
+				return nil, errors.New("cell 1 did not start while cell 0's last group ran")
+			}
+		}
+		return delay(spec, horizon, seed)
+	}
+	cells[1].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
+		once.Do(func() { close(started) })
+		return loss(spec, horizon, seed)
+	}
+	res, err := RunMatrix(context.Background(), cells, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("RunMatrix: %v", err)
+	}
+	if n := len(res.Experiments); n != 36 {
+		t.Fatalf("%d results, want 36", n)
+	}
+}
+
+// TestRunMatrixEngineLifetime pins how long a run holds each scenario's
+// engine: only while the scenario has groups queued or running. On one
+// worker, the first scenario's engine is gone by the time the second
+// scenario's first experiment starts; on two, at most one engine beyond
+// the current scenario's is held. After the run only the last
+// scenario's engine remains, and the next run reuses it instead of
+// simulating its golden run again.
+func TestRunMatrixEngineLifetime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs matrix campaigns in -short mode")
+	}
+	for _, workers := range []int{1, 2} {
+		cells := append([]MatrixCell(nil), testMatrixCells(t)...)
+		reg := obs.NewRegistry()
+		for i := range cells {
+			cells[i].Engine.Metrics = reg
+		}
+		m := &Matrix{Cells: cells}
+		live := func() (n int) {
+			for _, s := range m.scenarios {
+				s.mu.Lock()
+				if s.eng != nil {
+					n++
+				}
+				s.mu.Unlock()
+			}
+			return n
+		}
+		var mu sync.Mutex
+		maxLive := 0
+		delay := legacyFactory(core.AttackDelay)
+		cells[2].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
+			mu.Lock()
+			maxLive = max(maxLive, live())
+			mu.Unlock()
+			return delay(spec, horizon, seed)
+		}
+		if _, err := m.Run(context.Background(), Options{Workers: workers}); err != nil {
+			t.Fatalf("%d workers: Run: %v", workers, err)
+		}
+		if want := workers; maxLive > want {
+			t.Errorf("%d workers: %d engines held during the second scenario, want at most %d", workers, maxLive, want)
+		}
+		if live() != 1 || m.scenarios[0].eng != nil {
+			t.Errorf("%d workers: after the run %d engines held (first scenario's: %v), want only the last scenario's",
+				workers, live(), m.scenarios[0].eng != nil)
+		}
+		goldens := reg.Counter("engine.golden_runs")
+		if got := goldens.Load(); got != 2 {
+			t.Errorf("%d workers: %d golden runs, want one per scenario", workers, got)
+		}
+		// A range inside the last scenario reuses its kept engine.
+		if _, err := m.Run(context.Background(), Options{Workers: workers, Range: Range{From: 20, To: 30}}); err != nil {
+			t.Fatalf("%d workers: ranged Run: %v", workers, err)
+		}
+		if got := goldens.Load(); got != 2 {
+			t.Errorf("%d workers: ranged run in the kept scenario ran a golden run (%d total)", workers, got)
 		}
 	}
 }

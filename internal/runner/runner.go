@@ -291,13 +291,59 @@ func (r *Runner) Run(ctx context.Context, setup core.CampaignSetup) (*core.Campa
 	if err := r.eng.EnsureGolden(ctx); err != nil {
 		return nil, err
 	}
-
-	var specs []core.ExperimentSpec
-	for _, spec := range setup.Experiments() {
-		if r.opts.Shard.Contains(spec.Nr) && r.opts.Range.Contains(spec.Nr) {
-			specs = append(specs, spec)
-		}
+	cells := []*cellRun{{setup: setup, eng: &scenarioEngine{eng: r.eng, keep: true}, wrap: func(err error) error { return err }}}
+	results, err := r.run(ctx, cells, r.opts.selectGrid(cells))
+	if err != nil {
+		return nil, err
 	}
+	out := results[0]
+	out.Golden, _ = r.eng.Golden()
+	out.Thresholds = r.eng.Thresholds()
+	return out, nil
+}
+
+// cellRun is one cell's part of a run: its campaign grid, its scenario's
+// engine, how its errors are labeled, and the range [lo, hi) of run slots
+// its shard-selected grid points occupy.
+type cellRun struct {
+	setup  core.CampaignSetup
+	eng    *scenarioEngine
+	wrap   func(error) error
+	lo, hi int
+}
+
+// selectGrid lays the cells' shard- and range-selected grid points out in
+// cell order, recording each cell's slot range.
+func (o Options) selectGrid(cells []*cellRun) []core.ExperimentSpec {
+	var specs []core.ExperimentSpec
+	for _, c := range cells {
+		c.lo = len(specs)
+		for _, spec := range c.setup.Experiments() {
+			if o.Shard.Contains(spec.Nr) && o.Range.Contains(spec.Nr) {
+				specs = append(specs, spec)
+			}
+		}
+		c.hi = len(specs)
+	}
+	return specs
+}
+
+// runGroup is one scheduling unit: the pending grid points of one cell
+// that share an attack start time, in grid order.
+type runGroup struct {
+	cell *cellRun
+	idx  []int
+}
+
+// run executes the selected grid points of cells (selectGrid) as one
+// work queue: every cell's same-start groups go to one worker pool in
+// grid order, and one release frontier emits rows and quarantine
+// records in global grid order. A worker that finishes a
+// cell's last group moves straight on to the next cell's groups; no cell
+// waits for the previous one to drain. The failure budget, Progress and
+// the shard gauges count the whole run. It returns each cell's result in
+// grid order, without the golden-run fields, which the caller fills in.
+func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.ExperimentSpec) ([]*core.CampaignResult, error) {
 	total := len(specs)
 
 	slots := make([]slot, total)
@@ -404,47 +450,61 @@ func (r *Runner) Run(ctx context.Context, setup core.CampaignSetup) (*core.Campa
 	}
 	mu.Unlock()
 
-	// Schedule contiguous same-start runs of the remaining grid as one
-	// unit each, so siblings land on the same worker and can fork from
-	// that worker's prefix checkpoint. The grid is start-major, so the
-	// runs survive shard filtering and resume holes intact.
-	groups := groupByStart(specs, todo)
+	// Schedule contiguous same-start runs of each cell's remaining grid
+	// as one unit each, so siblings land on the same worker and can fork
+	// from that worker's prefix checkpoint. The grid is start-major, so
+	// the runs survive shard filtering and resume holes intact.
+	var groups []runGroup
+	for _, c := range cells {
+		lo, hi := sort.SearchInts(todo, c.lo), sort.SearchInts(todo, c.hi)
+		cellGroups := groupByStart(specs, todo[lo:hi])
+		c.eng.groups += len(cellGroups) // no worker runs yet
+		for _, g := range cellGroups {
+			groups = append(groups, runGroup{cell: c, idx: g})
+		}
+	}
 
 	if err == nil {
 		err = pool.Run(ctx, len(groups), r.opts.Workers, func(ctx context.Context, worker, g int) error {
 			group := groups[g]
+			c := group.cell
+			eng, err := c.eng.acquire(ctx)
+			if err != nil {
+				return c.wrap(err)
+			}
+			defer c.eng.groupDone()
 			// One registry lookup per scheduling unit; nil when metrics are
 			// off, and increments are then no-ops.
 			wc := r.met.worker(worker)
 			var gs *core.GroupSession
-			if !r.opts.DisableCheckpoints && len(group) > 1 {
-				gs = r.beginGroup(ctx, specs[group[0]].Start)
+			if !r.opts.DisableCheckpoints && len(group.idx) > 1 {
+				gs = r.beginGroup(ctx, eng, specs[group.idx[0]].Start)
 				if gs != nil {
 					defer gs.Close()
 				}
 				if cerr := ctx.Err(); cerr != nil {
-					return cerr
+					return c.wrap(cerr)
 				}
 			}
 			// With a live session and the trie enabled, execute the group as
 			// per-value duration chains; otherwise keep the grid-order walk.
 			// Either way the release frontier restores grid order on output.
 			chained := gs != nil && !r.opts.DisableTrie
-			order := [][]int{group}
+			order := [][]int{group.idx}
 			if chained {
-				order = orderGroupChains(specs, group)
+				order = orderGroupChains(specs, group.idx)
 			}
 			for _, chain := range order {
 				for i, idx := range chain {
 					retain := chained && i+1 < len(chain)
-					res, attempts, runErr := r.runWithRetry(ctx, specs[idx], gs, chained, retain)
+					res, attempts, runErr := r.runWithRetry(ctx, eng, specs[idx], gs, chained, retain)
 					if runErr != nil && ctx.Err() != nil {
 						// Campaign-level cancellation, not an experiment failure.
-						return fmt.Errorf("experiment %v: %w", specs[idx], runErr)
+						return c.wrap(fmt.Errorf("experiment %v: %w", specs[idx], runErr))
 					}
 					wc.Inc()
 					if cerr := complete(idx, res, attempts, runErr); cerr != nil {
-						return cerr
+						return c.wrap(cerr)
 					}
 				}
 			}
@@ -471,25 +531,23 @@ func (r *Runner) Run(ctx context.Context, setup core.CampaignSetup) (*core.Campa
 		return nil, err
 	}
 
-	golden, _ := r.eng.Golden()
-	out := &core.CampaignResult{
-		Setup:       setup,
-		Golden:      golden,
-		Thresholds:  r.eng.Thresholds(),
-		Experiments: make([]core.ExperimentResult, 0, total),
-	}
-	for i := range slots {
-		if f := slots[i].failure; f != nil {
-			out.Failures = append(out.Failures, *f)
-			class, cerr := core.ParseFailureClass(f.Class)
-			if cerr != nil {
-				class = core.FailError
+	out := make([]*core.CampaignResult, len(cells))
+	for i, c := range cells {
+		res := &core.CampaignResult{Setup: c.setup, Experiments: make([]core.ExperimentResult, 0, c.hi-c.lo)}
+		for _, s := range slots[c.lo:c.hi] {
+			if f := s.failure; f != nil {
+				res.Failures = append(res.Failures, *f)
+				class, cerr := core.ParseFailureClass(f.Class)
+				if cerr != nil {
+					class = core.FailError
+				}
+				res.FailureCounts.Add(class)
+				continue
 			}
-			out.FailureCounts.Add(class)
-			continue
+			res.Experiments = append(res.Experiments, s.res)
+			res.Counts.Add(s.res.Outcome)
 		}
-		out.Experiments = append(out.Experiments, slots[i].res)
-		out.Counts.Add(slots[i].res.Outcome)
+		out[i] = res
 	}
 	return out, nil
 }
@@ -552,12 +610,12 @@ func orderGroupChains(specs []core.ExperimentSpec, group []int) [][]int {
 // selects the fresh-build fallback by returning nil: the group then runs
 // exactly as it would with checkpoints disabled. Campaign cancellation
 // is the caller's to detect via ctx.Err().
-func (r *Runner) beginGroup(ctx context.Context, start des.Time) *core.GroupSession {
+func (r *Runner) beginGroup(ctx context.Context, eng *core.Engine, start des.Time) *core.GroupSession {
 	prefixCtx, cancel := ctx, func() {}
 	if r.opts.ExperimentTimeout > 0 {
 		prefixCtx, cancel = context.WithTimeout(ctx, r.opts.ExperimentTimeout)
 	}
-	gs, err := r.eng.BeginGroup(prefixCtx, start)
+	gs, err := eng.BeginGroup(prefixCtx, start)
 	cancel()
 	if err != nil {
 		return nil
@@ -577,7 +635,7 @@ func (r *Runner) beginGroup(ctx context.Context, start des.Time) *core.GroupSess
 // the first successful attempt, or — after exhausting every attempt —
 // the final error. Campaign-level cancellation surfaces as an error too;
 // the caller distinguishes it via ctx.Err().
-func (r *Runner) runWithRetry(ctx context.Context, spec core.ExperimentSpec, gs *core.GroupSession, chained, retain bool) (core.ExperimentResult, int, error) {
+func (r *Runner) runWithRetry(ctx context.Context, eng *core.Engine, spec core.ExperimentSpec, gs *core.GroupSession, chained, retain bool) (core.ExperimentResult, int, error) {
 	attempts := 1 + r.opts.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -603,7 +661,7 @@ func (r *Runner) runWithRetry(ctx context.Context, spec core.ExperimentSpec, gs 
 				res, err = gs.RunExperiment(attemptCtx, spec)
 			}
 		} else {
-			res, err = r.eng.RunExperimentCtx(attemptCtx, spec)
+			res, err = eng.RunExperimentCtx(attemptCtx, spec)
 		}
 		cancel()
 		if err == nil {

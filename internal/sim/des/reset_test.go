@@ -148,12 +148,32 @@ func TestKernelScheduleZeroAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
 		k.ScheduleAfter(Microsecond, fn)
-		if !k.step() {
+		if !k.step(MaxTime) {
 			t.Fatal("step found empty queue")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule/pop cycle allocates %.1f objects/op, want 0", allocs)
+	}
+
+	// A batch reuses the kernel's key buffer: once a fan-out of this size
+	// has been queued, queuing and draining another allocates nothing.
+	batch := func() {
+		now := k.Now()
+		k.BeginBatch()
+		k.BatchAt(now.Add(400*Microsecond), PriorityNormal, fn)
+		for r := 1; r < 16; r++ {
+			k.BatchAt(now.Add(Time(r)*Nanosecond), PriorityNormal, fn)
+			k.BatchAt(now.Add(400*Microsecond+Time(r)*Nanosecond), PriorityNormal, fn)
+		}
+		k.EndBatch()
+		if err := k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(1000, batch); allocs != 0 {
+		t.Fatalf("batch/drain cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -175,7 +195,7 @@ func TestKernelScheduleCancelZeroAllocs(t *testing.T) {
 		if !k.Cancel(drop) {
 			t.Fatal("Cancel failed")
 		}
-		if !k.step() { // delivers keep, then recycles drop on next peek
+		if !k.step(MaxTime) { // delivers keep, then recycles drop on next peek
 			t.Fatal("step found empty queue")
 		}
 		if _, ok := k.peek(); ok {

@@ -88,6 +88,10 @@ func (k *Kernel) Restore(from *KernelState) error {
 			k.reported = from.executed
 		}
 	}
+	// Slots of a batch left open (by a handler that panicked mid-fan-out)
+	// vanish with the slab below; the batch goes with them.
+	k.batch = k.batch[:0]
+	k.batching = false
 	k.now = from.now
 	k.nextSeq = from.nextSeq
 	k.executed = from.executed

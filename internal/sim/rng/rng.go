@@ -88,17 +88,20 @@ func (s *Source) Split(name string) *Source {
 // Float64 returns a uniform sample in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
-// Uniform returns a uniform sample in [lo, hi).
+// Uniform returns a uniform sample in [lo, hi). The float64 conversion
+// rounds the product before the add, so no architecture fuses the two
+// into one multiply-add (scripts/fma-audit.sh).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + float64((hi-lo)*s.r.Float64())
 }
 
 // IntN returns a uniform integer in [0, n). n must be positive.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Normal returns a normally distributed sample.
+// Normal returns a normally distributed sample. As in Uniform, the
+// product rounds before the add.
 func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.r.NormFloat64()
+	return mean + float64(stddev*s.r.NormFloat64())
 }
 
 // Exponential returns an exponentially distributed sample with the given
