@@ -95,7 +95,9 @@ fabric-equiv:
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler,
-# snapshot/restore and batch chains against plain scheduling, the traffic simulator's reused lane order, the shard
+# snapshot/restore and batch chains against plain scheduling, the radio
+# medium's dispatch-ordered fan-out against per-event scheduling, the
+# traffic simulator's reused lane order, the shard
 # designator, the heartbeat snapshot decoder). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSchedule' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSnapshot' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchOrder' -fuzztime 5s ./internal/sim/des
+	$(GO) test -run '^$$' -fuzz 'FuzzFanoutOrder' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner

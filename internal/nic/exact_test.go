@@ -2,12 +2,14 @@ package nic
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"comfase/internal/geo"
 	"comfase/internal/mac"
 	"comfase/internal/phy"
 	"comfase/internal/sim/des"
+	"comfase/internal/sim/rng"
 	"comfase/internal/wave1609"
 )
 
@@ -35,7 +37,7 @@ func lineNet(t *testing.T, ch phy.ChannelConfig, ids []string, xs []float64, rx 
 	for i, id := range ids {
 		i := i
 		r, err := air.AddRadio(id, func() geo.Vec { return geo.Vec{X: xs[i]} }, func(f *mac.Frame, m RxMeta) {
-			*rx = append(*rx, rxRecord{at: k.Now(), f: *f, meta: m})
+			*rx = append(*rx, record(k.Now(), f, m))
 		})
 		if err != nil {
 			t.Fatalf("AddRadio(%s): %v", id, err)
@@ -96,9 +98,9 @@ func TestInterferenceFreeSINRExact(t *testing.T) {
 			t.Fatalf("noise %v dBm: %d deliveries, want %d", nf, len(rx), len(dists))
 		}
 		for _, r := range rx {
-			p := r.meta.RxPowerDBm
-			if want := referenceSINR(ch, p, 0); !sameBits(r.meta.SINRdB, want) {
-				t.Errorf("noise %v dBm, power %v dBm: SINRdB %v, full chain %v", nf, p, r.meta.SINRdB, want)
+			p := r.power
+			if want := referenceSINR(ch, p, 0); !sameBits(r.sinr, want) {
+				t.Errorf("noise %v dBm, power %v dBm: SINRdB %v, full chain %v", nf, p, r.sinr, want)
 			}
 		}
 	}
@@ -142,7 +144,7 @@ func TestOverlapSINRExact(t *testing.T) {
 	}
 	var got *rxRecord
 	for i := range rx {
-		if rx[i].f.Src == "near" && rx[i].meta.RxPowerDBm == ch.RxPowerDBm(10) {
+		if rx[i].f.Src == "near" && rx[i].power == ch.RxPowerDBm(10) {
 			got = &rx[i]
 		}
 	}
@@ -154,12 +156,12 @@ func TestOverlapSINRExact(t *testing.T) {
 	intMw := 0.0
 	intMw += phy.DBmToMilliwatt(at(2250))
 	intMw += phy.DBmToMilliwatt(at(2300))
-	want := referenceSINR(ch, got.meta.RxPowerDBm, intMw)
-	if !sameBits(got.meta.SINRdB, want) {
+	want := referenceSINR(ch, got.power, intMw)
+	if !sameBits(got.sinr, want) {
 		t.Errorf("overlap SINRdB %v (%#x), full chain %v (%#x)",
-			got.meta.SINRdB, math.Float64bits(got.meta.SINRdB), want, math.Float64bits(want))
+			got.sinr, math.Float64bits(got.sinr), want, math.Float64bits(want))
 	}
-	if sameBits(got.meta.SINRdB, referenceSINR(ch, got.meta.RxPowerDBm, 0)) {
+	if sameBits(got.sinr, referenceSINR(ch, got.power, 0)) {
 		t.Error("overlap path not taken: SINR equals the interference-free value")
 	}
 	known := 0
@@ -261,9 +263,270 @@ func TestSnapshotRestoresLazyMilliwatt(t *testing.T) {
 	for i := range got {
 		g, w := got[i], ref[i]
 		if g.at != w.at || g.f != w.f || g.meta.RxAt != w.meta.RxAt ||
-			!sameBits(g.meta.RxPowerDBm, w.meta.RxPowerDBm) || !sameBits(g.meta.SINRdB, w.meta.SINRdB) {
+			!sameBits(g.power, w.power) || !sameBits(g.sinr, w.sinr) {
 			t.Errorf("restored delivery %+v, uninterrupted %+v", g, w)
 		}
+	}
+	if s := air.Stats(); s != refStats {
+		t.Errorf("restored stats %+v, uninterrupted %+v", s, refStats)
+	}
+}
+
+// sameDeliveries reports whether two delivery sequences match in time,
+// frame, and power and SINR bits.
+func sameDeliveries(got, want []rxRecord) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.at != w.at || g.f != w.f || !sameBits(g.power, w.power) || !sameBits(g.sinr, w.sinr) {
+			return false
+		}
+	}
+	return true
+}
+
+// eagerLoss hides a path loss's closed-form inverse, which turns the
+// guard distance off: every reception computes its power at transmit
+// time, as before the guard existed.
+type eagerLoss struct{ phy.PathLoss }
+
+// guardRun sends one frame from x = 0 to receivers at the given
+// distances and returns the deliveries, the medium stats, every
+// receiver's MAC stats and the medium.
+func guardRun(t *testing.T, ch phy.ChannelConfig, dists []float64) ([]rxRecord, Stats, []mac.Stats, *Air) {
+	t.Helper()
+	ids := []string{"s"}
+	xs := []float64{0}
+	for i, d := range dists {
+		ids = append(ids, scratchID(i))
+		xs = append(xs, d)
+	}
+	var rx []rxRecord
+	k, air, radios := lineNet(t, ch, ids, xs, &rx)
+	if err := radios[0].Send("x", 200, mac.ACVideo, 1); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var ms []mac.Stats
+	for _, r := range radios {
+		ms = append(ms, r.MAC().Stats())
+	}
+	return rx, air.Stats(), ms, air
+}
+
+// TestGuardDistanceMatchesEager sweeps receivers across the guard
+// distance for a grid of noise floors, transmit powers, CCA and
+// sensitivity thresholds, MCSs, frequencies and path-loss exponents.
+// Every decision, stat and RxMeta bit must equal the eager computation,
+// and the receptions inside the guard must really have been deferred.
+func TestGuardDistanceMatchesEager(t *testing.T) {
+	type thresholds struct{ cca, sens float64 }
+	guarded := 0
+	for _, nf := range []float64{-98, -101.3, -110, -90} {
+		for _, tx := range []float64{23, 10, 33, 0} {
+			for _, th := range []thresholds{{-85, -89}, {-95, -80}, {-70, -92}} {
+				for _, mcs := range []phy.MCS{phy.MCSQpskR12, phy.MCSBpskR12, phy.MCSQam64R34} {
+					for _, freq := range []float64{5.89e9, 5.9e9, 2.4e9} {
+						for _, alpha := range []float64{2, 2.7} {
+							ch := phy.DefaultChannelConfig()
+							ch.NoiseFloorDBm, ch.TxPowerDBm = nf, tx
+							ch.CCAThresholdDBm, ch.SensitivityDBm = th.cca, th.sens
+							ch.MCS, ch.FreqHz, ch.PathLoss = mcs, freq, phy.FreeSpace{Alpha: alpha}
+							noiseDBm := phy.MilliwattToDBm(phy.DBmToMilliwatt(nf))
+							g := guardDistance(ch, noiseDBm)
+							if g < 0 {
+								t.Fatalf("%+v: guard off", ch)
+							}
+							guarded++
+							floor := math.Max(math.Max(th.cca, th.sens), mcs.MinSNRdB()+noiseDBm) + guardMarginDB
+							if p := ch.RxPowerDBm(g); p < floor-1e-9 {
+								t.Fatalf("%+v: power %v dBm at the guard %v m, floor %v", ch, p, g, floor)
+							}
+							if p := ch.RxPowerDBm(g * (1 + 1e-6)); p >= floor {
+								t.Fatalf("%+v: power %v dBm beyond the guard %v m clears floor %v", ch, p, g, floor)
+							}
+							var dists []float64
+							for _, f := range []float64{0, 0.25, 0.5, 0.9, 0.999999, 1, 1.000001, 1.1, 1.5, 2, 4} {
+								dists = append(dists, f*g)
+							}
+							got, gotStats, gotMAC, _ := guardRun(t, ch, dists)
+							eager := ch
+							eager.PathLoss = eagerLoss{ch.PathLoss}
+							want, wantStats, wantMAC, _ := guardRun(t, eager, dists)
+							if gotStats != wantStats || !reflect.DeepEqual(gotMAC, wantMAC) || !sameDeliveries(got, want) {
+								t.Fatalf("%+v: deliveries %+v, stats %+v, MAC %+v;\neager %+v, stats %+v, MAC %+v",
+									ch, got, gotStats, gotMAC, want, wantStats, wantMAC)
+							}
+							deferred := 0
+							for i := range got {
+								if want[i].deferred {
+									t.Fatalf("%+v: eager reception deferred", ch)
+								}
+								if got[i].deferred {
+									deferred++
+								}
+							}
+							// Distances 0 .. 1*g lie inside the guard.
+							if deferred < 6 {
+								t.Fatalf("%+v: %d deferred deliveries, want >= 6", ch, deferred)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if guarded == 0 {
+		t.Fatal("no configuration had a guard")
+	}
+}
+
+// TestGuardDistanceOff pins the eager path where the guard cannot hold:
+// a path loss without a closed-form inverse, fading, the probabilistic
+// decider, a guard below the 1 m clamp and non-finite thresholds. No
+// reception may be deferred, and deliveries must carry the eager bits.
+func TestGuardDistanceOff(t *testing.T) {
+	cases := map[string]func(*phy.ChannelConfig){
+		"two-ray": func(c *phy.ChannelConfig) { c.PathLoss = phy.TwoRayInterference{} },
+		"nakagami": func(c *phy.ChannelConfig) {
+			c.Fading = phy.NewNakagamiFading(rng.New(1, "fading"))
+		},
+		"probabilistic":     func(c *phy.ChannelConfig) { c.Decider = phy.DeciderProbabilistic },
+		"below 1 m":         func(c *phy.ChannelConfig) { c.TxPowerDBm = -60 },
+		"infinite sens":     func(c *phy.ChannelConfig) { c.SensitivityDBm = math.Inf(1) },
+		"NaN CCA":           func(c *phy.ChannelConfig) { c.CCAThresholdDBm = math.NaN() },
+		"infinite noise":    func(c *phy.ChannelConfig) { c.NoiseFloorDBm = math.Inf(1) },
+		"infinite tx power": func(c *phy.ChannelConfig) { c.TxPowerDBm = math.Inf(1) },
+	}
+	for name, mod := range cases {
+		ch := phy.DefaultChannelConfig()
+		mod(&ch)
+		dists := []float64{0, 0.5, 1, 10, 100, 500}
+		got, gotStats, _, air := guardRun(t, ch, dists)
+		if air.guardM != -1 {
+			t.Errorf("%s: guard %v m, want off", name, air.guardM)
+		}
+		for _, rec := range air.allRecs {
+			if rec.deferred {
+				t.Errorf("%s: reception deferred", name)
+			}
+		}
+		if ch.Fading != nil {
+			continue // the fading draws differ between two media
+		}
+		for _, r := range got {
+			if r.deferred {
+				t.Errorf("%s: delivery deferred", name)
+			}
+		}
+		if ch.Decider == phy.DeciderThreshold {
+			eager := ch
+			eager.PathLoss = eagerLoss{ch.PathLoss}
+			want, wantStats, _, _ := guardRun(t, eager, dists)
+			if gotStats != wantStats || !sameDeliveries(got, want) {
+				t.Errorf("%s: deliveries %+v stats %+v, eager %+v stats %+v", name, got, gotStats, want, wantStats)
+			}
+		}
+	}
+}
+
+// TestReceptionStateMirrorsReception pins the checkpoint to the
+// reception's shape: every reception field must have a receptionState
+// field of the same name and type, except the receiver (captured as a
+// radio index) and the two handler closures (bound once per pooled
+// object). A field added to reception without a twin would leave
+// in-flight receptions half restored at a checkpoint.
+func TestReceptionStateMirrorsReception(t *testing.T) {
+	rec := reflect.TypeOf(reception{})
+	st := reflect.TypeOf(receptionState{})
+	skip := map[string]bool{"dst": true, "beginFn": true, "endFn": true}
+	for i := 0; i < rec.NumField(); i++ {
+		f := rec.Field(i)
+		if skip[f.Name] {
+			continue
+		}
+		twin, ok := st.FieldByName(f.Name)
+		if !ok {
+			t.Errorf("reception.%s has no receptionState twin", f.Name)
+		} else if twin.Type != f.Type {
+			t.Errorf("reception.%s is %v, its receptionState twin %v", f.Name, f.Type, twin.Type)
+		}
+	}
+	if d, ok := st.FieldByName("dst"); !ok || d.Type.Kind() != reflect.Int32 {
+		t.Error("receptionState.dst must capture the receiver as a radio index")
+	}
+}
+
+// TestSnapshotRestoresDeferredPower checkpoints while a reception inside
+// the guard distance is on the air with its power still deferred, lets
+// the run finish (the handler reads the power), reuses that pooled object
+// as an eager reception at another power, restores, and replays. The
+// replay must compute the deferred power again, bit for bit.
+func TestSnapshotRestoresDeferredPower(t *testing.T) {
+	ch := phy.DefaultChannelConfig()
+	ids := []string{"rx", "near"}
+	xs := []float64{0, 10}
+	var rx []rxRecord
+	k, air, radios := lineNet(t, ch, ids, xs, &rx)
+	rxRadio, near := radios[0], radios[1]
+	if err := near.Send("x", 200, mac.ACVideo, 1); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	for len(rxRadio.active) == 0 {
+		if err := k.RunUntil(k.Now() + des.Microsecond); err != nil {
+			t.Fatalf("RunUntil: %v", err)
+		}
+	}
+	inFlight := rxRadio.active[0]
+	if !inFlight.deferred {
+		t.Fatal("setup: reception inside the guard not deferred")
+	}
+
+	var ks des.KernelState
+	var as AirState
+	k.Snapshot(&ks)
+	if err := air.SaveState(&as); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	mark := len(rx)
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ref := append([]rxRecord(nil), rx[mark:]...)
+	refStats := air.Stats()
+	if len(ref) != 1 || !ref[0].deferred || !sameBits(ref[0].power, ch.RxPowerDBm(10)) {
+		t.Fatalf("setup: uninterrupted run delivered %+v, want one deferred frame at %v dBm", ref, ch.RxPowerDBm(10))
+	}
+
+	// Reuse the pooled reception outside the guard: eager, another power.
+	xs[1] = 1200
+	if err := near.Send("reuse", 200, mac.ACVideo, 2); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if inFlight.deferred || inFlight.powerDBm != ch.RxPowerDBm(1200) {
+		t.Fatalf("setup: pooled reception not reused eagerly (deferred %v, %v dBm)", inFlight.deferred, inFlight.powerDBm)
+	}
+
+	xs[1] = 10
+	if err := k.Restore(&ks); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if err := air.LoadState(&as); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	rx = rx[:mark]
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := rx[mark:]; !sameDeliveries(got, ref) || !got[0].deferred {
+		t.Errorf("restored run delivered %+v, uninterrupted %+v", got, ref)
 	}
 	if s := air.Stats(); s != refStats {
 		t.Errorf("restored stats %+v, uninterrupted %+v", s, refStats)

@@ -70,26 +70,24 @@ func (j *Jammer) Stop() { j.ticker.StopTicker() }
 
 // emit radiates one burst: pure interference at every radio. Like a
 // transmission's fan-out, the burst's receptions enter the kernel as one
-// batch.
+// batch (see Air.queue). Jamming power is computed eagerly: the guard
+// distance covers only data frames.
 func (j *Jammer) emit() {
 	j.bursts++
 	a := j.air
-	k := a.k
-	now := k.Now()
+	now := a.k.Now()
 	srcPos := j.pos()
-	k.BeginBatch()
+	a.links = a.links[:0]
 	for _, dst := range a.radios {
 		dist := srcPos.Dist(dst.pos())
-		rxPower := j.powerDBm - a.cfg.PathLoss.LossDB(dist, a.cfg.FreqHz)
 		rec := a.acquireReception(dst)
 		rec.noise = true
 		rec.sentAt = now
 		rec.start = now.Add(a.cfg.Delay.Delay(dist))
 		rec.end = rec.start.Add(j.burst)
-		rec.powerDBm = rxPower
-		k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
-		k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+		rec.powerDBm = j.powerDBm - a.cfg.PathLoss.LossDB(dist, a.cfg.FreqHz)
+		a.links = append(a.links, rec)
 	}
-	k.EndBatch()
+	a.queue(nil, 0, j.burst)
 	a.stats.NoiseBursts++
 }

@@ -11,8 +11,11 @@
 package nic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"comfase/internal/geo"
 	"comfase/internal/mac"
@@ -27,7 +30,9 @@ import (
 // application payload (24-byte 802.11 header + 4-byte FCS).
 const MACOverheadBits = (24 + 4) * 8
 
-// RxMeta describes how a frame arrived at a receiver.
+// RxMeta describes how a frame arrived at a receiver. Its methods read
+// the medium's pooled reception: like the frame, they are valid only for
+// the duration of the handler call.
 type RxMeta struct {
 	// Src is the transmitting node.
 	Src string
@@ -38,12 +43,16 @@ type RxMeta struct {
 	// PropDelay is the propagation delay applied to this link — the
 	// attack-visible quantity.
 	PropDelay des.Time
-	// RxPowerDBm is the received signal power.
-	RxPowerDBm float64
-	// SINRdB is the signal-to-interference-plus-noise ratio the decider
-	// used.
-	SINRdB float64
+
+	rec *reception
 }
+
+// RxPowerDBm returns the received signal power.
+func (m RxMeta) RxPowerDBm() float64 { return m.rec.power() }
+
+// SINRdB returns the signal-to-interference-plus-noise ratio the decider
+// judged the frame by.
+func (m RxMeta) SINRdB() float64 { return m.rec.dst.air.sinr(m.rec) }
 
 // RxHandler consumes successfully decoded frames. f points into the
 // medium's pooled reception and is valid only for the duration of the
@@ -71,10 +80,12 @@ type Verdict struct {
 }
 
 // Interceptor inspects every (transmitter, receiver) frame delivery while
-// installed. Implementations are the ComFASE attack models. The frame is
-// passed by value so the hot path never forces it onto the heap;
-// implementations read f.Beacon/f.HasBeacon (or f.Payload for
-// non-beacon traffic) and return overrides by value in the Verdict.
+// installed. It is called for each receiver in registration order, before
+// any of the transmission's events are queued. Implementations are the
+// ComFASE attack models. The frame is passed by value so the hot path
+// never forces it onto the heap; implementations read f.Beacon/f.HasBeacon
+// (or f.Payload for non-beacon traffic) and return overrides by value in
+// the Verdict.
 type Interceptor interface {
 	// Intercept is called at transmission time for each receiver.
 	Intercept(now des.Time, src, dst string, f mac.Frame) Verdict
@@ -143,6 +154,10 @@ type Air struct {
 	// reception that saw no interference.
 	noiseMw  float64
 	noiseDBm float64
+	// guardM is the guard distance (see guardDistance), or -1 when off: a
+	// data frame received from at most this far has its power computed
+	// only when something reads it (reception.power).
+	guardM float64
 
 	// airtimeFn is the bound airtime method, created once and shared by
 	// every MAC so per-radio wiring does not allocate method values.
@@ -158,6 +173,16 @@ type Air struct {
 	// objects, so restore must rewind those objects' fields in place.
 	allRecs  []*reception
 	recIndex map[*reception]int32
+
+	// links holds the receptions of the fan-out being queued, in the order
+	// they were made; keys is the scratch list of its dispatch keys when
+	// it needs a general sort (see queue).
+	links []*reception
+	keys  []fanKey
+	// scheduleEach queues every fan-out event with its own ScheduleAt, in
+	// the order the fan-out makes them: the reference FuzzFanoutOrder
+	// checks the batched dispatch order against.
+	scheduleEach bool
 
 	stats Stats
 }
@@ -193,6 +218,7 @@ func (a *Air) Reset(cfg Config) error {
 	a.seed = cfg.Seed
 	a.noiseMw = phy.DBmToMilliwatt(cfg.Channel.NoiseFloorDBm)
 	a.noiseDBm = phy.MilliwattToDBm(a.noiseMw)
+	a.guardM = guardDistance(cfg.Channel, a.noiseDBm)
 	a.interceptor = nil
 	a.stats = Stats{}
 	if a.deciderRNG == nil {
@@ -223,6 +249,41 @@ func (a *Air) Reset(cfg Config) error {
 		a.recFree = append(a.recFree, rec)
 	}
 	return nil
+}
+
+// invertibleLoss is a path loss with a closed-form inverse, such as
+// phy.FreeSpace.DistanceAt.
+type invertibleLoss interface {
+	DistanceAt(lossDB, freqHz float64) float64
+}
+
+var _ invertibleLoss = phy.FreeSpace{}
+
+// guardMarginDB is how far above every reception threshold the guard
+// distance keeps the received power: far more than the few ulps by which
+// the closed-form inverse and the forward path loss may disagree.
+const guardMarginDB = 1
+
+// guardDistance returns the largest distance whose received power clears
+// carrier sense, sensitivity and the threshold decider's interference-free
+// decode (MinSNR over noiseDBm, the noise term of that decode) by
+// guardMarginDB, or -1 when there is no such guard. Inside it those three
+// outcomes are certain, so a reception's power is needed only by an
+// overlap or a handler. It exists only for a path loss with a closed-form
+// inverse, without fading (whose draws must stay in transmit order) and
+// with the threshold decider (the probabilistic one reads the SINR of
+// every frame). A guard below the 1 m clamp or not finite is off.
+func guardDistance(c phy.ChannelConfig, noiseDBm float64) float64 {
+	inv, ok := c.PathLoss.(invertibleLoss)
+	if !ok || c.Fading != nil || c.Decider != phy.DeciderThreshold {
+		return -1
+	}
+	floor := math.Max(math.Max(c.CCAThresholdDBm, c.SensitivityDBm), c.MCS.MinSNRdB()+noiseDBm)
+	d := inv.DistanceAt(c.TxPowerDBm-(floor+guardMarginDB), c.FreqHz)
+	if !(d >= 1) || math.IsInf(d, 1) {
+		return -1
+	}
+	return d
 }
 
 // SetInterceptor installs (or, with nil, removes) the attack model. This
@@ -350,21 +411,18 @@ func (a *Air) finishReception(rec *reception) {
 	a.recFree = append(a.recFree, rec)
 }
 
-// transmit fans a started transmission out to every other radio. The
-// transmitter's txDone and every reception's begin and end enter the
-// kernel as one batch, in the order a ScheduleAt per event would have
-// queued them (des.Kernel.BeginBatch).
+// transmit fans a started transmission out to every other radio and
+// queues the transmitter's txDone with every reception's begin and end
+// (see queue).
 func (a *Air) transmit(src *Radio, f mac.Frame) {
-	k := a.k
-	now := k.Now()
+	now := a.k.Now()
 	dur := a.airtime(f.Bits)
 	a.stats.FramesSent++
 	src.txStart = now
 	src.txEnd = now.Add(dur)
-	k.BeginBatch()
-	k.BatchAt(src.txEnd, des.PriorityNormal, src.txDoneFn)
 
 	srcPos := src.pos()
+	a.links = a.links[:0]
 	for _, dst := range a.radios {
 		if dst == src {
 			continue
@@ -396,19 +454,142 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 			rec = a.acquireReception(dst)
 			rec.frame = f
 		}
-		rxPower := a.cfg.RxPowerDBm(dist)
-		if a.cfg.Fading != nil {
-			rxPower += a.cfg.Fading.GainDB(dist)
+		if dist <= a.guardM {
+			rec.dist = dist
+			rec.deferred = true
+		} else {
+			rxPower := a.cfg.RxPowerDBm(dist)
+			if a.cfg.Fading != nil {
+				rxPower += a.cfg.Fading.GainDB(dist)
+			}
+			rec.powerDBm = rxPower
 		}
 		rec.sentAt = now
 		rec.start = now.Add(delay)
 		rec.end = rec.start.Add(dur)
-		rec.powerDBm = rxPower
 		rec.delay = delay
-		k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
-		k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+		a.links = append(a.links, rec)
+	}
+	a.queue(src.txDoneFn, src.txEnd, dur)
+}
+
+// queue enters a fan-out into the kernel as one batch: the receptions in
+// a.links and, for a transmission, its txDone at txEnd (nil for a jamming
+// burst). The reference order is the one a ScheduleAt per event took
+// before batching: txDone, then each link's begin and end. BatchAt hands
+// the batch consecutive sequence numbers in call order and no other event
+// takes one in between, so against any other event a batch member orders
+// by (time, priority) and the range alone, and among themselves by call
+// order at equal times. Calling BatchAt in (time, reference index) order
+// therefore dispatches every event exactly as the reference order would,
+// and leaves EndBatch keys that are already sorted.
+//
+// In the usual case every link's delay is at least 0 and shorter than the
+// airtime dur (a jamming burst's length), and no end time saturates. Then
+// every begin precedes txDone, every end is at or after it, and the ends
+// keep the begins' order, since end = start + dur. Sorting the links once
+// by start, stably so that ties keep registration order, gives the whole
+// order as a concatenation. Clamped negative delays and long delay
+// overrides take the general sort of every key.
+func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
+	k := a.k
+	if a.scheduleEach {
+		if txDone != nil {
+			k.ScheduleAt(txEnd, txDone)
+		}
+		for _, rec := range a.links {
+			k.ScheduleAt(rec.start, rec.beginFn)
+			k.ScheduleAt(rec.end, rec.endFn)
+		}
+		return
+	}
+	now := k.Now()
+	ordered := true
+	for _, rec := range a.links {
+		if rec.start < now || rec.start-now >= dur || rec.end-rec.start != dur {
+			ordered = false
+			break
+		}
+	}
+	k.BeginBatch()
+	if ordered {
+		sortLinks(a.links)
+		for _, rec := range a.links {
+			k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+		}
+		if txDone != nil {
+			k.BatchAt(txEnd, des.PriorityNormal, txDone)
+		}
+		for _, rec := range a.links {
+			k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+		}
+	} else {
+		a.queueSorted(txDone, txEnd)
 	}
 	k.EndBatch()
+}
+
+// sortLinks sorts receptions by start time with an insertion sort, which
+// is stable (equal starts keep registration order) and costs one
+// comparison per reception already in place. Seen from a radio inside a
+// line of radios, the starts fall along the radios ahead of it and rise
+// along those behind it. The strictly falling prefix is reversed first,
+// which keeps it stable (it holds no equal starts) and leaves the sort
+// only the interleaving of two rising runs to undo.
+func sortLinks(s []*reception) {
+	if len(s) < 2 {
+		return
+	}
+	n := 1
+	for n < len(s) && s[n].start < s[n-1].start {
+		n++
+	}
+	slices.Reverse(s[:n])
+	for i := n; i < len(s); i++ {
+		x := s[i]
+		j := i
+		for ; j > 0 && x.start < s[j-1].start; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
+// fanKey is one fan-out event's dispatch key: its kernel time, clamped to
+// Now as the kernel clamps it, and its index in the reference order —
+// txDone 0, then 2i+1 and 2i+2 for the begin and end of a.links[i].
+type fanKey struct {
+	at  des.Time
+	ref int32
+}
+
+// queueSorted queues a fan-out outside the usual case into the open batch:
+// every key appended in reference order, then stably sorted by time, so
+// equal times keep reference order.
+func (a *Air) queueSorted(txDone des.Handler, txEnd des.Time) {
+	k := a.k
+	now := k.Now()
+	keys := a.keys[:0]
+	if txDone != nil {
+		keys = append(keys, fanKey{at: txEnd})
+	}
+	for i, rec := range a.links {
+		ref := int32(2*i + 1)
+		keys = append(keys, fanKey{at: max(rec.start, now), ref: ref}, fanKey{at: max(rec.end, now), ref: ref + 1})
+	}
+	slices.SortStableFunc(keys, func(x, y fanKey) int { return cmp.Compare(x.at, y.at) })
+	for _, x := range keys {
+		fn := txDone
+		if x.ref > 0 {
+			rec := a.links[(x.ref-1)/2]
+			fn = rec.beginFn
+			if x.ref%2 == 0 {
+				fn = rec.endFn
+			}
+		}
+		k.BatchAt(x.at, des.PriorityNormal, fn)
+	}
+	a.keys = keys
 }
 
 // reception is one frame arriving at one radio. Receptions are pooled on
@@ -424,10 +605,14 @@ type reception struct {
 	// conversion once mwKnown is set. The conversion is the same pure
 	// function whenever it runs, so it is deferred to the first overlap
 	// that reads it (see mw): a reception that never overlaps another
-	// never pays for it.
+	// never pays for it. Inside the guard distance the power itself is
+	// deferred the same way: deferred marks a powerDBm not yet computed
+	// from dist (see power).
 	powerDBm float64
 	powerMw  float64
 	mwKnown  bool
+	dist     float64
+	deferred bool
 	delay    des.Time
 	// interferenceMw accumulates the power of every overlapping
 	// reception at this radio (worst-case SINR, like Veins' per-segment
@@ -446,13 +631,34 @@ type reception struct {
 	endFn   des.Handler
 }
 
+// power returns the received power in dBm, computing a deferred one on
+// first use with the same function transmit would have called.
+func (rec *reception) power() float64 {
+	if rec.deferred {
+		rec.powerDBm = rec.dst.air.cfg.RxPowerDBm(rec.dist)
+		rec.deferred = false
+	}
+	return rec.powerDBm
+}
+
 // mw returns the received power in milliwatts, converting on first use.
 func (rec *reception) mw() float64 {
 	if !rec.mwKnown {
-		rec.powerMw = phy.DBmToMilliwatt(rec.powerDBm)
+		rec.powerMw = phy.DBmToMilliwatt(rec.power())
 		rec.mwKnown = true
 	}
 	return rec.powerMw
+}
+
+// sinr returns the SINR the decider judges rec by. Without interference
+// the SINR chain reduces exactly to p - noiseDBm: MilliwattToDBm(0) =
+// -Inf, Pow(10, -Inf) = 0 and noiseMw + 0 = noiseMw, leaving
+// MilliwattToDBm(noiseMw).
+func (a *Air) sinr(rec *reception) float64 {
+	if rec.interferenceMw == 0 {
+		return rec.power() - a.noiseDBm
+	}
+	return a.cfg.SINRdBWithNoiseMw(rec.power(), phy.MilliwattToDBm(rec.interferenceMw), a.noiseMw)
 }
 
 // Radio is one node's network interface on the Air.
@@ -509,7 +715,8 @@ func (r *Radio) SendBeacon(b msg.Beacon, payloadBits int, ac mac.AccessCategory,
 }
 
 // beginReception registers an incoming frame: it interferes with every
-// overlapping reception and may raise carrier sense.
+// overlapping reception and may raise carrier sense. A deferred power
+// lies inside the guard distance and so clears the CCA threshold.
 func (r *Radio) beginReception(rec *reception) {
 	if len(r.active) > 0 {
 		mw := rec.mw()
@@ -519,7 +726,7 @@ func (r *Radio) beginReception(rec *reception) {
 		}
 	}
 	r.active = append(r.active, rec)
-	if rec.powerDBm >= r.air.cfg.CCAThresholdDBm {
+	if rec.deferred || rec.powerDBm >= r.air.cfg.CCAThresholdDBm {
 		rec.sensedBusy = true
 		r.busy++
 		if r.busy == 1 {
@@ -529,7 +736,9 @@ func (r *Radio) beginReception(rec *reception) {
 }
 
 // endReception finishes an incoming frame: decide, deliver, release
-// carrier sense.
+// carrier sense. A power still deferred lies inside the guard distance
+// and never overlapped another reception (an overlap computes it), so it
+// clears sensitivity and decodes without interference.
 func (r *Radio) endReception(rec *reception) {
 	for i, other := range r.active {
 		if other == rec {
@@ -554,7 +763,7 @@ func (r *Radio) endReception(rec *reception) {
 		// Jamming bursts are never decoded; their effect is the carrier
 		// sense and interference they already contributed.
 		return
-	case rec.powerDBm < cfg.SensitivityDBm:
+	case !rec.deferred && rec.powerDBm < cfg.SensitivityDBm:
 		a.stats.DroppedBelowSensitivity++
 		return
 	case r.txStart < rec.end && rec.start < r.txEnd:
@@ -566,26 +775,20 @@ func (r *Radio) endReception(rec *reception) {
 		return
 	}
 
-	// Without interference the SINR chain reduces exactly to p - noiseDBm:
-	// MilliwattToDBm(0) = -Inf, Pow(10, -Inf) = 0 and noiseMw + 0 =
-	// noiseMw, leaving MilliwattToDBm(noiseMw).
-	var sinr float64
-	if rec.interferenceMw == 0 {
-		sinr = rec.powerDBm - a.noiseDBm
-	} else {
-		sinr = cfg.SINRdBWithNoiseMw(rec.powerDBm, phy.MilliwattToDBm(rec.interferenceMw), a.noiseMw)
-	}
-	ok := false
-	switch cfg.Decider {
-	case phy.DeciderThreshold:
-		ok = sinr >= cfg.MCS.MinSNRdB()
-	case phy.DeciderProbabilistic:
-		per := cfg.MCS.PacketErrorRate(sinr, rec.frame.Bits)
-		ok = !a.deciderRNG.Bernoulli(per)
-	}
-	if !ok {
-		a.stats.DroppedSINR++
-		return
+	if !rec.deferred {
+		sinr := a.sinr(rec)
+		ok := false
+		switch cfg.Decider {
+		case phy.DeciderThreshold:
+			ok = sinr >= cfg.MCS.MinSNRdB()
+		case phy.DeciderProbabilistic:
+			per := cfg.MCS.PacketErrorRate(sinr, rec.frame.Bits)
+			ok = !a.deciderRNG.Bernoulli(per)
+		}
+		if !ok {
+			a.stats.DroppedSINR++
+			return
+		}
 	}
 	a.stats.Deliveries++
 	if r.handler == nil {
@@ -593,11 +796,10 @@ func (r *Radio) endReception(rec *reception) {
 	}
 	f := &rec.frame
 	r.handler(f, RxMeta{
-		Src:        f.Src,
-		SentAt:     rec.sentAt,
-		RxAt:       rec.end,
-		PropDelay:  rec.delay,
-		RxPowerDBm: rec.powerDBm,
-		SINRdB:     sinr,
+		Src:       f.Src,
+		SentAt:    rec.sentAt,
+		RxAt:      rec.end,
+		PropDelay: rec.delay,
+		rec:       rec,
 	})
 }

@@ -11,10 +11,23 @@ import (
 	"comfase/internal/wave1609"
 )
 
+// rxRecord is one decoded delivery. power and sinr are read through
+// RxMeta's methods during the handler call, while they are valid;
+// deferred reports whether the power was still uncomputed when the
+// handler ran.
 type rxRecord struct {
-	at   des.Time
-	f    mac.Frame
-	meta RxMeta
+	at       des.Time
+	f        mac.Frame
+	meta     RxMeta
+	power    float64
+	sinr     float64
+	deferred bool
+}
+
+// record captures a delivery inside its handler call.
+func record(at des.Time, f *mac.Frame, m RxMeta) rxRecord {
+	deferred := m.rec.deferred
+	return rxRecord{at: at, f: *f, meta: m, power: m.RxPowerDBm(), sinr: m.SINRdB(), deferred: deferred}
 }
 
 type testNet struct {
@@ -40,7 +53,7 @@ func newNet(t *testing.T, positions map[string]geo.Vec) *testNet {
 	for id, p := range positions {
 		id, p := id, p
 		_, err := air.AddRadio(id, func() geo.Vec { return p }, func(f *mac.Frame, m RxMeta) {
-			n.rx[id] = append(n.rx[id], rxRecord{at: n.k.Now(), f: *f, meta: m})
+			n.rx[id] = append(n.rx[id], record(n.k.Now(), f, m))
 		})
 		if err != nil {
 			t.Fatalf("AddRadio(%s): %v", id, err)

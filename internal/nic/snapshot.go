@@ -21,6 +21,8 @@ type receptionState struct {
 	powerDBm       float64
 	powerMw        float64
 	mwKnown        bool
+	dist           float64
+	deferred       bool
 	delay          des.Time
 	interferenceMw float64
 	sensedBusy     bool
@@ -91,6 +93,8 @@ func (a *Air) SaveState(st *AirState) error {
 			powerDBm:       rec.powerDBm,
 			powerMw:        rec.powerMw,
 			mwKnown:        rec.mwKnown,
+			dist:           rec.dist,
+			deferred:       rec.deferred,
 			delay:          rec.delay,
 			interferenceMw: rec.interferenceMw,
 			sensedBusy:     rec.sensedBusy,
@@ -152,6 +156,8 @@ func (a *Air) LoadState(st *AirState) error {
 		rec.powerDBm = rs.powerDBm
 		rec.powerMw = rs.powerMw
 		rec.mwKnown = rs.mwKnown
+		rec.dist = rs.dist
+		rec.deferred = rs.deferred
 		rec.delay = rs.delay
 		rec.interferenceMw = rs.interferenceMw
 		rec.sensedBusy = rs.sensedBusy

@@ -77,17 +77,17 @@ func (f *NakagamiFading) gamma(shape, scale float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := f.Src.Normal(0, 1)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := f.Src.Float64()
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		if u < 1-0.0331*x*x*x*x ||
-			math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u < 1-float64(0.0331*x*x*x*x) ||
+			math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v * scale
 		}
 	}

@@ -90,7 +90,7 @@ func (m MCS) FrameAirtimeUs(psduBits int) float64 {
 		psduBits = 0
 	}
 	symbols := math.Ceil(float64(psduBits+serviceAndTailBits) / float64(info.bitsPerSym))
-	return preambleDurationUs + symbols*symbolDurationUs
+	return preambleDurationUs + float64(symbols*symbolDurationUs)
 }
 
 // BitErrorRate returns the post-coding bit error probability at the given

@@ -39,22 +39,36 @@ var _ PathLoss = FreeSpace{}
 // LossDB implements PathLoss.
 func (m FreeSpace) LossDB(distance, freqHz float64) float64 {
 	d := math.Max(distance, 1)
-	alpha := m.Alpha
-	if alpha <= 0 {
-		alpha = 2
-	}
-	friis := 20 * math.Log10(4*math.Pi*d*freqHz/SpeedOfLight)
+	alpha := m.exponent()
+	friis := float64(20 * math.Log10(4*math.Pi*d*freqHz/SpeedOfLight))
 	if alpha == 2 && !math.IsInf(d, 1) {
 		// The exponent term is 10*0*Log10(d) == +0 for every finite d >= 1,
 		// and friis + 0 == friis, so skipping it is the identical
 		// computation. At d = +Inf the term is 0*Inf = NaN and must stay.
 		return friis
 	}
-	return friis + 10*(alpha-2)*math.Log10(d)
+	return friis + float64(10*(alpha-2)*math.Log10(d))
 }
 
 // Name implements PathLoss.
 func (m FreeSpace) Name() string { return "freespace" }
+
+// DistanceAt is the closed-form inverse of LossDB: the distance in metres
+// at which the loss reaches lossDB at the carrier frequency, ignoring the
+// 1 m clamp. Solving LossDB for d gives L = 20 log10(4 pi f / c) +
+// 10*alpha log10(d). It is exact only up to rounding, so a caller that
+// decides by it keeps a margin.
+func (m FreeSpace) DistanceAt(lossDB, freqHz float64) float64 {
+	return math.Pow(10, (lossDB-float64(20*math.Log10(4*math.Pi*freqHz/SpeedOfLight)))/(10*m.exponent()))
+}
+
+// exponent is Alpha, or 2 when Alpha is not positive.
+func (m FreeSpace) exponent() float64 {
+	if m.Alpha <= 0 {
+		return 2
+	}
+	return m.Alpha
+}
 
 // TwoRayInterference is Veins' two-ray interference model (Sommer et al.),
 // which captures the ground-reflection fading dips observed on flat
@@ -88,25 +102,25 @@ func (m TwoRayInterference) LossDB(distance, freqHz float64) float64 {
 	}
 	lambda := SpeedOfLight / freqHz
 
-	dLOS := math.Sqrt(d*d + (ht-hr)*(ht-hr))
-	dRef := math.Sqrt(d*d + (ht+hr)*(ht+hr))
+	dLOS := math.Sqrt(float64(d*d) + float64((ht-hr)*(ht-hr)))
+	dRef := math.Sqrt(float64(d*d) + float64((ht+hr)*(ht+hr)))
 	sinTheta := (ht + hr) / dRef
 	cosTheta := d / dRef
 
 	// Reflection coefficient for vertical polarisation.
-	gamma := (sinTheta - math.Sqrt(epsR-cosTheta*cosTheta)) /
-		(sinTheta + math.Sqrt(epsR-cosTheta*cosTheta))
+	gamma := (sinTheta - math.Sqrt(epsR-float64(cosTheta*cosTheta))) /
+		(sinTheta + math.Sqrt(epsR-float64(cosTheta*cosTheta)))
 
 	phi := 2 * math.Pi * (dRef - dLOS) / lambda
 	// Interference of direct and reflected ray.
-	re := 1 + gamma*math.Cos(phi)
+	re := 1 + float64(gamma*math.Cos(phi))
 	im := gamma * math.Sin(phi)
-	atten := math.Sqrt(re*re + im*im)
+	atten := math.Sqrt(float64(re*re) + float64(im*im))
 	if atten <= 0 {
 		atten = 1e-12
 	}
-	friis := 20 * math.Log10(4*math.Pi*dLOS/lambda)
-	return friis - 20*math.Log10(atten)
+	friis := float64(20 * math.Log10(4*math.Pi*dLOS/lambda))
+	return friis - float64(20*math.Log10(atten))
 }
 
 // Name implements PathLoss.
