@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fma-audit test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
+.PHONY: check build vet fma-audit test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv oracle fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
 
 # Tier-1 verification gate, and the only list of gates (scripts/check.sh
 # runs it): build + vet + the fused multiply-add audit + race-enabled
@@ -93,11 +93,20 @@ registry-equiv:
 fabric-equiv:
 	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence|TestLeaseLongPoll|TestWorkerIdleLongPollNoBusyLoop|TestServiceLingerAgesOutSilentWorker' ./internal/fabric ./internal/runner
 
+# The metamorphic oracles by name: experiments whose attack cannot change
+# anything (a zero delay, a window starting at the horizon) must equal the
+# golden run bit for bit, and DoS, a delay beyond the horizon and packet
+# loss with p = 1 must equal each other, fresh and forked. The race step
+# already runs them; this is a shortcut, not an extra gate step.
+oracle:
+	$(GO) test -run 'TestOracle' ./internal/core
+
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler,
 # snapshot/restore and batch chains against plain scheduling, the radio
-# medium's dispatch-ordered fan-out against per-event scheduling, the
-# traffic simulator's reused lane order, the shard
+# medium's dispatch-ordered fan-out against per-event scheduling, its
+# lazy receptions against the eager reference, the traffic simulator's
+# reused lane order, the shard
 # designator, the heartbeat snapshot decoder). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -108,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelSnapshot' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchOrder' -fuzztime 5s ./internal/sim/des
 	$(GO) test -run '^$$' -fuzz 'FuzzFanoutOrder' -fuzztime 5s ./internal/nic
+	$(GO) test -run '^$$' -fuzz 'FuzzLazyReception' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner

@@ -46,7 +46,7 @@ func (r Range) Expand() ([]float64, error) {
 	// Index-based loop avoids float accumulation drift.
 	n := int(math.Floor((r.To-r.From)/r.Step + 1e-9))
 	for i := 0; i <= n; i++ {
-		out = append(out, r.From+float64(i)*r.Step)
+		out = append(out, r.From+float64(float64(i)*r.Step))
 	}
 	return out, nil
 }

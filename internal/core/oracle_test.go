@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"comfase/internal/scenario"
@@ -128,4 +130,65 @@ func TestOracleAttackAtHorizonIsGolden(t *testing.T) {
 
 	res, _ = forkedLog(t, eng, spec)
 	checkGoldenResult(t, "forked", res, gres)
+}
+
+// sameOutcome fails unless two experiments agree bit for bit on every
+// vehicle's maximum deceleration, the speed deviation, the collisions
+// and the first collider.
+func sameOutcome(t *testing.T, what string, got, want ExperimentResult) {
+	t.Helper()
+	same := len(got.MaxDecelPerVehicle) == len(want.MaxDecelPerVehicle) &&
+		math.Float64bits(got.MaxSpeedDev) == math.Float64bits(want.MaxSpeedDev) &&
+		math.Float64bits(got.MaxDecel) == math.Float64bits(want.MaxDecel) &&
+		got.Collider == want.Collider && reflect.DeepEqual(got.Collisions, want.Collisions)
+	for v := 0; same && v < len(got.MaxDecelPerVehicle); v++ {
+		same = math.Float64bits(got.MaxDecelPerVehicle[v]) == math.Float64bits(want.MaxDecelPerVehicle[v])
+	}
+	if !same {
+		t.Errorf("%s: decel %v (max %v), speed deviation %v, collisions %v by %q; want %v (max %v), %v, %v by %q",
+			what, got.MaxDecelPerVehicle, got.MaxDecel, got.MaxSpeedDev, got.Collisions, got.Collider,
+			want.MaxDecelPerVehicle, want.MaxDecel, want.MaxSpeedDev, want.Collisions, want.Collider)
+	}
+}
+
+// TestOracleDoSIsDelayBeyondHorizon: a DoS attack holds every beacon on
+// the target's links back until the horizon, a delay attack whose PD
+// exceeds the horizon holds them back for longer, and packet loss with
+// p = 1 drops them. No such beacon ever arrives inside the run, and none
+// raises carrier sense, so over the same window and target the three
+// must agree bit for bit, fresh and forked, on a 4- and a 16-vehicle
+// platoon. The window ends at the horizon and starts where the paper's
+// DoS grid does, so the experiments collide and the collider is pinned
+// too.
+func TestOracleDoSIsDelayBeyondHorizon(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		eng, _, _ := oracleEngine(t, n)
+		horizon := eng.Config().Scenario.TotalSimTime
+		specs := []ExperimentSpec{
+			{Attack: "dos", Value: 60},
+			{Attack: "delay", Value: horizon.Seconds() + 1},
+			{Attack: "packet-loss", Value: 1},
+		}
+		results := make([][2]ExperimentResult, len(specs))
+		for i := range specs {
+			spec := specs[i]
+			spec.Nr, spec.Targets = i+1, []string{"vehicle.2"}
+			spec.Start, spec.Duration = 19*des.Second, horizon
+			res, err := eng.RunExperiment(spec)
+			if err != nil {
+				t.Fatalf("%d vehicles, %s fresh: %v", n, spec.Attack, err)
+			}
+			forked, _ := forkedLog(t, eng, spec)
+			results[i] = [2]ExperimentResult{res, forked}
+		}
+		if !results[0][0].Collided() {
+			t.Errorf("%d vehicles: the DoS run did not collide, so the collider goes unchecked", n)
+		}
+		for i, spec := range specs {
+			for path, what := range []string{"fresh", "forked"} {
+				sameOutcome(t, fmt.Sprintf("%d vehicles, %s %s vs dos fresh", n, spec.Attack, what),
+					results[i][path], results[0][0])
+			}
+		}
+	}
 }

@@ -101,3 +101,23 @@ func anyNaNInf(vs ...float64) bool {
 	}
 	return false
 }
+
+// TestDistLevelPointsExact pins Dist's shortcut for points level with
+// each other to the hypotenuse it skips, bit for bit, over distances
+// from sub-millimetre to beyond radio range, signed zeros and infinities.
+func TestDistLevelPointsExact(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 1e-300, 0.001, 1, 4.2, 9, 10.000000000000002, 123.456, 1e3, 4e3, 1e300, math.Inf(1), math.Inf(-1)}
+	for x := 0.37; x < 5000; x *= 1.37 {
+		xs = append(xs, x, -x, x+0.1)
+	}
+	for _, y := range []float64{0, 3.2, -4.8} {
+		for _, a := range xs {
+			for _, b := range []float64{0, 12.5, -7} {
+				v, w := Vec{X: a, Y: y}, Vec{X: b, Y: y}
+				if got, want := v.Dist(w), math.Hypot(a-b, 0); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Dist(%v, %v) = %v, Hypot %v", v, w, got, want)
+				}
+			}
+		}
+	}
+}

@@ -196,6 +196,8 @@ type EDCA struct {
 	maxQueue int
 
 	acs [numAC]acState
+	// queued is the number of frames across all access categories.
+	queued int
 
 	busy         bool
 	transmitting bool
@@ -265,6 +267,7 @@ func (m *EDCA) Reset(cfg Config) error {
 		st.count = 0
 		st.backoff = -1
 	}
+	m.queued = 0
 	m.busy = false
 	m.transmitting = false
 	m.attempt = 0
@@ -296,6 +299,7 @@ func (m *EDCA) Enqueue(f Frame) error {
 		return ErrQueueFull
 	}
 	st.push(f)
+	m.queued++
 	m.stats.Enqueued++
 	// A frame arriving to a busy medium must draw a backoff.
 	if m.busy && st.backoff < 0 {
@@ -327,6 +331,12 @@ func (m *EDCA) ChannelIdle() {
 
 // Busy reports the carrier-sense state.
 func (m *EDCA) Busy() bool { return m.busy }
+
+// Idle reports whether the entity has no frame queued and no
+// transmission attempt pending. Until the next Enqueue, ChannelBusy and
+// ChannelIdle then only flip the carrier-sense flag and TxDone only
+// clears the transmitting flag: none of them schedules, cancels or draws.
+func (m *EDCA) Idle() bool { return m.attempt == 0 && m.queued == 0 }
 
 // TxDone notifies the MAC that its own transmission completed on the air.
 func (m *EDCA) TxDone() {
@@ -374,6 +384,9 @@ func (m *EDCA) interruptAttempt() {
 // contention resolution: when several ACs are ready the higher class
 // wins, matching EDCA's internal-collision rule for a single station.
 func (m *EDCA) nextAC() (AccessCategory, bool) {
+	if m.queued == 0 {
+		return 0, false
+	}
 	for ac := ACVoice; ac >= ACBackground; ac-- {
 		if m.acs[ac-1].count > 0 {
 			return ac, true
@@ -403,6 +416,7 @@ func (m *EDCA) kick() {
 		if opp == des.MaxTime {
 			// Frame can never fit a CCH window: drop it.
 			st.pop()
+			m.queued--
 			m.kick()
 			return
 		}
@@ -425,6 +439,7 @@ func (m *EDCA) txStart() {
 		return
 	}
 	f := st.pop()
+	m.queued--
 	st.backoff = -1
 	m.transmitting = true
 	m.stats.Sent++

@@ -51,6 +51,7 @@ func (m *EDCA) SaveState(st *EDCAState) {
 // matters for determinism, not the head index, so a restored entity
 // replays identically to the captured one.
 func (m *EDCA) LoadState(st *EDCAState) {
+	m.queued = 0
 	for i := range m.acs {
 		ac := &m.acs[i]
 		for j := range ac.ring {
@@ -60,6 +61,7 @@ func (m *EDCA) LoadState(st *EDCAState) {
 		ac.head = 0
 		ac.count = len(st.queues[i])
 		ac.backoff = st.backoff[i]
+		m.queued += ac.count
 	}
 	m.busy = st.busy
 	m.transmitting = st.transmitting

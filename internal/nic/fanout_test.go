@@ -124,6 +124,9 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 	if err != nil {
 		t.Fatalf("NewAir: %v", err)
 	}
+	// Both emissions queue every reception: FuzzLazyReception covers the
+	// lazy ones.
+	air.eager = true
 	air.scheduleEach = scheduleEach
 
 	var tr fanoutTrace

@@ -25,6 +25,20 @@ type Jammer struct {
 	ticker   *des.Ticker
 	// bursts counts emitted jamming bursts.
 	bursts uint64
+	// links memoises, per radio in registration order, the last distance
+	// and the burst power and delay computed from it. A jammer emits many
+	// bursts per traffic step, between which nothing moves, and path loss
+	// and delay are pure functions of the distance, as the guard distance
+	// already relies on.
+	links []jamLink
+}
+
+// jamLink is one radio's memoised burst power and delay.
+type jamLink struct {
+	dst      *Radio
+	dist     float64
+	powerDBm float64
+	delay    des.Time
 }
 
 // AddJammer registers a jamming source on the medium. pos tracks the
@@ -70,22 +84,37 @@ func (j *Jammer) Stop() { j.ticker.StopTicker() }
 
 // emit radiates one burst: pure interference at every radio. Like a
 // transmission's fan-out, the burst's receptions enter the kernel as one
-// batch (see Air.queue). Jamming power is computed eagerly: the guard
+// batch (see Air.queue); no handler reads a burst, so at a radio whose
+// MAC is idle it is lazy. Jamming power is computed eagerly: the guard
 // distance covers only data frames.
 func (j *Jammer) emit() {
 	j.bursts++
 	a := j.air
 	now := a.k.Now()
 	srcPos := j.pos()
+	elide := a.elides()
 	a.links = a.links[:0]
-	for _, dst := range a.radios {
+	for i, dst := range a.radios {
 		dist := srcPos.Dist(dst.pos())
+		if i == len(j.links) {
+			j.links = append(j.links, jamLink{})
+		}
+		l := &j.links[i]
+		if l.dst != dst || l.dist != dist {
+			*l = jamLink{
+				dst:      dst,
+				dist:     dist,
+				powerDBm: j.powerDBm - a.cfg.PathLoss.LossDB(dist, a.cfg.FreqHz),
+				delay:    a.cfg.Delay.Delay(dist),
+			}
+		}
 		rec := a.acquireReception(dst)
 		rec.noise = true
 		rec.sentAt = now
-		rec.start = now.Add(a.cfg.Delay.Delay(dist))
+		rec.start = now.Add(l.delay)
 		rec.end = rec.start.Add(j.burst)
-		rec.powerDBm = j.powerDBm - a.cfg.PathLoss.LossDB(dist, a.cfg.FreqHz)
+		rec.powerDBm = l.powerDBm
+		rec.lazy = elide && dst.mac.Idle()
 		a.links = append(a.links, rec)
 	}
 	a.queue(nil, 0, j.burst)

@@ -59,6 +59,10 @@ func (m RxMeta) SINRdB() float64 { return m.rec.dst.air.sinr(m.rec) }
 // call: a handler that keeps any part of the frame must copy it.
 type RxHandler func(f *mac.Frame, meta RxMeta)
 
+// RxFilter is a radio's receive filter (Radio.SetFilter): a pure function
+// of the frame that reports whether the radio's handler may read it.
+type RxFilter func(f *mac.Frame) bool
+
 // Verdict is an Interceptor's decision about one frame delivery on one
 // link.
 type Verdict struct {
@@ -161,7 +165,11 @@ type Air struct {
 
 	// airtimeFn is the bound airtime method, created once and shared by
 	// every MAC so per-radio wiring does not allocate method values.
+	// airBits and airDur memoise its last result (airBits < 0: none):
+	// every frame of a platoon has the same size.
 	airtimeFn func(int) des.Time
+	airBits   int
+	airDur    des.Time
 	// recFree is the reception freelist: finished receptions are recycled
 	// here with their two scheduling closures intact, so steady-state
 	// frame delivery allocates nothing.
@@ -183,6 +191,12 @@ type Air struct {
 	// the order the fan-out makes them: the reference FuzzFanoutOrder
 	// checks the batched dispatch order against.
 	scheduleEach bool
+	// eager queues every reception into the kernel, none onto a radio's
+	// timeline: the reference FuzzLazyReception checks lazy receptions
+	// against.
+	eager bool
+	// pauseFn is the bound pause method, the kernel's pause hook.
+	pauseFn func(drain bool)
 
 	stats Stats
 }
@@ -191,6 +205,7 @@ type Air struct {
 func NewAir(cfg Config) (*Air, error) {
 	a := &Air{byID: make(map[string]*Radio, 8)}
 	a.airtimeFn = a.airtime
+	a.pauseFn = a.pause
 	if err := a.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -216,6 +231,7 @@ func (a *Air) Reset(cfg Config) error {
 	a.cfg = cfg.Channel
 	a.sched = cfg.Schedule
 	a.seed = cfg.Seed
+	a.airBits = -1
 	a.noiseMw = phy.DBmToMilliwatt(cfg.Channel.NoiseFloorDBm)
 	a.noiseDBm = phy.MilliwattToDBm(a.noiseMw)
 	a.guardM = guardDistance(cfg.Channel, a.noiseDBm)
@@ -227,15 +243,7 @@ func (a *Air) Reset(cfg Config) error {
 		a.deciderRNG.Reseed(cfg.Seed, "nic.decider")
 	}
 	for _, r := range a.radios {
-		// Drop references into the previous experiment's object graph so
-		// the pool does not pin it in memory.
-		for i := range r.active {
-			r.active[i] = nil
-		}
-		r.active = r.active[:0]
-		r.pos = nil
-		r.handler = nil
-		a.spare = append(a.spare, r)
+		a.detach(r)
 	}
 	a.radios = a.radios[:0]
 	clear(a.byID)
@@ -244,11 +252,24 @@ func (a *Air) Reset(cfg Config) error {
 	// finish, so return the whole registry to the freelist.
 	a.recFree = a.recFree[:0]
 	for _, rec := range a.allRecs {
-		rec.frame = mac.Frame{}
-		rec.dst = nil
-		a.recFree = append(a.recFree, rec)
+		a.recycle(rec)
 	}
+	a.k.SetPauseHook(a.pauseFn)
 	return nil
+}
+
+// detach moves a radio into the spare pool that AddRadio recycles,
+// dropping its references into the experiment's object graph so the pool
+// does not pin it in memory.
+func (a *Air) detach(r *Radio) {
+	clear(r.active)
+	r.active = r.active[:0]
+	r.lazy = r.lazy[:0]
+	r.lazyHead = 0
+	r.pos = nil
+	r.handler = nil
+	r.filter = nil
+	a.spare = append(a.spare, r)
 }
 
 // invertibleLoss is a path loss with a closed-form inverse, such as
@@ -294,8 +315,15 @@ func (a *Air) SetInterceptor(i Interceptor) { a.interceptor = i }
 // Interceptor returns the installed attack model, if any.
 func (a *Air) Interceptor() Interceptor { return a.interceptor }
 
-// Stats returns a snapshot of the medium counters.
-func (a *Air) Stats() Stats { return a.stats }
+// Stats returns a snapshot of the medium counters. Reading them observes
+// every radio: receptions kept off the kernel queue whose keys have
+// passed are settled first.
+func (a *Air) Stats() Stats {
+	for _, r := range a.radios {
+		r.settle()
+	}
+	return a.stats
+}
 
 // Channel returns the analog channel configuration.
 func (a *Air) Channel() phy.ChannelConfig { return a.cfg }
@@ -329,6 +357,7 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 		r.id = id
 		r.pos = pos
 		r.handler = handler
+		r.filter = nil
 		r.txStart = 0
 		r.txEnd = 0
 		r.busy = 0
@@ -353,7 +382,7 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 		return nil, err
 	}
 	r.mac = m
-	r.txDoneFn = m.TxDone
+	r.txDoneFn = r.txDone
 	a.radios = append(a.radios, r)
 	a.byID[id] = r
 	return r, nil
@@ -378,22 +407,36 @@ func (r *Radio) transmitFrame(f mac.Frame) { r.air.transmit(r, f) }
 
 // airtime converts PSDU bits to on-air time via the configured MCS.
 func (a *Air) airtime(bits int) des.Time {
-	us := a.cfg.MCS.FrameAirtimeUs(bits)
-	return des.FromSeconds(us / 1e6)
+	if bits != a.airBits {
+		us := a.cfg.MCS.FrameAirtimeUs(bits)
+		a.airBits, a.airDur = bits, des.FromSeconds(us/1e6)
+	}
+	return a.airDur
 }
 
 // acquireReception takes a reception from the freelist (or allocates one
-// with its scheduling closures) and binds it to a receiver. All payload
-// fields are zeroed; the caller fills them in.
+// with its scheduling closures) and binds it to a receiver. It zeroes the
+// fields that transmit and Jammer.emit do not set, and leaves the others
+// (frame, times, power, distance) for the caller to fill in.
 func (a *Air) acquireReception(dst *Radio) *reception {
 	if n := len(a.recFree); n > 0 {
 		rec := a.recFree[n-1]
 		a.recFree = a.recFree[:n-1]
-		*rec = reception{beginFn: rec.beginFn, endFn: rec.endFn, dst: dst}
+		rec.dst = dst
+		rec.delay = 0
+		rec.interferenceMw = 0
+		rec.mwKnown = false
+		rec.deferred = false
+		rec.sensedBusy = false
+		rec.noise = false
+		rec.lazy = false
 		return rec
 	}
 	rec := &reception{dst: dst}
-	rec.beginFn = func() { rec.dst.beginReception(rec) }
+	rec.beginFn = func() {
+		rec.dst.settle()
+		rec.dst.beginReception(rec)
+	}
 	rec.endFn = func() { rec.dst.air.finishReception(rec) }
 	if a.recIndex == nil {
 		a.recIndex = make(map[*reception]int32, 16)
@@ -403,12 +446,53 @@ func (a *Air) acquireReception(dst *Radio) *reception {
 	return rec
 }
 
-// finishReception completes a reception at its receiver and recycles it.
+// finishReception completes a reception at its receiver, hands a decoded
+// frame to the handler and recycles the reception.
 func (a *Air) finishReception(rec *reception) {
-	rec.dst.endReception(rec)
-	rec.frame = mac.Frame{}
+	r := rec.dst
+	r.settle()
+	if r.endReception(rec) {
+		r.deliver(rec)
+	}
+	a.recycle(rec)
+}
+
+// recycle returns a reception to the freelist. Only the fields that hold
+// references are cleared, so the pool pins no payload, node ID or radio
+// of a finished frame; acquireReception resets the rest.
+func (a *Air) recycle(rec *reception) {
+	f := &rec.frame
+	f.Src = ""
+	f.Payload = nil
+	f.Beacon.Source = ""
+	f.Beacon.PlatoonID = ""
 	rec.dst = nil
 	a.recFree = append(a.recFree, rec)
+}
+
+// elides reports whether the fan-out being made may keep the receptions
+// no handler reads off the kernel queue (see Radio.settle). It is off for
+// the eager reference, for the probabilistic decider, whose Air-wide
+// stream draws at every reception end in dispatch order, and while an
+// event budget is set, whose abort points follow dispatched events. A
+// reception starts at Now at the earliest, so the kernel must also not
+// have passed PriorityNormal at Now: a key kept there would be due on
+// arrival (des.Kernel.Reserve).
+func (a *Air) elides() bool {
+	return !a.eager && !a.scheduleEach && a.cfg.Decider == phy.DeciderThreshold &&
+		a.k.EventBudget() == 0 && !a.k.Passed(a.k.Now(), des.PriorityNormal, math.MaxUint64)
+}
+
+// pause is the kernel's pause hook: when Run or RunUntil returns, every
+// radio settles its due receptions, and a Run that found the queue empty
+// gets the rest back as events.
+func (a *Air) pause(drain bool) {
+	for _, r := range a.radios {
+		r.settle()
+		if drain {
+			r.promote()
+		}
+	}
 }
 
 // transmit fans a started transmission out to every other radio and
@@ -422,6 +506,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 	src.txEnd = now.Add(dur)
 
 	srcPos := src.pos()
+	elide := a.elides()
 	a.links = a.links[:0]
 	for _, dst := range a.radios {
 		if dst == src {
@@ -432,6 +517,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 		// The frame is written straight into the pooled reception; the
 		// verdict's overrides are applied there in place.
 		var rec *reception
+		lazy := elide
 		if a.interceptor != nil {
 			v := a.interceptor.Intercept(now, src.id, dst.id, f)
 			if v.Drop {
@@ -441,6 +527,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 			if v.OverrideDelay {
 				delay = v.Delay
 				a.stats.DelayOverridden++
+				lazy = false
 			}
 			rec = a.acquireReception(dst)
 			rec.frame = f
@@ -468,6 +555,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 		rec.start = now.Add(delay)
 		rec.end = rec.start.Add(dur)
 		rec.delay = delay
+		rec.lazy = lazy && dst.mac.Idle() && dst.ignores(&rec.frame)
 		a.links = append(a.links, rec)
 	}
 	a.queue(src.txDoneFn, src.txEnd, dur)
@@ -483,6 +571,10 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 // order at equal times. Calling BatchAt in (time, reference index) order
 // therefore dispatches every event exactly as the reference order would,
 // and leaves EndBatch keys that are already sorted.
+//
+// A lazy reception (see Radio.settle) takes its begin and end keys with
+// Reserve at the point its BatchAt calls would have been made, and goes
+// onto its radio's timeline instead of into the batch.
 //
 // In the usual case every link's delay is at least 0 and shorter than the
 // airtime dur (a jamming burst's length), and no end time saturates. Then
@@ -515,13 +607,21 @@ func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
 	if ordered {
 		sortLinks(a.links)
 		for _, rec := range a.links {
-			k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+			if rec.lazy {
+				rec.dst.keepLazy(rec.start, k.Reserve(), rec, false)
+			} else {
+				k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+			}
 		}
 		if txDone != nil {
 			k.BatchAt(txEnd, des.PriorityNormal, txDone)
 		}
 		for _, rec := range a.links {
-			k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+			if rec.lazy {
+				rec.dst.keepLazy(rec.end, k.Reserve(), rec, true)
+			} else {
+				k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+			}
 		}
 	} else {
 		a.queueSorted(txDone, txEnd)
@@ -579,15 +679,20 @@ func (a *Air) queueSorted(txDone des.Handler, txEnd des.Time) {
 	}
 	slices.SortStableFunc(keys, func(x, y fanKey) int { return cmp.Compare(x.at, y.at) })
 	for _, x := range keys {
-		fn := txDone
-		if x.ref > 0 {
-			rec := a.links[(x.ref-1)/2]
-			fn = rec.beginFn
-			if x.ref%2 == 0 {
-				fn = rec.endFn
-			}
+		if x.ref == 0 {
+			k.BatchAt(x.at, des.PriorityNormal, txDone)
+			continue
 		}
-		k.BatchAt(x.at, des.PriorityNormal, fn)
+		rec := a.links[(x.ref-1)/2]
+		end := x.ref%2 == 0
+		switch {
+		case rec.lazy:
+			rec.dst.keepLazy(x.at, k.Reserve(), rec, end)
+		case end:
+			k.BatchAt(x.at, des.PriorityNormal, rec.endFn)
+		default:
+			k.BatchAt(x.at, des.PriorityNormal, rec.beginFn)
+		}
 	}
 	a.keys = keys
 }
@@ -623,6 +728,9 @@ type reception struct {
 	// noise marks pure interference (jamming bursts): it contributes to
 	// carrier sense and SINR but is never decoded.
 	noise bool
+	// lazy marks a reception no handler reads, bound for its radio's
+	// timeline instead of the kernel queue (see Radio.settle).
+	lazy bool
 
 	// dst is the receiving radio; beginFn/endFn are the kernel handlers
 	// created once per pooled entry.
@@ -667,9 +775,10 @@ type Radio struct {
 	air     *Air
 	pos     func() geo.Vec
 	handler RxHandler
+	filter  RxFilter
 	mac     *mac.EDCA
 	macRNG  *rng.Source
-	// txDoneFn is the bound mac.TxDone method, created once so transmit
+	// txDoneFn is the bound txDone method, created once so transmit
 	// completions do not allocate method values; transmitFn is the bound
 	// transmitFrame, the MAC's Transmit hook.
 	txDoneFn   des.Handler
@@ -679,32 +788,69 @@ type Radio struct {
 	txStart des.Time
 	txEnd   des.Time
 	busy    int
+
+	// lazy is the radio's timeline: the begin and end events of lazy
+	// receptions, ordered by the (time, seq) keys reserved for them, of
+	// which lazy[lazyHead:] are still to settle (see settle).
+	lazy     []lazyEvent
+	lazyHead int
+}
+
+// lazyEvent is the begin or end of a lazy reception at its reserved key;
+// the priority is always des.PriorityNormal.
+type lazyEvent struct {
+	at  des.Time
+	seq uint64
+	rec *reception
+	end bool
 }
 
 // ID returns the node ID.
 func (r *Radio) ID() string { return r.id }
 
-// MAC exposes the EDCA entity (for stats and tests).
-func (r *Radio) MAC() *mac.EDCA { return r.mac }
+// MAC exposes the EDCA entity (for stats and tests). It observes the
+// radio: due lazy receptions are settled first. Frames must still enter
+// through Send or SendBeacon.
+func (r *Radio) MAC() *mac.EDCA {
+	r.settle()
+	return r.mac
+}
+
+// SetFilter installs the radio's receive filter (nil removes it). The
+// filter is the handler's promise to ignore every frame it rejects, so
+// the medium may keep such a frame's reception off the kernel queue and
+// never hand it to the handler. Install it before the radio receives.
+func (r *Radio) SetFilter(f RxFilter) { r.filter = f }
+
+// ignores reports whether no handler will read f at this radio.
+func (r *Radio) ignores(f *mac.Frame) bool {
+	return r.handler == nil || r.filter != nil && !r.filter(f)
+}
 
 // Send broadcasts an application payload of the given size (payload bits,
 // the paper's packetSize) at the given access category. MAC overhead is
 // added automatically.
 func (r *Radio) Send(payload any, payloadBits int, ac mac.AccessCategory, seq uint64) error {
-	return r.mac.Enqueue(mac.Frame{
+	r.settle()
+	err := r.mac.Enqueue(mac.Frame{
 		Seq:     seq,
 		Src:     r.id,
 		Bits:    payloadBits + MACOverheadBits,
 		AC:      ac,
 		Payload: payload,
 	})
+	if !r.mac.Idle() {
+		r.promote()
+	}
+	return err
 }
 
 // SendBeacon broadcasts a platooning beacon. Unlike Send, the beacon
 // travels inline in the frame (no interface boxing), so the steady-state
 // beaconing path stays allocation-free end to end.
 func (r *Radio) SendBeacon(b msg.Beacon, payloadBits int, ac mac.AccessCategory, seq uint64) error {
-	return r.mac.Enqueue(mac.Frame{
+	r.settle()
+	err := r.mac.Enqueue(mac.Frame{
 		Seq:       seq,
 		Src:       r.id,
 		Bits:      payloadBits + MACOverheadBits,
@@ -712,6 +858,104 @@ func (r *Radio) SendBeacon(b msg.Beacon, payloadBits int, ac mac.AccessCategory,
 		Beacon:    b,
 		HasBeacon: true,
 	})
+	if !r.mac.Idle() {
+		r.promote()
+	}
+	return err
+}
+
+// txDone ends the radio's own transmission at its MAC.
+func (r *Radio) txDone() {
+	r.settle()
+	r.mac.TxDone()
+}
+
+// keepLazy puts the begin or end of a lazy reception onto the timeline at
+// its reserved key. The key's seq is the newest, so it goes after every
+// event at the same time.
+func (r *Radio) keepLazy(at des.Time, seq uint64, rec *reception, end bool) {
+	r.lazy = append(r.lazy, lazyEvent{})
+	i := len(r.lazy) - 1
+	for ; i > r.lazyHead && r.lazy[i-1].at > at; i-- {
+		r.lazy[i] = r.lazy[i-1]
+	}
+	r.lazy[i] = lazyEvent{at: at, seq: seq, rec: rec, end: end}
+}
+
+// settle runs, in key order, the timeline's events whose keys the kernel
+// has passed, with the code their kernel events would have run minus the
+// handler call, and counts them as executed. It is called whenever the
+// radio is observed: at its own reception events, Send and SendBeacon,
+// txDone, MAC, Air.Stats and every Run/RunUntil return. That is exact:
+// a lazy reception reaches the timeline only while the radio's MAC is
+// idle (mac.EDCA.Idle), where ChannelBusy and ChannelIdle only flip the
+// carrier-sense flag, and its events touch nothing but this radio and
+// the medium's counters, which only these observers read. The MAC stays
+// idle until an observer enqueues a frame, and that observer promotes
+// what is left.
+func (r *Radio) settle() {
+	if r.lazyHead == len(r.lazy) {
+		return
+	}
+	a := r.air
+	n := r.lazyHead
+	for ; n < len(r.lazy); n++ {
+		ev := &r.lazy[n]
+		if !a.k.Passed(ev.at, des.PriorityNormal, ev.seq) {
+			break
+		}
+		switch next := n + 1; {
+		case ev.end:
+			r.endReception(ev.rec)
+			a.recycle(ev.rec)
+		case len(r.active) == 0 && next < len(r.lazy) && r.lazy[next].rec == ev.rec &&
+			a.k.Passed(r.lazy[next].at, des.PriorityNormal, r.lazy[next].seq):
+			// Nothing else is on the air here from this begin to its own
+			// end: any other begin in between would sit between them on
+			// the timeline or, as an event, would have settled this begin
+			// already. The reception overlaps nothing, and the carrier
+			// sense it raises falls again with the idle MAC's busy flag
+			// back where it was, so only the decision is left to make.
+			r.decide(ev.rec)
+			a.recycle(ev.rec)
+			n = next
+		default:
+			r.beginReception(ev.rec)
+		}
+	}
+	a.k.CountSettled(uint64(n - r.lazyHead))
+	r.lazyHead = n
+	switch {
+	case n == len(r.lazy):
+		r.lazy = r.lazy[:0]
+		r.lazyHead = 0
+	case n >= 64 && 2*n >= len(r.lazy):
+		// A radio that never runs dry keeps its timeline from growing.
+		r.lazy = r.lazy[:copy(r.lazy, r.lazy[n:])]
+		r.lazyHead = 0
+	}
+}
+
+// promote hands the rest of the timeline to the kernel as one chain at
+// the reserved keys. Send and SendBeacon promote once they leave the MAC
+// non-idle, so every callback a busy MAC sees fires at its own key; a
+// Run that found the queue empty promotes too (Air.pause).
+func (r *Radio) promote() {
+	if r.lazyHead == len(r.lazy) {
+		return
+	}
+	k := r.air.k
+	k.BeginBatch()
+	for _, ev := range r.lazy[r.lazyHead:] {
+		fn := ev.rec.beginFn
+		if ev.end {
+			fn = ev.rec.endFn
+		}
+		k.BatchReserved(ev.at, des.PriorityNormal, ev.seq, fn)
+	}
+	k.EndBatch()
+	r.lazy = r.lazy[:0]
+	r.lazyHead = 0
 }
 
 // beginReception registers an incoming frame: it interferes with every
@@ -735,15 +979,15 @@ func (r *Radio) beginReception(rec *reception) {
 	}
 }
 
-// endReception finishes an incoming frame: decide, deliver, release
-// carrier sense. A power still deferred lies inside the guard distance
-// and never overlapped another reception (an overlap computes it), so it
-// clears sensitivity and decodes without interference.
-func (r *Radio) endReception(rec *reception) {
+// endReception finishes an incoming frame: it releases carrier sense,
+// then decides the frame and reports whether it decoded.
+func (r *Radio) endReception(rec *reception) bool {
 	for i, other := range r.active {
 		if other == rec {
 			n := len(r.active) - 1
-			copy(r.active[i:], r.active[i+1:])
+			if i < n {
+				copy(r.active[i:], r.active[i+1:])
+			}
 			r.active[n] = nil
 			r.active = r.active[:n]
 			break
@@ -755,24 +999,32 @@ func (r *Radio) endReception(rec *reception) {
 			r.mac.ChannelIdle()
 		}
 	}
+	return r.decide(rec)
+}
 
+// decide counts a finished reception's fate in the medium stats and
+// reports whether it decoded. A power still deferred lies inside the
+// guard distance and never overlapped another reception (an overlap
+// computes it), so it clears sensitivity and decodes without
+// interference.
+func (r *Radio) decide(rec *reception) bool {
 	a := r.air
 	cfg := &a.cfg
 	switch {
 	case rec.noise:
 		// Jamming bursts are never decoded; their effect is the carrier
 		// sense and interference they already contributed.
-		return
+		return false
 	case !rec.deferred && rec.powerDBm < cfg.SensitivityDBm:
 		a.stats.DroppedBelowSensitivity++
-		return
+		return false
 	case r.txStart < rec.end && rec.start < r.txEnd:
 		// Half duplex: we transmitted during part of the reception.
 		a.stats.DroppedHalfDuplex++
-		return
+		return false
 	case !a.sched.InCCH(rec.start) || !a.sched.InCCH(rec.end):
 		a.stats.DroppedOffChannel++
-		return
+		return false
 	}
 
 	if !rec.deferred {
@@ -787,10 +1039,15 @@ func (r *Radio) endReception(rec *reception) {
 		}
 		if !ok {
 			a.stats.DroppedSINR++
-			return
+			return false
 		}
 	}
 	a.stats.Deliveries++
+	return true
+}
+
+// deliver hands a decoded frame to the radio's handler, if any.
+func (r *Radio) deliver(rec *reception) {
 	if r.handler == nil {
 		return
 	}

@@ -27,17 +27,29 @@ type receptionState struct {
 	interferenceMw float64
 	sensedBusy     bool
 	noise          bool
+	lazy           bool
 	dst            int32
+}
+
+// lazyState is a captured timeline event, its reception as a registry
+// index.
+type lazyState struct {
+	at  des.Time
+	seq uint64
+	rec int32
+	end bool
 }
 
 // radioState is the captured mutable state of one radio: transmit window,
 // carrier-sense counter, the active reception set (as registry indices),
-// the backoff stream position and the MAC entity state.
+// the lazy receptions' events still to settle, the backoff stream
+// position and the MAC entity state.
 type radioState struct {
 	txStart des.Time
 	txEnd   des.Time
 	busy    int
 	active  []int32
+	lazy    []lazyState
 	macRNG  rng.State
 	mac     mac.EDCAState
 }
@@ -45,9 +57,10 @@ type radioState struct {
 // AirState is a restorable snapshot of the shared medium: statistics,
 // decider stream position, the field state of every registered reception,
 // the reception freelist and the per-radio state. The radio set itself is
-// configuration — radios are registered at build time and a checkpointed
-// experiment group never adds or removes them — so it is validated, not
-// captured.
+// configuration: radios are registered at build time, and only an attack
+// installed after the fork point (a Sybil node) adds one. So the set is
+// not captured; restore detaches the radios registered after the
+// snapshot, as Reset would.
 //
 // The zero value is ready to use; buffers grow on first SaveState and are
 // reused afterwards, so steady-state restore cycles allocate nothing.
@@ -99,6 +112,7 @@ func (a *Air) SaveState(st *AirState) error {
 			interferenceMw: rec.interferenceMw,
 			sensedBusy:     rec.sensedBusy,
 			noise:          rec.noise,
+			lazy:           rec.lazy,
 			dst:            dst,
 		})
 	}
@@ -120,6 +134,10 @@ func (a *Air) SaveState(st *AirState) error {
 		for _, rec := range r.active {
 			rs.active = append(rs.active, a.recIndex[rec])
 		}
+		rs.lazy = rs.lazy[:0]
+		for _, ev := range r.lazy[r.lazyHead:] {
+			rs.lazy = append(rs.lazy, lazyState{at: ev.at, seq: ev.seq, rec: a.recIndex[ev.rec], end: ev.end})
+		}
 		if err := r.macRNG.SaveState(&rs.macRNG); err != nil {
 			return err
 		}
@@ -129,18 +147,25 @@ func (a *Air) SaveState(st *AirState) error {
 }
 
 // LoadState restores state captured by SaveState, in place on the same
-// medium with the same registered radio set. Receptions allocated after
-// the snapshot are pushed back onto the freelist: the kernel rewind drops
-// the events that referenced them, so recycling them keeps the delivery
-// path allocation-free across forked runs.
+// medium. Radios registered after the snapshot are detached into the
+// spare pool, from which a re-installed attack recycles them exactly as a
+// fresh build would make them. Receptions allocated after the snapshot
+// are pushed back onto the freelist: the kernel rewind drops the events
+// that referenced them, so recycling them keeps the delivery path
+// allocation-free across forked runs.
 func (a *Air) LoadState(st *AirState) error {
-	if len(st.radios) != len(a.radios) {
+	if len(st.radios) > len(a.radios) {
 		return fmt.Errorf("nic: restore with %d radios, snapshot had %d",
 			len(a.radios), len(st.radios))
 	}
 	if st.numRecs > len(a.allRecs) {
 		return errors.New("nic: reception registry shrank since snapshot")
 	}
+	for _, r := range a.radios[len(st.radios):] {
+		delete(a.byID, r.id)
+		a.detach(r)
+	}
+	a.radios = a.radios[:len(st.radios)]
 	a.stats = st.stats
 	a.interceptor = st.interceptor
 	if err := a.deciderRNG.LoadState(&st.deciderRNG); err != nil {
@@ -162,6 +187,7 @@ func (a *Air) LoadState(st *AirState) error {
 		rec.interferenceMw = rs.interferenceMw
 		rec.sensedBusy = rs.sensedBusy
 		rec.noise = rs.noise
+		rec.lazy = rs.lazy
 		if rs.dst >= 0 {
 			rec.dst = a.radios[rs.dst]
 		} else {
@@ -175,10 +201,7 @@ func (a *Air) LoadState(st *AirState) error {
 	for i := st.numRecs; i < len(a.allRecs); i++ {
 		// Allocated after the snapshot: no restored state references this
 		// object, and the kernel rewind dropped its scheduled events.
-		rec := a.allRecs[i]
-		rec.frame = mac.Frame{}
-		rec.dst = nil
-		a.recFree = append(a.recFree, rec)
+		a.recycle(a.allRecs[i])
 	}
 
 	for i, r := range a.radios {
@@ -190,10 +213,24 @@ func (a *Air) LoadState(st *AirState) error {
 		for _, idx := range rs.active {
 			r.active = append(r.active, a.allRecs[idx])
 		}
+		r.lazy = r.lazy[:0]
+		r.lazyHead = 0
+		for _, ev := range rs.lazy {
+			r.lazy = append(r.lazy, lazyEvent{at: ev.at, seq: ev.seq, rec: a.allRecs[ev.rec], end: ev.end})
+		}
 		if err := r.macRNG.LoadState(&rs.macRNG); err != nil {
 			return err
 		}
 		r.mac.LoadState(&rs.mac)
+	}
+	if a.k.EventBudget() != 0 {
+		// An event budget set before the kernel restore turns elision off
+		// for this run: lazy receptions captured from a run without one
+		// become events again, at their keys.
+		for _, r := range a.radios {
+			r.settle()
+			r.promote()
+		}
 	}
 	return nil
 }

@@ -91,6 +91,18 @@ type CACC struct {
 	// Spacing is the constant bumper-to-bumper gap in metres (Plexe
 	// default 5 m).
 	Spacing float64
+
+	// alphas memoises Alphas for the gain bits it was computed from, so
+	// a control step recomputes the five gains only after a gain changes.
+	alphas cacAlphas
+}
+
+// cacAlphas is a memo of CACC.Alphas: the (C1, Xi, OmegaN) bits and the
+// five gains computed from them.
+type cacAlphas struct {
+	key [3]uint64
+	a   [5]float64
+	ok  bool
 }
 
 var _ Controller = (*CACC)(nil)
@@ -109,10 +121,10 @@ func (c *CACC) Reset() {}
 
 // Alphas returns the five gains derived from (C1, Xi, OmegaN).
 func (c *CACC) Alphas() (a1, a2, a3, a4, a5 float64) {
-	root := math.Sqrt(math.Max(c.Xi*c.Xi-1, 0))
+	root := math.Sqrt(math.Max(float64(c.Xi*c.Xi)-1, 0))
 	a1 = 1 - c.C1
 	a2 = c.C1
-	a3 = -(2*c.Xi - c.C1*(c.Xi+root)) * c.OmegaN
+	a3 = -(float64(2*c.Xi) - float64(c.C1*(c.Xi+root))) * c.OmegaN
 	a4 = -(c.Xi + root) * c.OmegaN * c.C1
 	a5 = -c.OmegaN * c.OmegaN
 	return a1, a2, a3, a4, a5
@@ -123,16 +135,21 @@ func (c *CACC) Update(_ float64, self Snapshot, leader, pred KinState) float64 {
 	if !pred.Valid || !leader.Valid {
 		return 0 // no communicated data yet: hold current speed
 	}
-	a1, a2, a3, a4, a5 := c.Alphas()
+	key := [3]uint64{math.Float64bits(c.C1), math.Float64bits(c.Xi), math.Float64bits(c.OmegaN)}
+	if !c.alphas.ok || c.alphas.key != key {
+		a1, a2, a3, a4, a5 := c.Alphas()
+		c.alphas = cacAlphas{key: key, a: [5]float64{a1, a2, a3, a4, a5}, ok: true}
+	}
+	a1, a2, a3, a4, a5 := c.alphas.a[0], c.alphas.a[1], c.alphas.a[2], c.alphas.a[3], c.alphas.a[4]
 	var eps float64
 	if self.RadarValid {
 		eps = c.Spacing - self.RadarGap
 	} else {
 		eps = self.Pos - pred.Pos + pred.Length + c.Spacing
 	}
-	return a1*pred.Accel + a2*leader.Accel +
-		a3*(self.Speed-pred.Speed) + a4*(self.Speed-leader.Speed) +
-		a5*eps
+	return float64(a1*pred.Accel) + float64(a2*leader.Accel) +
+		float64(a3*(self.Speed-pred.Speed)) + float64(a4*(self.Speed-leader.Speed)) +
+		float64(a5*eps)
 }
 
 // ACC is the PATH constant-time-headway adaptive cruise controller
@@ -171,14 +188,14 @@ func (c *ACC) Update(_ float64, self Snapshot, _, pred KinState) float64 {
 		h = 1.2
 	}
 	if self.RadarValid {
-		eps := h*self.Speed - self.RadarGap
-		return -(self.RadarRelSpeed + c.Lambda*eps) / h
+		eps := float64(h*self.Speed) - self.RadarGap
+		return -(self.RadarRelSpeed + float64(c.Lambda*eps)) / h
 	}
 	if !pred.Valid {
 		return 0
 	}
-	eps := self.Pos - pred.Pos + pred.Length + h*self.Speed
-	return -(self.Speed - pred.Speed + c.Lambda*eps) / h
+	eps := self.Pos - pred.Pos + pred.Length + float64(h*self.Speed)
+	return -(self.Speed - pred.Speed + float64(c.Lambda*eps)) / h
 }
 
 // Ploeg is the Ploeg et al. time-headway CACC, a dynamic controller whose
@@ -234,9 +251,9 @@ func (c *Ploeg) Update(dt float64, self Snapshot, _, pred KinState) float64 {
 		gap = pred.Pos - pred.Length - self.Pos
 		dv = pred.Speed - self.Speed
 	}
-	e := gap - (c.Standstill + h*self.Speed)
-	de := dv - h*self.Accel
-	du := (-c.u + c.Kp*e + c.Kd*de + pred.Accel) / h
-	c.u += du * dt
+	e := gap - (c.Standstill + float64(h*self.Speed))
+	de := dv - float64(h*self.Accel)
+	du := (-c.u + float64(c.Kp*e) + float64(c.Kd*de) + pred.Accel) / h
+	c.u += float64(du * dt)
 	return c.u
 }

@@ -202,3 +202,20 @@ func TestControllerNames(t *testing.T) {
 		tt.c.Reset() // must not panic
 	}
 }
+
+// TestCACCAlphasMemo: Update reuses the gains only while C1, Xi and
+// OmegaN keep their bits. A controller whose gains change between steps
+// must command exactly what a fresh controller with the new gains does.
+func TestCACCAlphasMemo(t *testing.T) {
+	self := Snapshot{Pos: 100, Speed: 24, Accel: 0.3, Length: 4}
+	leader := KinState{Pos: 130, Speed: 25.5, Accel: -0.7, Length: 4, Valid: true}
+	pred := KinState{Pos: 110, Speed: 24.8, Accel: 0.1, Length: 4, Valid: true}
+	c := DefaultCACC()
+	for _, g := range [][3]float64{{0.5, 1, 0.2}, {0.5, 1, 0.2}, {0.3, 1, 0.2}, {0.3, 1.4, 0.2}, {0.3, 1.4, 0.35}, {math.Copysign(0, -1), 1, 0.2}, {0, 1, 0.2}} {
+		c.C1, c.Xi, c.OmegaN = g[0], g[1], g[2]
+		fresh := &CACC{C1: g[0], Xi: g[1], OmegaN: g[2], Spacing: c.Spacing}
+		if got, want := c.Update(0.01, self, leader, pred), fresh.Update(0.01, self, leader, pred); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("gains %v: memoised command %v, fresh %v", g, got, want)
+		}
+	}
+}

@@ -110,10 +110,12 @@ type Member struct {
 	aeb     *safety.AEB
 	laneY   func(lane int) float64
 
-	// posFn and rxFn are the radio wiring callbacks, created once so a
-	// pooled member re-registers its radio without allocating closures.
-	posFn func() geo.Vec
-	rxFn  nic.RxHandler
+	// posFn, rxFn and wantsFn are the radio wiring callbacks, created
+	// once so a pooled member re-registers its radio without allocating
+	// closures.
+	posFn   func() geo.Vec
+	rxFn    nic.RxHandler
+	wantsFn nic.RxFilter
 	// aebActivations counts control steps on which the AEB overrode the
 	// controller.
 	aebActivations uint64
@@ -136,6 +138,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 		return geo.Vec{X: m.veh.State.Pos, Y: m.laneY(m.veh.State.Lane)}
 	}
 	m.rxFn = m.handleRx
+	m.wantsFn = m.wants
 	m.beacons = des.NewTicker(nil, des.Millisecond, des.PriorityNormal, m.sendBeacon)
 	if err := m.Reset(cfg); err != nil {
 		return nil, err
@@ -197,6 +200,7 @@ func (m *Member) Reset(cfg MemberConfig) error {
 	if err != nil {
 		return fmt.Errorf("platoon: add radio: %w", err)
 	}
+	radio.SetFilter(m.wantsFn)
 	m.radio = radio
 	m.beacons.Rebind(cfg.Kernel, cfg.Params.BeaconInterval)
 	return nil
@@ -274,11 +278,22 @@ func (m *Member) sendBeacon() {
 	_ = m.radio.SendBeacon(b, m.params.PayloadBits, m.params.AC, m.beaconSeq)
 }
 
+// wants is the member's receive filter: a beacon of its own platoon from
+// the leader (read by followers) or from its predecessor. handleRx reads
+// nothing else, so the medium need not hand it anything else.
+func (m *Member) wants(f *mac.Frame) bool {
+	if !f.HasBeacon || f.Beacon.PlatoonID != m.params.ID {
+		return false
+	}
+	i := f.Beacon.PlatoonIndex
+	return i == 0 && m.index > 0 || i == m.index-1
+}
+
 // handleRx caches leader/predecessor beacons. Only fresher states (by
 // sender time stamp) replace the cache, so a delayed frame that arrives
 // after a newer one cannot roll the cache back.
 func (m *Member) handleRx(f *mac.Frame, meta nic.RxMeta) {
-	if !f.HasBeacon || f.Beacon.PlatoonID != m.params.ID {
+	if !m.wants(f) {
 		return
 	}
 	b := &f.Beacon

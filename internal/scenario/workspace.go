@@ -160,7 +160,7 @@ func (w *Workspace) Build(ts TrafficScenario, cm CommModel, seed uint64, factory
 		spec.ID = VehicleID(i + 1)
 		gapStride := params.Spacing + spec.Length
 		st := vehicle.State{
-			Pos:   ts.LeaderStartPos - float64(i)*gapStride,
+			Pos:   ts.LeaderStartPos - float64(float64(i)*gapStride),
 			Speed: v0,
 			Accel: a0,
 			Lane:  ts.Lane,

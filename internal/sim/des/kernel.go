@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Handler is the callback invoked when a scheduled event fires. It runs at
@@ -86,18 +87,32 @@ const noSlot int32 = -1
 
 // batchKey is an open batch member's ordering key, held inline so
 // EndBatch sorts without reading the slab. It carries no seq: BatchAt
-// assigns sequence numbers in call order, so a stable sort by
-// (at, prio) is the sort by (at, prio, seq).
+// assigns sequence numbers in call order, so only a tie in (at, prio)
+// reads the slab's seq, which a reserved key (BatchReserved) needs.
 type batchKey struct {
 	at   Time
 	prio Priority
 	slot int32
 }
 
-// before orders batch keys by (at, prio).
-func (a *batchKey) before(b *batchKey) bool {
-	return a.at < b.at || a.at == b.at && a.prio < b.prio
+// batchBefore orders batch keys by (at, prio, seq).
+func (k *Kernel) batchBefore(a, b *batchKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return k.slab[a.slot].seq < k.slab[b.slot].seq
 }
+
+// Extreme priorities and sequence numbers bound the kernel's position
+// (see Passed).
+const (
+	minPriority Priority = math.MinInt32
+	maxPriority Priority = math.MaxInt32
+	maxSeq      uint64   = math.MaxUint64
+)
 
 // Kernel is a single-threaded discrete-event scheduler. The zero value is
 // ready to use, but create kernels with NewKernel for symmetry with the
@@ -128,8 +143,18 @@ type Kernel struct {
 	batching bool
 	stopped  bool
 	// executed counts delivered (non-canceled) events, exposed for
-	// statistics and benchmarks.
+	// statistics and benchmarks; settled counts the part of it that a
+	// component settled off the queue (CountSettled).
 	executed uint64
+	settled  uint64
+	// prio and seq complete the kernel's position (now, prio, seq): the
+	// greatest key dispatched so far, or (limit, maxPriority, maxSeq) once
+	// RunUntil(limit) ran out of events (see Passed).
+	prio Priority
+	seq  uint64
+	// pause, when non-nil, runs whenever Run or RunUntil returns (see
+	// SetPauseHook).
+	pause func(drain bool)
 
 	// interrupt, when non-nil, is polled every checkEvery executed events
 	// during Run/RunUntil; a non-nil return aborts the run with that
@@ -153,11 +178,11 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel with the clock at t=0.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return &Kernel{prio: minPriority} }
 
 // Reset returns the kernel to its initial state — clock at t=0, no
-// pending events, counters cleared, interrupt check and event budget
-// removed — without
+// pending events, counters cleared, interrupt check, event budget and
+// pause hook removed — without
 // releasing the slab, freelist or heap storage. A Reset kernel behaves
 // exactly like a fresh NewKernel (same seq numbering, hence the same
 // deterministic tie-breaking), which is what lets campaign workers reuse
@@ -181,6 +206,10 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.nextSeq = 0
 	k.executed = 0
+	k.settled = 0
+	k.prio = minPriority
+	k.seq = 0
+	k.pause = nil
 	k.stopped = false
 	k.interrupt = nil
 	k.checkEvery = 0
@@ -367,13 +396,13 @@ func (k *Kernel) EndBatch() {
 	}
 	for i := 1; i < len(b); i++ {
 		e := b[i]
-		if !e.before(&b[i-1]) {
+		if !k.batchBefore(&e, &b[i-1]) {
 			continue
 		}
-		// Insert after every key not after this one; b[i-1] is after it.
+		// Insert after every key before this one; b[i-1] is after it.
 		lo, hi := 0, i-1
 		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); e.before(&b[mid]) {
+			if mid := int(uint(lo+hi) >> 1); k.batchBefore(&e, &b[mid]) {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -389,6 +418,98 @@ func (k *Kernel) EndBatch() {
 	}
 	k.heapPush(b[0].slot)
 	k.batch = b[:0]
+}
+
+// Reserve takes the next sequence number without queueing an event, as
+// if an event had been scheduled and set aside. A component that keeps
+// work off the queue reserves the key that work's event would have
+// taken: it either settles the work itself, in key order, once the
+// kernel's position has passed the key (Passed, CountSettled), or hands
+// it back with BatchReserved before then. Either way every other event
+// keeps the key plain scheduling would have given it. Work kept this way
+// must schedule nothing, and its key must not have passed when it is
+// reserved: check Passed(at, prio, math.MaxUint64) first, and schedule
+// the work as an event if that reports true.
+func (k *Kernel) Reserve() uint64 {
+	s := k.nextSeq
+	k.nextSeq++
+	return s
+}
+
+// BatchReserved adds fn to the open batch at (at, prio, seq), where seq
+// came from Reserve and the key has not been passed yet. EndBatch orders
+// it among the batch by its full key.
+func (k *Kernel) BatchReserved(at Time, prio Priority, seq uint64, fn Handler) EventID {
+	if !k.batching {
+		panic("des: BatchReserved outside BeginBatch/EndBatch")
+	}
+	if seq >= k.nextSeq || k.Passed(at, prio, seq) {
+		panic("des: BatchReserved with a key that was not reserved or has passed")
+	}
+	slot := k.alloc()
+	ev := &k.slab[slot]
+	ev.at = at
+	ev.prio = prio
+	ev.seq = seq
+	ev.fn = fn
+	ev.next = noSlot
+	k.batch = append(k.batch, batchKey{at: at, prio: prio, slot: slot})
+	return makeEventID(slot, ev.gen)
+}
+
+// Passed reports whether the key (at, prio, seq) orders before the
+// kernel's position: the greatest key dispatched so far, or, once
+// RunUntil(limit) ran out of events, every key at or before limit. Plain
+// scheduling would have dispatched a reserved key that has passed, so
+// work kept off the queue under it is due. The position never moves
+// back, not even for a handler that schedules at Now with a lower
+// priority than its own.
+func (k *Kernel) Passed(at Time, prio Priority, seq uint64) bool {
+	if at != k.now {
+		return at < k.now
+	}
+	if prio != k.prio {
+		return prio < k.prio
+	}
+	return seq < k.seq
+}
+
+// CountSettled counts n events that a component settled off the queue
+// (see Reserve) as delivered: they add to Executed and to the metrics'
+// event count, and advance the interrupt poll phase as dispatching them
+// would have. The poll itself runs only at dispatched events, so a
+// component must not settle events while an event budget is set.
+func (k *Kernel) CountSettled(n uint64) {
+	k.executed += n
+	k.settled += n
+	if k.interrupt != nil || k.budget != 0 {
+		every := k.checkEvery
+		if every == 0 {
+			every = DefaultInterruptEvery
+		}
+		k.sinceCheck = (k.sinceCheck + n) % every
+	}
+}
+
+// Settled reports how many of the Executed events were settled off the
+// queue; the rest were dispatched.
+func (k *Kernel) Settled() uint64 { return k.settled }
+
+// SetPauseHook installs fn (nil removes it) to run whenever Run or
+// RunUntil returns, after the clock and position are final and before
+// the metrics flush: a component that keeps work off the queue settles
+// what is due there (drain false). When Run finds the queue empty it
+// first calls fn with drain true, which must queue all remaining work
+// (BatchReserved), and goes on if any was queued. Like the interrupt
+// check it is wiring, not simulation state: Reset removes it and
+// snapshots do not capture it.
+func (k *Kernel) SetPauseHook(fn func(drain bool)) { k.pause = fn }
+
+// paused runs the pause hook, if any, with drain false.
+func (k *Kernel) paused() {
+	if k.pause != nil {
+		k.pause(false)
+	}
 }
 
 // ScheduleAfter schedules fn to run after the given delay relative to the
@@ -504,6 +625,9 @@ func (k *Kernel) step(limit Time) bool {
 		}
 		k.pop()
 		fn := ev.fn
+		if ev.at != k.now || ev.prio > k.prio || ev.prio == k.prio && ev.seq > k.seq {
+			k.prio, k.seq = ev.prio, ev.seq
+		}
 		k.now = ev.at
 		k.executed++
 		k.release(slot)
@@ -517,10 +641,18 @@ func (k *Kernel) step(limit Time) bool {
 // interrupt check (SetInterruptCheck) reports an error.
 func (k *Kernel) Run() error {
 	defer k.flushMetrics()
+	defer k.paused()
 	k.stopped = false
 	for !k.stopped {
 		if !k.step(MaxTime) {
-			return nil
+			if k.pause == nil {
+				return nil
+			}
+			k.pause(true)
+			if len(k.heap) == 0 {
+				return nil
+			}
+			continue
 		}
 		if err := k.pollInterrupt(); err != nil {
 			return err
@@ -542,10 +674,11 @@ func (k *Kernel) RunUntil(limit Time) error {
 		return fmt.Errorf("des: RunUntil(%v) is in the past (now %v)", limit, k.now)
 	}
 	defer k.flushMetrics()
+	defer k.paused()
 	k.stopped = false
 	for !k.stopped {
 		if !k.step(limit) {
-			k.now = limit
+			k.now, k.prio, k.seq = limit, maxPriority, maxSeq
 			return nil
 		}
 		if err := k.pollInterrupt(); err != nil {

@@ -12,8 +12,8 @@ import (
 var ErrForeignState = errors.New("des: kernel state belongs to a different kernel")
 
 // KernelState is a restorable snapshot of a Kernel: the slab (including
-// handler references), freelist, heap order, generation counters, clock,
-// sequence counter and executed-event count. It is the kernel half of a
+// handler references), freelist, heap order, generation counters, clock
+// and position, sequence counter and executed and settled counts. It is the kernel half of a
 // scenario checkpoint.
 //
 // A KernelState is bound to the kernel that filled it: Snapshot records
@@ -24,8 +24,11 @@ var ErrForeignState = errors.New("des: kernel state belongs to a different kerne
 type KernelState struct {
 	owner      *Kernel
 	now        Time
+	prio       Priority
+	seq        uint64
 	nextSeq    uint64
 	executed   uint64
+	settled    uint64
 	sinceCheck uint64
 	slab       []event
 	free       []int32
@@ -47,8 +50,11 @@ func (k *Kernel) Snapshot(into *KernelState) {
 	}
 	into.owner = k
 	into.now = k.now
+	into.prio = k.prio
+	into.seq = k.seq
 	into.nextSeq = k.nextSeq
 	into.executed = k.executed
+	into.settled = k.settled
 	into.sinceCheck = k.sinceCheck
 	into.slab = append(into.slab[:0], k.slab...)
 	into.free = append(into.free[:0], k.free...)
@@ -93,8 +99,11 @@ func (k *Kernel) Restore(from *KernelState) error {
 	k.batch = k.batch[:0]
 	k.batching = false
 	k.now = from.now
+	k.prio = from.prio
+	k.seq = from.seq
 	k.nextSeq = from.nextSeq
 	k.executed = from.executed
+	k.settled = from.settled
 	k.sinceCheck = from.sinceCheck
 	k.stopped = false
 	k.slab = append(k.slab[:0], from.slab...)

@@ -59,7 +59,7 @@ func (c *DriveController) Update(dt float64, self platoon.Snapshot, _, pred plat
 	// Speed command: match the relayed predecessor speed, corrected by
 	// the communicated gap error so the formation holds under lag.
 	gap := pred.Pos - pred.Length - self.Pos
-	target := pred.Speed + c.GapGain*(gap-c.DesiredGap)
+	target := pred.Speed + float64(c.GapGain*(gap-c.DesiredGap))
 	if target < 0 {
 		target = 0
 	}

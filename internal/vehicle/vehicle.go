@@ -237,11 +237,11 @@ func (v *Vehicle) Step(dt float64) {
 		a = target
 	} else {
 		// Exact discretisation of da/dt = (target - a)/tau over dt.
-		a += (target - a) * v.lagAlpha(dt)
+		a += float64((target - a) * v.lagAlpha(dt))
 	}
 	a = geo.Clamp(a, -v.Spec.MaxDecel, v.Spec.MaxAccel)
 
-	speed := v.State.Speed + a*dt
+	speed := v.State.Speed + float64(a*dt)
 	switch {
 	case speed < 0:
 		speed = 0
@@ -252,5 +252,5 @@ func (v *Vehicle) Step(dt float64) {
 	}
 	v.State.Accel = a
 	v.State.Speed = speed
-	v.State.Pos += speed * dt
+	v.State.Pos += float64(speed * dt)
 }
