@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet fma-audit test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv oracle fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
+.PHONY: check build vet fma-audit arch-twin test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv oracle fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover
 
 # Tier-1 verification gate, and the only list of gates (scripts/check.sh
-# runs it): build + vet + the fused multiply-add audit + race-enabled
-# tests, a short fuzz smoke over
+# runs it): build + vet + the fused multiply-add audit + the GOARCH=386
+# determinism twin + race-enabled tests, a short fuzz smoke over
 # every fuzz target, the coverage floor, a one-shot benchmark sanity pass
 # and the end-to-end benchmark module's own vet and tests. The campaign
 # runner executes experiments on a worker pool, so the race detector is
 # part of the default gate, not an optional extra. The race step runs
 # every equivalence self-test (chaos, checkpoint, trie, obs, registry,
 # fabric); their named targets below are shortcuts, not extra gate steps.
-check: build vet fma-audit race fuzz-smoke cover bench-sanity bench-e2e-module
+check: build vet fma-audit arch-twin race fuzz-smoke cover bench-sanity bench-e2e-module
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ vet:
 # twice, so it changes result bits that amd64 computes unfused.
 fma-audit:
 	scripts/fma-audit.sh
+
+# Cross-architecture determinism, run: build comfase natively and for
+# GOARCH=386, run scripts/arch-twin.json (every attack family at 4 and 8
+# vehicles) under each with full-precision -jsonl output and cmp the two.
+arch-twin:
+	scripts/arch-twin.sh
 
 test:
 	$(GO) test ./...
@@ -49,7 +55,7 @@ checkpoint-equiv:
 	$(GO) test -race -run 'TestCheckpointCampaignEquivalence' ./internal/runner
 
 # The trie-equivalence self-test by name, under the race detector: the
-# same grid with checkpoint-trie duration chaining on and off — healthy,
+# same grid through the checkpoint trie and on the fresh path — healthy,
 # sharded, under chaos injection, with early exit enabled, and with a
 # mid-chain panic poisoning one trie subtree — must emit byte-identical
 # result CSVs; and early termination on vs off must preserve every
@@ -67,7 +73,8 @@ obs-equiv:
 
 # The registry-equivalence self-test by name, under the race detector:
 # campaigns resolved through the attack registry (by name) must emit
-# result CSVs byte-identical to the legacy kind/factory paths — healthy
+# result CSVs byte-identical to a factory replaying the pre-registry
+# model switch — healthy
 # and with chaos-injected failures — and matrix execution must stay
 # deterministic across worker counts, shards, resume, fabric-style
 # ranges and a failure-budget abort, with every cell's groups on one
@@ -94,9 +101,10 @@ fabric-equiv:
 	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestServiceStaleCompletionExactlyOnce|TestRangeSplitEquivalence|TestLeaseLongPoll|TestWorkerIdleLongPollNoBusyLoop|TestServiceLingerAgesOutSilentWorker' ./internal/fabric ./internal/runner
 
 # The metamorphic oracles by name: experiments whose attack cannot change
-# anything (a zero delay, a window starting at the horizon) must equal the
-# golden run bit for bit, and DoS, a delay beyond the horizon and packet
-# loss with p = 1 must equal each other, fresh and forked. The race step
+# anything (a zero delay, a window starting at the horizon, a family that
+# alters only frames sent by the tail vehicle, which nobody reads) must
+# equal the golden run bit for bit, and DoS, a delay beyond the horizon
+# and packet loss with p = 1 must equal each other, fresh and forked. The race step
 # already runs them; this is a shortcut, not an extra gate step.
 oracle:
 	$(GO) test -run 'TestOracle' ./internal/core

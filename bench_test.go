@@ -107,7 +107,7 @@ func BenchmarkFig5DurationSweep(b *testing.B) {
 		8 * des.Second, 16 * des.Second, 30 * des.Second,
 	} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: 2.0, Start: 18 * des.Second, Duration: d,
 		})
 	}
@@ -123,7 +123,7 @@ func BenchmarkFig6PDSweep(b *testing.B) {
 	var specs []core.ExperimentSpec
 	for _, pd := range []float64{0.2, 0.8, 1.4, 2.2, 3.0} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: pd, Start: 18 * des.Second, Duration: 10 * des.Second,
 		})
 	}
@@ -142,7 +142,7 @@ func BenchmarkFig7StartTimeSweep(b *testing.B) {
 		19800 * des.Millisecond, 20600 * des.Millisecond, 21400 * des.Millisecond,
 	} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: 2.0, Start: s, Duration: 10 * des.Second,
 		})
 	}
@@ -211,7 +211,7 @@ func BenchmarkTableDoSCampaign(b *testing.B) {
 // Ploeg vs ACC) under the same delay attack — the DESIGN.md A1 ablation.
 func BenchmarkAblationControllers(b *testing.B) {
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 2.0, Start: 18 * des.Second, Duration: 10 * des.Second,
 	}
 	for _, c := range []struct {
@@ -390,7 +390,7 @@ func BenchmarkKernelThroughput(b *testing.B) {
 func BenchmarkExperiment(b *testing.B) {
 	eng := newEngine(b, core.EngineConfig{})
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 1.4, Start: 19 * des.Second, Duration: 7 * des.Second,
 	}
 	b.ResetTimer()
@@ -409,7 +409,7 @@ func BenchmarkExperiment(b *testing.B) {
 // skips for every sibling after the first.
 func BenchmarkExperimentCheckpointed(b *testing.B) {
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 1.4, Start: 19 * des.Second, Duration: 7 * des.Second,
 	}
 	b.Run("fresh", func(b *testing.B) {
@@ -430,7 +430,7 @@ func BenchmarkExperimentCheckpointed(b *testing.B) {
 		defer gs.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := gs.RunExperiment(context.Background(), spec); err != nil {
+			if _, err := gs.RunExperiment(context.Background(), spec, false); err != nil {
 				b.Fatalf("RunExperiment: %v", err)
 			}
 		}
@@ -445,11 +445,11 @@ func BenchmarkExperimentCheckpointed(b *testing.B) {
 // wall clock short while still amortising each chain's shared attacked
 // interval the way the paper grid does.)
 // The modes peel the layers apart: "fresh" is the no-checkpoint path,
-// "forked" adds prefix-checkpoint forking only (trie disabled), "trie"
+// "trie" forks each same-start group from its prefix checkpoint and
 // chains same-value experiments through mid-attack boundary snapshots so
 // each simulates just its unique duration suffix, and "trie+early-exit"
 // additionally stops every run once its verdict is decided. The outcome
-// metric pins the result shape: all four modes classify identically.
+// metric pins the result shape: all three modes classify identically.
 func BenchmarkCampaignCheckpointed(b *testing.B) {
 	ts := scenario.PaperScenario()
 	// Clip the horizon to the latest attack end (21.8 s + 25 s): the
@@ -457,9 +457,9 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 	// prefix share.
 	ts.TotalSimTime = 47 * des.Second
 	grid := core.CampaignSetup{
-		Attack:  core.AttackDelay,
-		Targets: []string{"vehicle.2"},
-		Values:  []float64{0.4, 2.0},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.4, 2.0},
 		Durations: []des.Time{
 			2 * des.Second, 4 * des.Second, 6 * des.Second,
 			9 * des.Second, 12 * des.Second, 16 * des.Second,
@@ -472,11 +472,9 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 	for _, mode := range []struct {
 		name               string
 		disableCheckpoints bool
-		disableTrie        bool
 		earlyExit          bool
 	}{
-		{name: "fresh", disableCheckpoints: true, disableTrie: true},
-		{name: "forked", disableTrie: true},
+		{name: "fresh", disableCheckpoints: true},
 		{name: "trie"},
 		{name: "trie+early-exit", earlyExit: true},
 	} {
@@ -489,7 +487,6 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 				r, err := runner.New(eng, runner.Options{
 					Workers:            runtime.GOMAXPROCS(0),
 					DisableCheckpoints: mode.disableCheckpoints,
-					DisableTrie:        mode.disableTrie,
 				})
 				if err != nil {
 					b.Fatalf("runner.New: %v", err)
@@ -534,11 +531,11 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // determinism is caught here too.
 func BenchmarkCampaignParallel(b *testing.B) {
 	grid := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.4, 2.0},
-		Starts:    []des.Time{17 * des.Second, 19 * des.Second, 21 * des.Second},
-		Durations: []des.Time{2 * des.Second, 5 * des.Second, 10 * des.Second, 30 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.4, 2.0},
+		Starts:     []des.Time{17 * des.Second, 19 * des.Second, 21 * des.Second},
+		Durations:  []des.Time{2 * des.Second, 5 * des.Second, 10 * des.Second, 30 * des.Second},
 	}
 	for _, w := range []struct {
 		name    string

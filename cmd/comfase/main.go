@@ -43,6 +43,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"comfase/internal/analysis"
 	"comfase/internal/config"
@@ -162,8 +163,6 @@ Subcommands:
                    -experiment-timeout D (per-experiment watchdog, e.g. 30s),
                    -event-budget N (per-experiment kernel event cap),
                    -invariants (runtime NaN/position/overlap checks),
-                   -checkpoints=false (disable prefix-checkpoint forking),
-                   -checkpoint-trie=false (disable duration chaining within a group),
                    -early-exit (stop experiments once their verdict is decided),
                    -early-exit-tolerance T, -early-exit-hold D (stability window),
                    -quarantine FILE (append persistent failures as JSON lines),
@@ -323,40 +322,104 @@ func writeCSV(log *trace.FullLog, path string) error {
 	return f.Close()
 }
 
+// campaignFlags is campaign's flag table: each flag is bound to the
+// config setting it overrides, with that setting's current value as its
+// default (see applyFlags).
+func campaignFlags(fs *flag.FlagSet, p *config.Parsed) {
+	rt := &p.Runtime
+	if rt.Workers == 0 {
+		rt.Workers = 1 // the config's 0 is one worker, the flag's is all cores
+	}
+	fs.IntVar(&rt.Workers, "workers", rt.Workers, "parallel experiment workers (0 = all cores)")
+	fs.Var(shardFlag{&rt.Shard}, "shard", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
+	fs.StringVar(&rt.ResultsFile, "results", rt.ResultsFile, "stream per-experiment results to this CSV (resume source)")
+	fs.IntVar(&rt.Retries, "retries", rt.Retries, "re-run a failed experiment up to N times before quarantining it")
+	fs.IntVar(&rt.MaxFailures, "max-failures", rt.MaxFailures, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
+	fs.DurationVar(&rt.ExperimentTimeout, "experiment-timeout", rt.ExperimentTimeout, "per-experiment wall-clock watchdog (0 = none)")
+	fs.Uint64Var(&rt.EventBudget, "event-budget", rt.EventBudget, "per-experiment kernel event cap (0 = unlimited)")
+	fs.BoolVar(&rt.Invariants, "invariants", rt.Invariants, "enable runtime invariant checks in every simulation step")
+	fs.BoolVar(&rt.EarlyExit, "early-exit", rt.EarlyExit, "stop an experiment once its classification is decided (classification-identical; truncates raw kinematics)")
+	fs.Float64Var(&rt.EarlyExitTolerance, "early-exit-tolerance", rt.EarlyExitTolerance, "early-exit re-stabilisation speed tolerance in m/s (0 = 0.001 default)")
+	fs.Var(simDuration{&rt.EarlyExitHold}, "early-exit-hold", "how long the platoon must hold within tolerance before exiting early (0 = 5s default)")
+	fs.StringVar(&rt.QuarantineFile, "quarantine", rt.QuarantineFile, "append persistent-failure records to this JSON-lines file")
+	fs.StringVar(&rt.HeartbeatFile, "heartbeat", rt.HeartbeatFile, "periodically publish a JSON metrics snapshot to this file (atomic rename)")
+	fs.DurationVar(&rt.HeartbeatInterval, "heartbeat-interval", rt.HeartbeatInterval, "heartbeat snapshot period (0 = 5s default)")
+	fs.StringVar(&rt.MetricsAddr, "metrics-addr", rt.MetricsAddr, `serve live metrics over HTTP: /metrics, /debug/vars, /debug/pprof ("127.0.0.1:0" picks a port)`)
+}
+
+// serveFlags is serve's flag table (see campaignFlags).
+func serveFlags(fs *flag.FlagSet, p *config.Parsed) {
+	fb := &p.Fabric
+	fs.StringVar(&fb.Dir, "dir", fb.Dir, "campaign service directory: enables submit mode, where campaigns arrive via `comfase submit` and every campaign's files live here")
+	fs.StringVar(&fb.Addr, "addr", fb.Addr, `HTTP listen address (default config fabric.addr, else "127.0.0.1:0")`)
+	fs.IntVar(&fb.LeaseSize, "lease-size", fb.LeaseSize, "grid points per worker lease (0 = config fabric.leaseSize, else 16)")
+	fs.DurationVar(&fb.LeaseTTL, "lease-ttl", fb.LeaseTTL, "worker lease TTL; silence past it re-leases the range (0 = config fabric.leaseTTLS, else 15s)")
+	fs.IntVar(&fb.FairnessCap, "fairness-cap", fb.FairnessCap, "max chunks one campaign may hold leased while others wait (0 = config fabric.fairnessCap, else 4; submit mode only)")
+	fs.IntVar(&p.Runtime.MaxFailures, "max-failures", p.Runtime.MaxFailures, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
+}
+
+// applyFlags makes the flags of fs that the command line set win over
+// parsed's settings. fs was parsed with table bound to scratch settings;
+// applyFlags binds table to parsed and replays each explicit flag there,
+// so an absent flag leaves the config's value, zero included.
+func applyFlags(fs *flag.FlagSet, table func(*flag.FlagSet, *config.Parsed), parsed *config.Parsed) error {
+	bound := flag.NewFlagSet(fs.Name(), flag.ContinueOnError)
+	table(bound, parsed)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if b := bound.Lookup(f.Name); b != nil && err == nil {
+			err = b.Value.Set(f.Value.String())
+		}
+	})
+	return err
+}
+
+// shardFlag binds -shard to a runner.Shard.
+type shardFlag struct{ s *runner.Shard }
+
+func (f shardFlag) String() string {
+	if f.s == nil || !f.s.Enabled() {
+		return ""
+	}
+	return f.s.String()
+}
+
+func (f shardFlag) Set(v string) (err error) {
+	*f.s, err = runner.ParseShard(v)
+	return err
+}
+
+// simDuration binds a wall-clock duration flag ("5s") to a simulation
+// time span.
+type simDuration struct{ t *des.Time }
+
+func (f simDuration) String() string {
+	if f.t == nil {
+		return "0s"
+	}
+	return time.Duration(*f.t).String()
+}
+
+func (f simDuration) Set(v string) error {
+	d, err := time.ParseDuration(v)
+	if err == nil {
+		*f.t = des.FromDuration(d)
+	}
+	return err
+}
+
 func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	cfgPath := fs.String("config", "", "JSON experiment configuration (required)")
 	outPath := fs.String("out", "", "write the report to this file instead of stdout")
 	verbose := fs.Bool("v", false, "print campaign progress")
-	workers := fs.Int("workers", 1, "parallel experiment workers (0 = all cores)")
-	resultsPath := fs.String("results", "", "stream per-experiment results to this CSV (resume source)")
 	jsonlPath := fs.String("jsonl", "", "stream per-experiment results to this JSON-lines file")
-	shardSpec := fs.String("shard", "", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
 	resume := fs.Bool("resume", false, "skip experiments already recorded in the results file")
-	retries := fs.Int("retries", 0, "re-run a failed experiment up to N times before quarantining it")
-	maxFailures := fs.Int("max-failures", 0, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
-	experimentTimeout := fs.Duration("experiment-timeout", 0, "per-experiment wall-clock watchdog (0 = none)")
-	eventBudget := fs.Uint64("event-budget", 0, "per-experiment kernel event cap (0 = unlimited)")
-	invariants := fs.Bool("invariants", false, "enable runtime invariant checks in every simulation step")
-	checkpoints := fs.Bool("checkpoints", true, "fork same-start experiments from a prefix checkpoint (results are bit-identical either way)")
-	checkpointTrie := fs.Bool("checkpoint-trie", true, "chain same-value experiments through mid-attack boundary snapshots (results are bit-identical either way)")
-	earlyExit := fs.Bool("early-exit", false, "stop an experiment once its classification is decided (classification-identical; truncates raw kinematics)")
-	earlyExitTolerance := fs.Float64("early-exit-tolerance", 0, "early-exit re-stabilisation speed tolerance in m/s (0 = 0.001 default)")
-	earlyExitHold := fs.Duration("early-exit-hold", 0, "how long the platoon must hold within tolerance before exiting early (0 = 5s default)")
-	quarantinePath := fs.String("quarantine", "", "append persistent-failure records to this JSON-lines file")
-	heartbeatPath := fs.String("heartbeat", "", "periodically publish a JSON metrics snapshot to this file (atomic rename)")
-	heartbeatInterval := fs.Duration("heartbeat-interval", 0, "heartbeat snapshot period (0 = 5s default)")
-	metricsAddr := fs.String("metrics-addr", "", `serve live metrics over HTTP: /metrics, /debug/vars, /debug/pprof ("127.0.0.1:0" picks a port)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	campaignFlags(fs, &config.Parsed{})
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *retries < 0 {
-		return fmt.Errorf("campaign: negative -retries %d", *retries)
-	}
-	if *experimentTimeout < 0 {
-		return fmt.Errorf("campaign: negative -experiment-timeout %v", *experimentTimeout)
 	}
 	if *cfgPath == "" {
 		return fmt.Errorf("campaign: -config is required")
@@ -379,72 +442,22 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	// Flags override config-file runtime settings.
-	opts := runner.Options{
-		Workers:            parsed.Runtime.Workers,
-		Shard:              parsed.Runtime.Shard,
-		Retries:            parsed.Runtime.Retries,
-		RetryBackoff:       parsed.Runtime.RetryBackoff,
-		ExperimentTimeout:  parsed.Runtime.ExperimentTimeout,
-		MaxFailures:        parsed.Runtime.MaxFailures,
-		DisableCheckpoints: parsed.Runtime.DisableCheckpoints,
-		DisableTrie:        parsed.Runtime.DisableTrie,
+	if err := applyFlags(fs, campaignFlags, parsed); err != nil {
+		return err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	if explicit["workers"] || opts.Workers == 0 {
-		opts.Workers = *workers
-	}
-	if opts.Workers == 0 {
-		opts.Workers = -1 // all cores (pool maps <= 0 to GOMAXPROCS)
-	}
-	if *shardSpec != "" {
-		if opts.Shard, err = runner.ParseShard(*shardSpec); err != nil {
-			return err
-		}
-	}
-	if explicit["retries"] {
-		opts.Retries = *retries
-	}
-	if explicit["max-failures"] {
-		opts.MaxFailures = *maxFailures
-	}
-	if explicit["experiment-timeout"] {
-		opts.ExperimentTimeout = *experimentTimeout
-	}
-	if explicit["checkpoints"] {
-		opts.DisableCheckpoints = !*checkpoints
-	}
-	if explicit["checkpoint-trie"] {
-		opts.DisableTrie = !*checkpointTrie
-	}
-	quarantine := parsed.Runtime.QuarantineFile
-	if explicit["quarantine"] {
-		quarantine = *quarantinePath
-	}
-	heartbeat := parsed.Runtime.HeartbeatFile
-	if explicit["heartbeat"] {
-		heartbeat = *heartbeatPath
-	}
-	hbInterval := parsed.Runtime.HeartbeatInterval
-	if explicit["heartbeat-interval"] {
-		hbInterval = *heartbeatInterval
-	}
-	if hbInterval < 0 {
-		return fmt.Errorf("campaign: negative -heartbeat-interval %v", hbInterval)
-	}
-	addr := parsed.Runtime.MetricsAddr
-	if explicit["metrics-addr"] {
-		addr = *metricsAddr
-	}
-	results := parsed.Runtime.ResultsFile
-	if *resultsPath != "" {
-		results = *resultsPath
-	}
-	if *resume && results == "" {
+	rt := parsed.Runtime
+	switch {
+	case rt.Retries < 0:
+		return fmt.Errorf("campaign: negative -retries %d", rt.Retries)
+	case rt.ExperimentTimeout < 0:
+		return fmt.Errorf("campaign: negative -experiment-timeout %v", rt.ExperimentTimeout)
+	case rt.HeartbeatInterval < 0:
+		return fmt.Errorf("campaign: negative -heartbeat-interval %v", rt.HeartbeatInterval)
+	case *resume && rt.ResultsFile == "":
 		return fmt.Errorf("campaign: -resume needs a results file (-results)")
 	}
+	opts := rt.Options
+	results, quarantine := rt.ResultsFile, rt.QuarantineFile
 
 	var sinks []runner.Sink
 	if *resume {
@@ -505,8 +518,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	// endpoint are opt-in views onto the same registry.
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
-	if addr != "" {
-		srv, err := obs.NewServer(addr, reg)
+	if rt.MetricsAddr != "" {
+		srv, err := obs.NewServer(rt.MetricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("campaign: metrics listener: %w", err)
 		}
@@ -514,33 +527,15 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
 	var hb *obs.Heartbeat
-	if heartbeat != "" {
-		hb = obs.NewHeartbeat(heartbeat, hbInterval, reg.Snapshot)
+	if rt.HeartbeatFile != "" {
+		hb = obs.NewHeartbeat(rt.HeartbeatFile, rt.HeartbeatInterval, reg.Snapshot)
 		if err := hb.Start(); err != nil {
 			return fmt.Errorf("campaign: heartbeat: %w", err)
 		}
 	}
 
-	// Every cell's engine takes the engine flag overrides and the metrics
-	// registry.
 	for i := range cells {
-		ec := &cells[i].Engine
-		if explicit["invariants"] {
-			ec.Invariants = *invariants
-		}
-		if explicit["event-budget"] {
-			ec.EventBudget = *eventBudget
-		}
-		if explicit["early-exit"] {
-			ec.EarlyExit = *earlyExit
-		}
-		if explicit["early-exit-tolerance"] {
-			ec.EarlyExitTolerance = *earlyExitTolerance
-		}
-		if explicit["early-exit-hold"] {
-			ec.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
-		}
-		ec.Metrics = reg
+		cells[i].Engine.Metrics = reg
 	}
 	res, err := runner.RunMatrix(ctx, cells, opts, sinks...)
 	if hb != nil {
@@ -633,70 +628,42 @@ func openOutput(path string, appendTo bool) (*os.File, error) {
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	cfgPath := fs.String("config", "", "JSON experiment configuration (required); served to workers at registration")
-	addr := fs.String("addr", "", `HTTP listen address (default config fabric.addr, else "127.0.0.1:0")`)
 	resultsPath := fs.String("results", "", "merged results CSV (required; also the -resume source)")
 	quarantinePath := fs.String("quarantine", "", "merged quarantine JSON-lines file")
-	leaseSize := fs.Int("lease-size", 0, "grid points per worker lease (0 = config fabric.leaseSize, else 16)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "worker lease TTL; silence past it re-leases the range (0 = config fabric.leaseTTLS, else 15s)")
-	dirFlag := fs.String("dir", "", "campaign service directory: enables submit mode, where campaigns arrive via `comfase submit` and every campaign's files live here")
-	fairnessCap := fs.Int("fairness-cap", 0, "max chunks one campaign may hold leased while others wait (0 = config fabric.fairnessCap, else 4; submit mode only)")
 	resume := fs.Bool("resume", false, "trust the merged prefix already in -results/-quarantine (or every campaign in -dir) and serve only the rest")
-	maxFailures := fs.Int("max-failures", 0, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
 	verbose := fs.Bool("v", false, "log fabric events (registrations, leases, expiries)")
 	heartbeatPath := fs.String("heartbeat", "", "periodically publish a JSON metrics snapshot to this file (atomic rename)")
 	heartbeatInterval := fs.Duration("heartbeat-interval", 0, "heartbeat snapshot period (0 = 5s default)")
 	metricsAddr := fs.String("metrics-addr", "", `serve live metrics over HTTP: /metrics, /debug/vars, /debug/pprof ("127.0.0.1:0" picks a port)`)
+	serveFlags(fs, &config.Parsed{})
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *cfgPath == "" && *dirFlag == "" {
-		return fmt.Errorf("serve: -config is required")
 	}
 	// With -dir the config file is optional and only supplies fabric
 	// defaults; campaigns bring their own configs over the API.
 	var cfgJSON []byte
-	var parsed *config.Parsed
+	parsed := &config.Parsed{}
 	if *cfgPath != "" {
 		var err error
-		cfgJSON, err = os.ReadFile(*cfgPath)
-		if err != nil {
+		if cfgJSON, err = os.ReadFile(*cfgPath); err != nil {
 			return err
 		}
-		parsed, err = config.Parse(bytes.NewReader(cfgJSON))
-		if err != nil {
+		if parsed, err = config.Parse(bytes.NewReader(cfgJSON)); err != nil {
 			return err
 		}
-	} else {
-		parsed = &config.Parsed{}
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-
-	dir := parsed.Fabric.Dir
-	if explicit["dir"] {
-		dir = *dirFlag
+	if err := applyFlags(fs, serveFlags, parsed); err != nil {
+		return err
 	}
-	if dir == "" && *resultsPath == "" {
+	fb := parsed.Fabric
+	switch {
+	case *cfgPath == "" && fb.Dir == "":
+		return fmt.Errorf("serve: -config is required")
+	case fb.Dir == "" && *resultsPath == "":
 		return fmt.Errorf("serve: -results is required")
 	}
-	listenAddr := parsed.Fabric.Addr
-	if explicit["addr"] {
-		listenAddr = *addr
-	}
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	size := parsed.Fabric.LeaseSize
-	if explicit["lease-size"] {
-		size = *leaseSize
-	}
-	ttl := parsed.Fabric.LeaseTTL
-	if explicit["lease-ttl"] {
-		ttl = *leaseTTL
-	}
-	fairness := parsed.Fabric.FairnessCap
-	if explicit["fairness-cap"] {
-		fairness = *fairnessCap
+	if fb.Addr == "" {
+		fb.Addr = "127.0.0.1:0"
 	}
 
 	reg := obs.NewRegistry()
@@ -705,11 +672,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
 	}
 	svc, err := fabric.NewService(fabric.ServiceOptions{
-		Dir:         dir,
+		Dir:         fb.Dir,
 		Resume:      *resume,
-		LeaseSize:   size,
-		LeaseTTL:    ttl,
-		FairnessCap: fairness,
+		LeaseSize:   fb.LeaseSize,
+		LeaseTTL:    fb.LeaseTTL,
+		FairnessCap: fb.FairnessCap,
 		Metrics:     reg,
 		Logf:        logf,
 	})
@@ -720,13 +687,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	// writes no config or status document, and no quarantine file unless
 	// -quarantine names one.
 	var single fabric.CampaignStatus
-	if dir == "" {
-		var budget *int
-		if explicit["max-failures"] {
-			budget = maxFailures
-		}
+	if fb.Dir == "" {
 		files := runner.CampaignFiles{ID: "c1", Results: *resultsPath, Quarantine: *quarantinePath}
-		if single, err = svc.Add("", cfgJSON, files, *resume, budget); err != nil {
+		if single, err = svc.Add("", cfgJSON, files, *resume, &parsed.Runtime.MaxFailures); err != nil {
 			return err
 		}
 	}
@@ -750,19 +713,19 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", fb.Addr)
 	if err != nil {
 		return fmt.Errorf("serve: listen: %w", err)
 	}
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
 	url := "http://" + ln.Addr().String()
-	if dir == "" {
+	if fb.Dir == "" {
 		fmt.Fprintf(stdout, "fabric coordinator on %s: %d grid points (%d resumed), lease TTL %v\n",
 			url, single.Total, single.Merged, svc.LeaseTTL())
 	} else {
 		fmt.Fprintf(stdout, "fabric campaign service on %s: %d campaign(s) in %s, lease TTL %v\n",
-			url, len(svc.ListCampaigns()), dir, svc.LeaseTTL())
+			url, len(svc.ListCampaigns()), fb.Dir, svc.LeaseTTL())
 		fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator %s -config FILE\n", url)
 	}
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator %s\n", url)
@@ -783,7 +746,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil && !drained {
 		return err
 	}
-	if dir != "" {
+	if fb.Dir != "" {
 		campaigns := svc.ListCampaigns()
 		if drained {
 			incomplete := 0
@@ -793,10 +756,10 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 				}
 			}
 			fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete; configs and merged prefixes are in %s — continue with -resume\n",
-				incomplete, dir)
+				incomplete, fb.Dir)
 			return errInterrupted
 		}
-		fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(campaigns), dir)
+		fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(campaigns), fb.Dir)
 		return nil
 	}
 	st, _ := svc.CampaignStatusByID(single.ID)

@@ -37,9 +37,9 @@ func run() error {
 	// grid is 25 starts x 15 PD values x 30 durations = 11250, available
 	// via cmd/comfase-figures).
 	setup := core.CampaignSetup{
-		Attack:  core.AttackDelay,
-		Targets: []string{"vehicle.2"},
-		Values:  []float64{0.2, 0.8, 1.4, 2.2, 3.0},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.2, 0.8, 1.4, 2.2, 3.0},
 		Starts: []des.Time{
 			17 * des.Second,
 			18 * des.Second,

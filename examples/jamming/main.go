@@ -40,7 +40,7 @@ func run() error {
 
 	for _, power := range []float64{-60, -40, -30, -20, -10, 0, 23} {
 		res, err := eng.RunExperiment(core.ExperimentSpec{
-			Kind:     core.AttackJamming,
+			Attack:   "jamming",
 			Targets:  []string{"vehicle.2"},
 			Value:    power, // jammer tx power in dBm
 			Start:    18 * des.Second,

@@ -43,7 +43,7 @@ func run() error {
 	// Step-3: one attack experiment. Delay every message to and from
 	// Vehicle 2 by 2 s, starting at t=18 s for 10 s.
 	res, err := eng.RunExperiment(core.ExperimentSpec{
-		Kind:     core.AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0,
 		Start:    18 * des.Second,

@@ -13,7 +13,7 @@ import (
 func exp(start des.Time, value float64, dur des.Time, o classify.Outcome, collider string) core.ExperimentResult {
 	r := core.ExperimentResult{
 		Spec: core.ExperimentSpec{
-			Kind:     core.AttackDelay,
+			Attack:   "delay",
 			Targets:  []string{"vehicle.2"},
 			Value:    value,
 			Start:    start,

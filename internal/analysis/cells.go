@@ -26,7 +26,7 @@ func (c Cell) String() string {
 
 // CellOf extracts an experiment's cell identity.
 func CellOf(e core.ExperimentResult) Cell {
-	return Cell{Scenario: e.Spec.Scenario, Attack: e.Spec.AttackLabel()}
+	return Cell{Scenario: e.Spec.Scenario, Attack: e.Spec.Attack}
 }
 
 // CellGroup is one cell's experiments with their classification tally.

@@ -91,7 +91,7 @@ func ExperimentCSVHeader() []string {
 func ExperimentCSVRecord(e core.ExperimentResult) []string {
 	return []string{
 		strconv.Itoa(e.Spec.Nr),
-		e.Spec.AttackLabel(),
+		e.Spec.Attack,
 		strconv.FormatFloat(e.Spec.Value, 'g', -1, 64),
 		strconv.FormatFloat(e.Spec.Start.Seconds(), 'f', 3, 64),
 		strconv.FormatFloat(e.Spec.Duration.Seconds(), 'f', 3, 64),

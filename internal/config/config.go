@@ -316,9 +316,9 @@ type CampaignConfig struct {
 }
 
 // Build expands the vectors into a CampaignSetup. The attack name
-// resolves against the attack registry, so every registered family —
-// not just the enum kinds — is reachable, and unknown names carry the
-// registry's accepted-names list with a nearest-match suggestion.
+// resolves against the attack registry, so every registered family is
+// reachable, and unknown names carry the registry's accepted-names list
+// with a nearest-match suggestion.
 func (c CampaignConfig) Build() (core.CampaignSetup, error) {
 	name := c.Attack
 	if name == "" {
@@ -345,7 +345,6 @@ func (c CampaignConfig) Build() (core.CampaignSetup, error) {
 		return core.CampaignSetup{}, fmt.Errorf("durations: %w", err)
 	}
 	setup := core.CampaignSetup{
-		Attack:     entry.Kind,
 		AttackName: entry.Name,
 		Params:     param.Params(c.Params),
 		Targets:    targets,
@@ -404,20 +403,6 @@ type RuntimeConfig struct {
 	// execute; exceeding it quarantines the experiment as an
 	// "event-budget" failure (0 = unlimited).
 	EventBudget uint64 `json:"eventBudget,omitempty"`
-	// Checkpoints toggles prefix-checkpoint forking: experiments sharing
-	// an attack start time simulate their fault-free prefix once per
-	// worker and fork from the snapshot. Results are bit-identical either
-	// way; omitted or true leaves forking on (the default), false forces
-	// every experiment onto the fresh-build path.
-	Checkpoints *bool `json:"checkpoints,omitempty"`
-	// CheckpointTrie toggles duration chaining on top of checkpoint
-	// forking: same-value experiments run in ascending-duration order and
-	// each forks from the previous sibling's mid-attack boundary snapshot
-	// instead of re-simulating the shared attacked interval. Results are
-	// bit-identical either way; omitted or true leaves chaining on (the
-	// default, effective only while checkpoints are on), false degrades
-	// every experiment to a plain prefix fork.
-	CheckpointTrie *bool `json:"checkpointTrie,omitempty"`
 	// EarlyExit enables verdict-aware early termination: an experiment
 	// stops simulating once its classification can no longer change (a
 	// collision was recorded, or the attack window is over and the
@@ -449,7 +434,14 @@ type RuntimeConfig struct {
 
 // Build validates the runtime settings.
 func (r RuntimeConfig) Build() (RuntimeSettings, error) {
-	var out RuntimeSettings
+	out := RuntimeSettings{
+		CancelCheckEvents:  r.CancelCheckEvents,
+		Invariants:         r.Invariants,
+		EventBudget:        r.EventBudget,
+		EarlyExit:          r.EarlyExit,
+		EarlyExitTolerance: r.EarlyExitToleranceMps,
+		EarlyExitHold:      des.FromSeconds(r.EarlyExitHoldS),
+	}
 	out.Workers = r.Workers
 	out.ResultsFile = r.ResultsFile
 	if r.Shard != "" {
@@ -473,8 +465,6 @@ func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 	out.ExperimentTimeout = time.Duration(r.ExperimentTimeoutS * float64(time.Second))
 	out.MaxFailures = r.MaxFailures
 	out.QuarantineFile = r.QuarantineFile
-	out.DisableCheckpoints = r.Checkpoints != nil && !*r.Checkpoints
-	out.DisableTrie = r.CheckpointTrie != nil && !*r.CheckpointTrie
 	if r.EarlyExitToleranceMps < 0 {
 		return RuntimeSettings{}, fmt.Errorf("config: negative earlyExitToleranceMps %g", r.EarlyExitToleranceMps)
 	}
@@ -492,19 +482,32 @@ func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 
 // RuntimeSettings is the validated campaign-runtime configuration.
 type RuntimeSettings struct {
-	Workers            int
-	Shard              runner.Shard
-	ResultsFile        string
-	Retries            int
-	RetryBackoff       time.Duration
-	ExperimentTimeout  time.Duration
-	MaxFailures        int
-	QuarantineFile     string
-	DisableCheckpoints bool
-	DisableTrie        bool
-	HeartbeatFile      string
-	HeartbeatInterval  time.Duration
-	MetricsAddr        string
+	// Options are the runner settings the section configures (Workers,
+	// Shard, Retries, RetryBackoff, ExperimentTimeout, MaxFailures);
+	// callers add sinks, metrics and resume state.
+	runner.Options
+	ResultsFile       string
+	QuarantineFile    string
+	HeartbeatFile     string
+	HeartbeatInterval time.Duration
+	MetricsAddr       string
+	// The engine knobs every cell's engine takes (Parsed.Grid).
+	CancelCheckEvents  uint64
+	Invariants         bool
+	EventBudget        uint64
+	EarlyExit          bool
+	EarlyExitTolerance float64
+	EarlyExitHold      des.Time
+}
+
+// applyEngine sets the section's engine knobs on ec.
+func (s RuntimeSettings) applyEngine(ec *core.EngineConfig) {
+	ec.CancelCheckEvents = s.CancelCheckEvents
+	ec.Invariants = s.Invariants
+	ec.EventBudget = s.EventBudget
+	ec.EarlyExit = s.EarlyExit
+	ec.EarlyExitTolerance = s.EarlyExitTolerance
+	ec.EarlyExitHold = s.EarlyExitHold
 }
 
 // FabricConfig configures the distributed campaign fabric
@@ -615,13 +618,17 @@ type Parsed struct {
 // single campaign wrapped as one unlabeled cell. matrix reports which of
 // the two the file described, which selects the results schema (11
 // columns with the scenario, or the 10-column single-campaign one).
-// Callers set per-engine overrides (metrics, flags) on the returned
-// cells.
+// Every cell's engine takes p.Runtime's engine knobs, so overrides set
+// there after parsing (command-line flags) reach every cell.
 func (p *Parsed) Grid() (cells []runner.MatrixCell, matrix bool) {
-	if len(p.Cells) > 0 {
-		return p.Cells, true
+	cells, matrix = p.Cells, true
+	if len(cells) == 0 {
+		cells, matrix = []runner.MatrixCell{{Engine: p.Engine, Setup: p.Campaign}}, false
 	}
-	return []runner.MatrixCell{{Engine: p.Engine, Setup: p.Campaign}}, false
+	for i := range cells {
+		p.Runtime.applyEngine(&cells[i].Engine)
+	}
+	return cells, matrix
 }
 
 // ControllerFactory maps a controller name to a factory.
@@ -664,12 +671,12 @@ func BuildFile(f File) (*Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt, err := f.Runtime.Build()
+	if err != nil {
+		return nil, err
+	}
 	if f.Matrix != nil {
-		cells, err := buildMatrix(f, seed)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := f.Runtime.Build()
+		cells, err := buildMatrix(f, seed, rt)
 		if err != nil {
 			return nil, err
 		}
@@ -691,26 +698,13 @@ func BuildFile(f File) (*Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := f.Runtime.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Parsed{
-		Seed: seed,
-		Engine: core.EngineConfig{
-			Scenario:           ts,
-			Comm:               cm,
-			Controllers:        factory,
-			Seed:               seed,
-			CancelCheckEvents:  f.Runtime.CancelCheckEvents,
-			Invariants:         f.Runtime.Invariants,
-			EventBudget:        f.Runtime.EventBudget,
-			EarlyExit:          f.Runtime.EarlyExit,
-			EarlyExitTolerance: f.Runtime.EarlyExitToleranceMps,
-			EarlyExitHold:      des.FromSeconds(f.Runtime.EarlyExitHoldS),
-		},
+	p := &Parsed{
+		Seed:     seed,
+		Engine:   core.EngineConfig{Scenario: ts, Comm: cm, Controllers: factory, Seed: seed},
 		Campaign: setup,
 		Runtime:  rt,
 		Fabric:   fb,
-	}, nil
+	}
+	rt.applyEngine(&p.Engine)
+	return p, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"comfase/internal/core"
 	"comfase/internal/runner"
 	"comfase/internal/sim/des"
 )
@@ -160,8 +159,8 @@ func TestCampaignConfigBuild(t *testing.T) {
 	if setup.Targets[0] != "vehicle.2" {
 		t.Errorf("default target = %v", setup.Targets)
 	}
-	if setup.Attack != core.AttackDelay {
-		t.Errorf("attack = %v", setup.Attack)
+	if setup.AttackName != "delay" {
+		t.Errorf("attack = %q", setup.AttackName)
 	}
 }
 

@@ -49,8 +49,8 @@ type MatrixConfig struct {
 
 // Build expands the matrix into runner cells. comm is the file-level
 // communication override applied to every cell (nil = each scenario's
-// own model); the engine knobs mirror BuildFile's single-campaign path.
-func (m MatrixConfig) Build(seed uint64, comm *CommConfig, rt RuntimeConfig) ([]runner.MatrixCell, error) {
+// own model); every cell's engine takes rt's engine knobs.
+func (m MatrixConfig) Build(seed uint64, comm *CommConfig, rt RuntimeSettings) ([]runner.MatrixCell, error) {
 	spec := registry.Matrix{}
 	for _, s := range m.Scenarios {
 		spec.Scenarios = append(spec.Scenarios, registry.MatrixScenario{
@@ -100,23 +100,14 @@ func (m MatrixConfig) Build(seed uint64, comm *CommConfig, rt RuntimeConfig) ([]
 			}
 			cm = built
 		}
-		out = append(out, runner.MatrixCell{
+		cell := runner.MatrixCell{
 			Scenario: c.Scenario,
 			Attack:   c.Attack,
-			Engine: core.EngineConfig{
-				Scenario:           c.Def.Traffic,
-				Comm:               cm,
-				Controllers:        c.Def.Controllers,
-				Seed:               seed,
-				CancelCheckEvents:  rt.CancelCheckEvents,
-				Invariants:         rt.Invariants,
-				EventBudget:        rt.EventBudget,
-				EarlyExit:          rt.EarlyExit,
-				EarlyExitTolerance: rt.EarlyExitToleranceMps,
-				EarlyExitHold:      des.FromSeconds(rt.EarlyExitHoldS),
-			},
-			Setup: c.Setup,
-		})
+			Engine:   core.EngineConfig{Scenario: c.Def.Traffic, Comm: cm, Controllers: c.Def.Controllers, Seed: seed},
+			Setup:    c.Setup,
+		}
+		rt.applyEngine(&cell.Engine)
+		out = append(out, cell)
 	}
 	return out, nil
 }
@@ -130,7 +121,7 @@ func (c CampaignConfig) isZero() bool {
 }
 
 // buildMatrix validates section exclusivity and expands f.Matrix.
-func buildMatrix(f File, seed uint64) ([]runner.MatrixCell, error) {
+func buildMatrix(f File, seed uint64, rt RuntimeSettings) ([]runner.MatrixCell, error) {
 	if !f.Campaign.isZero() {
 		return nil, errors.New("config: matrix and campaign sections are mutually exclusive")
 	}
@@ -141,5 +132,5 @@ func buildMatrix(f File, seed uint64) ([]runner.MatrixCell, error) {
 	if f.Comm != (CommConfig{}) {
 		comm = &f.Comm
 	}
-	return f.Matrix.Build(seed, comm, f.Runtime)
+	return f.Matrix.Build(seed, comm, rt)
 }

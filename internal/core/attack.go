@@ -39,7 +39,7 @@ type AttackModel interface {
 // attack duration then behave identically over the shared part of the
 // attacked interval, which lets the checkpoint trie reuse a mid-attack
 // snapshot taken under one sibling's model for the next, longer sibling
-// (GroupSession.RunExperimentChained). Models with per-experiment
+// (GroupSession.RunExperiment). Models with per-experiment
 // randomness (packet loss, corruption — their RNG streams are keyed by
 // experiment number) or physical-layer installation (Installer) must NOT
 // implement it.

@@ -9,59 +9,6 @@ import (
 	"comfase/internal/sim/des"
 )
 
-// AttackKind selects a predefined attack model (the attackModel parameter
-// of Algorithm 1 line 4). It predates the attack registry and remains the
-// compact way to address the paper's five models; registry-only families
-// are addressed by name through CampaignSetup.AttackName.
-type AttackKind int
-
-// The shipped attack models.
-const (
-	AttackDelay AttackKind = iota + 1
-	AttackDoS
-	AttackPacketLoss
-	AttackReplay
-	AttackJamming
-)
-
-// String implements fmt.Stringer.
-func (k AttackKind) String() string {
-	switch k {
-	case AttackDelay:
-		return "delay"
-	case AttackDoS:
-		return "dos"
-	case AttackPacketLoss:
-		return "packet-loss"
-	case AttackReplay:
-		return "replay"
-	case AttackJamming:
-		return "jamming"
-	default:
-		return fmt.Sprintf("AttackKind(%d)", int(k))
-	}
-}
-
-// Valid reports whether k names a shipped model.
-func (k AttackKind) Valid() bool { return k >= AttackDelay && k <= AttackJamming }
-
-// ParseAttackKind inverts String: it maps an attack name back to its
-// AttackKind. Both the JSON config layer and the campaign-resume path
-// round-trip attack kinds through this pair. Names are resolved against
-// the attack registry, so unknown names carry a nearest-match suggestion
-// and the accepted-names list; registry-only families (no enum value)
-// are rejected here — address those via CampaignSetup.AttackName.
-func ParseAttackKind(s string) (AttackKind, error) {
-	e, err := LookupAttack(s)
-	if err != nil {
-		return 0, err
-	}
-	if e.Kind == 0 {
-		return 0, fmt.Errorf("core: attack %q has no AttackKind; reference it by name", s)
-	}
-	return e.Kind, nil
-}
-
 // ModelFactory builds a custom attack/fault model for one experiment.
 // The paper stresses that "fault and attack models are implemented in
 // separate scripts, facilitating addition of new models" (§V); a factory
@@ -74,19 +21,15 @@ type ModelFactory func(spec ExperimentSpec, horizon des.Time, seed uint64) (Atta
 // The experiment grid is the cross product Starts x Values x Durations,
 // exactly the paper's three nested loops.
 type CampaignSetup struct {
-	// Attack selects a predefined model by enum. Ignored when Factory or
-	// AttackName is set.
-	Attack AttackKind
-	// AttackName selects a registered attack family by name, reaching
-	// registry-only families the AttackKind enum cannot. It takes
-	// precedence over Attack and is the label written to result rows.
+	// AttackName selects a registered attack family by name (any name
+	// `comfase list` prints); it is also the label written to result
+	// rows.
 	AttackName string
 	// Params are extra attack parameters validated against the family's
 	// registry schema (nil = all defaults).
 	Params param.Params
 	// Factory, when non-nil, builds a custom model per experiment,
-	// overriding Attack and AttackName (which then only provide the
-	// result label).
+	// overriding AttackName (which then only provides the result label).
 	Factory ModelFactory
 	// Scenario labels the scenario cell these experiments run in; matrix
 	// campaigns stamp it so sinks and classification can group per cell.
@@ -111,37 +54,23 @@ type CampaignSetup struct {
 	Durations []des.Time
 }
 
-// attackName resolves the registry name the setup addresses, or "".
-func (c CampaignSetup) attackName() string {
-	if c.AttackName != "" {
-		return c.AttackName
-	}
-	if c.Attack.Valid() {
-		return c.Attack.String()
-	}
-	return ""
-}
-
 // Validate reports the first setup problem, or nil.
 func (c CampaignSetup) Validate() error {
 	// Resolve the attack family up front: named setups get schema and
 	// bounds checking here, before any simulation runs.
-	allowNegative := c.Attack == AttackJamming
-	if name := c.attackName(); name != "" {
+	allowNegative := false
+	if name := c.AttackName; name != "" {
 		entry, err := LookupAttack(name)
 		if err != nil {
 			return err
-		}
-		if c.AttackName != "" && c.Attack.Valid() && entry.Kind != c.Attack {
-			return fmt.Errorf("core: attack name %q conflicts with kind %v", c.AttackName, c.Attack)
 		}
 		if _, err := entry.Schema.Apply(c.Params); err != nil {
 			return fmt.Errorf("core: attack %q: %w", name, err)
 		}
 		allowNegative = entry.AllowNegativeValues
 	} else if c.Factory == nil {
-		return fmt.Errorf("core: unknown attack kind %v (known attacks: %s)",
-			c.Attack, strings.Join(AttackNames(), ", "))
+		return fmt.Errorf("core: campaign names no attack (known attacks: %s)",
+			strings.Join(AttackNames(), ", "))
 	}
 	switch {
 	case c.Base < 0:
@@ -192,7 +121,6 @@ func (c CampaignSetup) Experiments() []ExperimentSpec {
 			for _, dur := range c.Durations {
 				out = append(out, ExperimentSpec{
 					Nr:       n,
-					Kind:     c.Attack,
 					Attack:   c.AttackName,
 					Params:   c.Params,
 					Scenario: c.Scenario,
@@ -214,17 +142,15 @@ type ExperimentSpec struct {
 	// Nr is the expNr of Algorithm 1 (globally unique across the cells
 	// of a matrix campaign).
 	Nr int
-	// Kind is the attack model enum. Ignored when Factory or Attack is
-	// set.
-	Kind AttackKind
-	// Attack is the registry name of the attack family ("" = use Kind).
+	// Attack is the registry name of the attack family; it is also the
+	// label written to result rows.
 	Attack string
 	// Params are the family's extra parameters (validated at build).
 	Params param.Params
 	// Scenario is the scenario-cell label ("" outside matrix campaigns).
 	Scenario string
 	// Factory builds a custom model for this experiment (overrides
-	// Kind and Attack).
+	// Attack, which then only provides the label).
 	Factory ModelFactory
 	// Targets are the attacked vehicles.
 	Targets []string
@@ -235,16 +161,6 @@ type ExperimentSpec struct {
 	// Duration is attackEndTime - attackStartTime before horizon
 	// clipping.
 	Duration des.Time
-}
-
-// AttackLabel is the attack name recorded in result rows: the registry
-// name when the experiment was addressed by name, the enum name
-// otherwise.
-func (e ExperimentSpec) AttackLabel() string {
-	if e.Attack != "" {
-		return e.Attack
-	}
-	return e.Kind.String()
 }
 
 // End returns the attackEndTime clipped at the horizon.
@@ -259,7 +175,7 @@ func (e ExperimentSpec) End(horizon des.Time) des.Time {
 // String renders a compact experiment label.
 func (e ExperimentSpec) String() string {
 	return fmt.Sprintf("#%d %s value=%g start=%v dur=%v targets=%s",
-		e.Nr, e.AttackLabel(), e.Value, e.Start, e.Duration, describeTargets(e.Targets))
+		e.Nr, e.Attack, e.Value, e.Start, e.Duration, describeTargets(e.Targets))
 }
 
 // buildModel instantiates the attack model for one experiment through
@@ -278,12 +194,6 @@ func (e ExperimentSpec) buildModel(horizon des.Time, seed uint64) (AttackModel, 
 		return model, nil
 	}
 	name := e.Attack
-	if name == "" {
-		if !e.Kind.Valid() {
-			return nil, fmt.Errorf("core: unknown attack kind %v", e.Kind)
-		}
-		name = e.Kind.String()
-	}
 	entry, err := LookupAttack(name)
 	if err != nil {
 		return nil, err

@@ -71,7 +71,6 @@ func init() {
 		Desc: "Table II delay campaign: PD 0.2..3.0 s x 25 starts x 1..30 s (11250 experiments)",
 		Build: func() CampaignSetup {
 			setup := CampaignSetup{
-				Attack:     AttackDelay,
 				AttackName: "delay",
 				Targets:    paperTargets(),
 				Starts:     paperStartTimes(),
@@ -90,7 +89,6 @@ func init() {
 		Desc: "Table II DoS campaign: 25 starts, attack active until the simulation ends",
 		Build: func() CampaignSetup {
 			return CampaignSetup{
-				Attack:     AttackDoS,
 				AttackName: "dos",
 				Targets:    paperTargets(),
 				Starts:     paperStartTimes(),

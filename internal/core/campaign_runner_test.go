@@ -43,11 +43,11 @@ func runGrid(t *testing.T, ctx context.Context, setup core.CampaignSetup, opts r
 
 func smallGrid() core.CampaignSetup {
 	return core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.4, 2.0},
-		Starts:    []des.Time{17 * des.Second, 19800 * des.Millisecond, 21 * des.Second},
-		Durations: []des.Time{2 * des.Second, 10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.4, 2.0},
+		Starts:     []des.Time{17 * des.Second, 19800 * des.Millisecond, 21 * des.Second},
+		Durations:  []des.Time{2 * des.Second, 10 * des.Second},
 	}
 }
 
@@ -115,11 +115,11 @@ func TestParallelSingleWorkerFallsBack(t *testing.T) {
 		t.Skip("campaign in -short mode")
 	}
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{2.0},
-		Starts:    []des.Time{18 * des.Second},
-		Durations: []des.Time{10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{2.0},
+		Starts:     []des.Time{18 * des.Second},
+		Durations:  []des.Time{10 * des.Second},
 	}
 	for _, workers := range []int{1, 4} {
 		res, err := runGrid(t, context.Background(), setup, runner.Options{Workers: workers})
@@ -222,11 +222,11 @@ func TestParallelCtxCancelAborts(t *testing.T) {
 
 func TestRunCampaignSmallGrid(t *testing.T) {
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.2, 2.0},
-		Starts:    []des.Time{18 * des.Second, 198 * 100 * des.Millisecond},
-		Durations: []des.Time{1 * des.Second, 10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.2, 2.0},
+		Starts:     []des.Time{18 * des.Second, 198 * 100 * des.Millisecond},
+		Durations:  []des.Time{1 * des.Second, 10 * des.Second},
 	}
 	var progress []int
 	res, err := runGrid(t, context.Background(), setup, runner.Options{

@@ -81,7 +81,7 @@ func TestRunExperimentDelayCausesSevere(t *testing.T) {
 	// A 2 s delay during the deceleration phase is reliably severe (cf.
 	// Fig. 6 saturation beyond 2.2 s).
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0,
 		Start:    18 * des.Second,
@@ -107,7 +107,7 @@ func TestRunExperimentDelayCausesSevere(t *testing.T) {
 func TestRunExperimentTinyDelayMild(t *testing.T) {
 	eng := paperEngine(t)
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    0.2,
 		Start:    18 * des.Second,
@@ -126,7 +126,7 @@ func TestRunExperimentTinyDelayMild(t *testing.T) {
 
 func TestRunExperimentDeterministic(t *testing.T) {
 	spec := ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    1.4,
 		Start:    19 * des.Second,
@@ -150,7 +150,7 @@ func TestRunExperimentAttackWindowRespected(t *testing.T) {
 	eng := paperEngine(t)
 	// An attack scheduled entirely past the horizon must be a no-op.
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    3,
 		Start:    70 * des.Second, // beyond the 60 s horizon

@@ -22,7 +22,7 @@ func ExampleEngine_RunExperiment() {
 		return
 	}
 	res, err := eng.RunExperiment(core.ExperimentSpec{
-		Kind:     core.AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0, // delay every frame to/from Vehicle 2 by 2 s
 		Start:    18 * des.Second,

@@ -30,7 +30,7 @@ func fastEngine(t *testing.T, mut func(*EngineConfig)) *Engine {
 
 func fastSpec() ExperimentSpec {
 	return ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    0.2,
 		Start:    1 * des.Second,

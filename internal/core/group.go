@@ -10,7 +10,7 @@
 // checkpoint trie: siblings that also share the attack VALUE differ only
 // in duration, so their attacked intervals are nested. When the caller
 // orders such a value chain by ascending duration and runs it through
-// RunExperimentChained, the session snapshots again at each duration
+// RunExperiment, the session snapshots again at each duration
 // boundary — with the attack still active — and the next, longer sibling
 // restores that mid-attack boundary instead of the prefix, simulating
 // only its unique suffix. Chaining requires the model to advertise
@@ -240,30 +240,19 @@ func (gs *GroupSession) Healthy() bool { return gs.healthy }
 // at.
 func (gs *GroupSession) Start() des.Time { return gs.start }
 
-// RunExperiment forks one sibling experiment from the prefix root:
+// RunExperiment forks one sibling experiment from the checkpoint trie:
 // restore, install the attack model, run the attack window and the
 // remaining horizon, classify. spec.Start must equal the session's fork
-// point. It never consults or extends the duration chain — the runner's
-// trie-off mode and existing callers keep their exact semantics.
-func (gs *GroupSession) RunExperiment(ctx context.Context, spec ExperimentSpec) (ExperimentResult, error) {
-	return gs.run(ctx, spec, false, false)
-}
-
-// RunExperimentChained is RunExperiment through the checkpoint trie: when
-// the session's rolling value chain matches the spec (same attack value
-// and label, chain boundary not past the spec's attack end) and the model
-// advertises ChainableModel purity, the run forks from the mid-attack
-// boundary checkpoint instead of the prefix root and simulates only its
-// unique suffix. retain asks the session to snapshot a new boundary at
-// this spec's attack end for the NEXT sibling — the caller passes true
-// while more chain members follow. Specs that cannot chain (different
-// value, unchainable model, no valid boundary) transparently fork from
-// the root and start a new chain.
-func (gs *GroupSession) RunExperimentChained(ctx context.Context, spec ExperimentSpec, retain bool) (ExperimentResult, error) {
-	return gs.run(ctx, spec, true, retain)
-}
-
-func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, retain bool) (res ExperimentResult, err error) {
+// point. When the session's rolling value chain matches the spec (same
+// attack value and label, chain boundary not past the spec's attack end)
+// and the model advertises ChainableModel purity, the run forks from the
+// mid-attack boundary checkpoint instead of the prefix root and
+// simulates only its unique suffix. retain asks the session to snapshot
+// a new boundary at this spec's attack end for the NEXT sibling — the
+// caller passes true while more chain members follow. Specs that cannot
+// chain (different value, unchainable model, no valid boundary) fork
+// from the root and start a new chain.
+func (gs *GroupSession) RunExperiment(ctx context.Context, spec ExperimentSpec, retain bool) (res ExperimentResult, err error) {
 	if !gs.healthy {
 		return ExperimentResult{}, ErrGroupPoisoned
 	}
@@ -310,8 +299,8 @@ func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, ret
 	ic, isInterceptor := model.(nic.Interceptor)
 	_, marked := model.(ChainableModel)
 	canChain := isInterceptor && marked
-	fromChain := chain && canChain && gs.chainValid &&
-		gs.chainValue == spec.Value && gs.chainLabel == spec.AttackLabel() &&
+	fromChain := canChain && gs.chainValid &&
+		gs.chainValue == spec.Value && gs.chainLabel == spec.Attack &&
 		end >= gs.chainAt
 
 	sim := gs.sim
@@ -365,7 +354,7 @@ func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, ret
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	if !decided && chain && retain && canChain {
+	if !decided && retain && canChain {
 		// The sibling reached its attack end undecided with the attack
 		// still active: exactly the state the next, longer chain member
 		// needs. Snapshot it as the chain's new boundary. A decided run
@@ -378,7 +367,7 @@ func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, ret
 			gs.chainValid = true
 			gs.chainAt = end
 			gs.chainValue = spec.Value
-			gs.chainLabel = spec.AttackLabel()
+			gs.chainLabel = spec.Attack
 			gs.chainDepth++
 			e.met.trieBoundaries.Inc()
 			e.met.trieDepth.Set(int64(gs.chainDepth))
@@ -435,56 +424,4 @@ func (gs *GroupSession) Close() {
 	gs.u = nil
 	gs.sim = nil
 	gs.scratch = nil
-}
-
-// RunExperimentGroup executes a group of experiments sharing one attack
-// start time, forking them from a single prefix checkpoint. Experiments
-// whose forked run fails — and whole groups whose prefix cannot be
-// checkpointed (scenario.ErrNotCheckpointable) or fails — transparently
-// fall back to the fresh-build path, so the call succeeds whenever plain
-// per-experiment execution would. Results are returned in spec order.
-// (The runner's trie mode additionally orders value chains by duration
-// and uses RunExperimentChained; this convenience API keeps spec order
-// and root forking.)
-func (e *Engine) RunExperimentGroup(ctx context.Context, specs []ExperimentSpec) ([]ExperimentResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	for _, s := range specs[1:] {
-		if s.Start != specs[0].Start {
-			return nil, fmt.Errorf("core: experiment group mixes start times %v and %v",
-				specs[0].Start, s.Start)
-		}
-	}
-	gs, err := e.BeginGroup(ctx, specs[0].Start)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		gs = nil // prefix failed: run the whole group fresh
-	} else {
-		defer gs.Close()
-	}
-	out := make([]ExperimentResult, 0, len(specs))
-	for _, spec := range specs {
-		if gs != nil && gs.Healthy() {
-			res, err := gs.RunExperiment(ctx, spec)
-			if err == nil {
-				out = append(out, res)
-				continue
-			}
-			if ctx.Err() != nil {
-				return out, err
-			}
-			// Fall through: retry this sibling fresh. Deterministic
-			// failures (invariant hits, budget exhaustion) reproduce there
-			// and surface exactly as they would without checkpointing.
-		}
-		res, err := e.RunExperimentCtx(ctx, spec)
-		if err != nil {
-			return out, fmt.Errorf("experiment %v: %w", spec, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -42,13 +42,31 @@ func groupEngine(t *testing.T, mut func(*EngineConfig)) *Engine {
 // attack on vehicle.2 with varying values and durations.
 func groupSpecs(start des.Time) []ExperimentSpec {
 	setup := CampaignSetup{
-		Attack:    AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.4, 1.0, 2.0},
-		Starts:    []des.Time{start},
-		Durations: []des.Time{2 * des.Second, 5 * des.Second, 20 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.4, 1.0, 2.0},
+		Starts:     []des.Time{start},
+		Durations:  []des.Time{2 * des.Second, 5 * des.Second, 20 * des.Second},
 	}
 	return setup.Experiments()
+}
+
+// forkGroup runs specs, which share one start, as root forks of one
+// group session.
+func forkGroup(t *testing.T, eng *Engine, ctx context.Context, specs []ExperimentSpec) []ExperimentResult {
+	t.Helper()
+	gs, err := eng.BeginGroup(ctx, specs[0].Start)
+	if err != nil {
+		t.Fatalf("BeginGroup: %v", err)
+	}
+	defer gs.Close()
+	out := make([]ExperimentResult, len(specs))
+	for i, spec := range specs {
+		if out[i], err = gs.RunExperiment(ctx, spec, false); err != nil {
+			t.Fatalf("forked %v: %v", spec, err)
+		}
+	}
+	return out
 }
 
 // resultsEqual compares classified results to the bit level: forked runs
@@ -87,7 +105,7 @@ func TestGroupForkMatchesFreshRuns(t *testing.T) {
 	}
 	defer gs.Close()
 	for i, spec := range specs {
-		res, err := gs.RunExperiment(context.Background(), spec)
+		res, err := gs.RunExperiment(context.Background(), spec, false)
 		if err != nil {
 			t.Fatalf("forked %v: %v", spec, err)
 		}
@@ -123,14 +141,7 @@ func TestGroupForkMatchesFreshWithBudgetAndInvariants(t *testing.T) {
 		want[i] = res
 	}
 
-	forked := groupEngine(t, mut)
-	got, err := forked.RunExperimentGroup(ctx, specs)
-	if err != nil {
-		t.Fatalf("RunExperimentGroup: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
+	got := forkGroup(t, groupEngine(t, mut), ctx, specs)
 	for i := range got {
 		if !resultsEqual(got[i], want[i]) {
 			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", want[i].Spec.Nr, want[i], got[i])
@@ -142,11 +153,11 @@ func TestGroupForkMatchesFreshJamming(t *testing.T) {
 	// Jamming exercises the Installer path and noise receptions — the
 	// reception-pool restore's hardest case.
 	setup := CampaignSetup{
-		Attack:    AttackJamming,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{20, 30},
-		Starts:    []des.Time{19 * des.Second},
-		Durations: []des.Time{3 * des.Second, 8 * des.Second},
+		AttackName: "jamming",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{20, 30},
+		Starts:     []des.Time{19 * des.Second},
+		Durations:  []des.Time{3 * des.Second, 8 * des.Second},
 	}
 	specs := setup.Experiments()
 
@@ -160,11 +171,7 @@ func TestGroupForkMatchesFreshJamming(t *testing.T) {
 		want[i] = res
 	}
 
-	forked := groupEngine(t, nil)
-	got, err := forked.RunExperimentGroup(context.Background(), specs)
-	if err != nil {
-		t.Fatalf("RunExperimentGroup: %v", err)
-	}
+	got := forkGroup(t, groupEngine(t, nil), context.Background(), specs)
 	for i := range got {
 		if !resultsEqual(got[i], want[i]) {
 			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", want[i].Spec.Nr, want[i], got[i])
@@ -180,10 +187,10 @@ func TestBeginGroupRejectsFadingChannel(t *testing.T) {
 	if !errors.Is(err, ErrNotCheckpointable) {
 		t.Fatalf("err = %v, want ErrNotCheckpointable", err)
 	}
-	// The fallback wrapper must still complete the group.
-	specs := groupSpecs(19 * des.Second)[:1]
-	if _, err := eng.RunExperimentGroup(context.Background(), specs); err != nil {
-		t.Fatalf("RunExperimentGroup fallback: %v", err)
+	// The fresh path the runner falls back to must still run the group.
+	spec := groupSpecs(19 * des.Second)[0]
+	if _, err := eng.RunExperimentCtx(context.Background(), spec); err != nil {
+		t.Fatalf("fresh fallback: %v", err)
 	}
 }
 
@@ -232,7 +239,7 @@ func TestGroupPanicTaintsAndHeals(t *testing.T) {
 		t.Fatalf("BeginGroup: %v", err)
 	}
 	defer gs.Close()
-	_, err = gs.RunExperiment(context.Background(), setup.Experiments()[0])
+	_, err = gs.RunExperiment(context.Background(), setup.Experiments()[0], false)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PanicError", err)
@@ -247,7 +254,7 @@ func TestGroupPanicTaintsAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh %v: %v", good, err)
 	}
-	got, err := gs.RunExperiment(context.Background(), good)
+	got, err := gs.RunExperiment(context.Background(), good, false)
 	if err != nil {
 		t.Fatalf("healed forked %v: %v", good, err)
 	}
@@ -264,7 +271,7 @@ func TestGroupRejectsWrongStart(t *testing.T) {
 	}
 	defer gs.Close()
 	spec := groupSpecs(18 * des.Second)[0]
-	if _, err := gs.RunExperiment(context.Background(), spec); !errors.Is(err, ErrWrongGroup) {
+	if _, err := gs.RunExperiment(context.Background(), spec, false); !errors.Is(err, ErrWrongGroup) {
 		t.Fatalf("err = %v, want ErrWrongGroup", err)
 	}
 	if !gs.Healthy() {
@@ -296,7 +303,7 @@ func TestGroupChainMatchesFreshRuns(t *testing.T) {
 	defer gs.Close()
 	for i, spec := range specs {
 		retain := i+1 < len(specs) && specs[i+1].Value == spec.Value
-		res, err := gs.RunExperimentChained(context.Background(), spec, retain)
+		res, err := gs.RunExperiment(context.Background(), spec, retain)
 		if err != nil {
 			t.Fatalf("chained %v: %v", spec, err)
 		}
@@ -364,7 +371,7 @@ func TestGroupTriePanicPoisonsSubtreeOnly(t *testing.T) {
 	defer gs.Close()
 	for i, spec := range specs {
 		retain := i+1 < len(specs) && specs[i+1].Value == spec.Value
-		res, err := gs.RunExperimentChained(context.Background(), spec, retain)
+		res, err := gs.RunExperiment(context.Background(), spec, retain)
 		if i == 1 {
 			var pe *PanicError
 			if !errors.As(err, &pe) {

@@ -83,7 +83,7 @@ func forkedLog(t *testing.T, eng *Engine, spec ExperimentSpec) (ExperimentResult
 	defer gs.Close()
 	log := trace.NewFullLog(gs.sim.VehicleIDs())
 	gs.sim.AddRecorder(log)
-	res, err := gs.RunExperiment(ctx, spec)
+	res, err := gs.RunExperiment(ctx, spec, false)
 	if err != nil {
 		t.Fatalf("forked %+v: %v", spec, err)
 	}
@@ -190,5 +190,56 @@ func TestOracleDoSIsDelayBeyondHorizon(t *testing.T) {
 					results[i][path], results[0][0])
 			}
 		}
+	}
+}
+
+// unreadTargetExcluded lists the registered families the unread-target
+// oracle skips, each with the reason its attack reaches a vehicle other
+// than the target's readers.
+var unreadTargetExcluded = map[string]string{
+	"delay":       "intercepts both directions of the target's links (targetSet.involves), so it delays the tail's own inputs",
+	"dos":         "intercepts both directions of the target's links (targetSet.involves), so it blocks the tail's own inputs",
+	"packet-loss": "intercepts both directions of the target's links (targetSet.involves), so it drops the tail's own inputs",
+	"jamming":     "a physical-layer jammer: its noise raises carrier sense and interference at every radio in range",
+	"sybil":       "injects forged frames of its own, which other vehicles read",
+}
+
+// TestOracleUnreadTargetIsGolden: the platoon's tail vehicle (vehicle.4
+// of the paper platoon) is nobody's leader or predecessor, so no
+// controller reads its beacons. A family that alters only frames the
+// target sends cannot change anything when the target is the tail: every
+// vehicle's maximum deceleration, the speed deviation, the collisions and
+// the collider must equal the golden run's, fresh and forked. Families are
+// enumerated through the registry, so a new family inherits the oracle
+// unless it is listed in unreadTargetExcluded with its reason.
+func TestOracleUnreadTargetIsGolden(t *testing.T) {
+	eng, _, gres := oracleEngine(t, 4)
+	horizon := eng.Config().Scenario.TotalSimTime
+	// An attack window starting at the horizon never acts: this is the
+	// golden run as an experiment (TestOracleAttackAtHorizonIsGolden).
+	golden, err := eng.RunExperiment(ExperimentSpec{Nr: 1, Attack: "omission", Targets: []string{"vehicle.4"},
+		Start: horizon, Duration: des.Second})
+	if err != nil {
+		t.Fatalf("golden experiment: %v", err)
+	}
+	checkGoldenResult(t, "golden experiment", golden, gres)
+	tested := 0
+	for _, name := range AttackNames() {
+		if _, skip := unreadTargetExcluded[name]; skip {
+			continue
+		}
+		tested++
+		spec := ExperimentSpec{Nr: 2, Attack: name, Targets: []string{"vehicle.4"},
+			Value: 1, Start: 17 * des.Second, Duration: 20 * des.Second}
+		res, err := eng.RunExperiment(spec)
+		if err != nil {
+			t.Fatalf("%s fresh: %v", name, err)
+		}
+		sameOutcome(t, name+" fresh", res, golden)
+		forked, _ := forkedLog(t, eng, spec)
+		sameOutcome(t, name+" forked", forked, golden)
+	}
+	if tested == 0 {
+		t.Fatal("no family left to test: the oracle is vacuous")
 	}
 }

@@ -46,24 +46,19 @@ type campaignExecutor struct {
 
 // NewExecutor builds the production executor from the raw config JSON a
 // coordinator serves at registration. The runner options come from the
-// config's runtime section, with two fabric-imposed changes: the failure
-// budget is unlimited (the coordinator owns the campaign-level budget)
-// and result/quarantine files are replaced by in-memory wire rows.
+// config's runtime section, with fabric-imposed changes: leases replace
+// the shard, the failure budget is unlimited (the coordinator owns the
+// campaign-level budget) and result/quarantine files are replaced by
+// in-memory wire rows.
 func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
 	if err != nil {
 		return nil, fmt.Errorf("fabric: coordinator config: %w", err)
 	}
-	base := runner.Options{
-		Workers:            parsed.Runtime.Workers,
-		Retries:            parsed.Runtime.Retries,
-		RetryBackoff:       parsed.Runtime.RetryBackoff,
-		ExperimentTimeout:  parsed.Runtime.ExperimentTimeout,
-		MaxFailures:        -1, // the coordinator enforces the campaign budget
-		DisableCheckpoints: parsed.Runtime.DisableCheckpoints,
-		DisableTrie:        parsed.Runtime.DisableTrie,
-		Metrics:            opts.Metrics,
-	}
+	base := parsed.Runtime.Options
+	base.Shard = runner.Shard{}
+	base.MaxFailures = -1
+	base.Metrics = opts.Metrics
 	if opts.Workers > 0 {
 		base.Workers = opts.Workers
 	}

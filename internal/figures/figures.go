@@ -60,9 +60,9 @@ func DelaySetup(quick bool) core.CampaignSetup {
 		return core.PaperDelayCampaign()
 	}
 	setup := core.CampaignSetup{
-		Attack:  core.AttackDelay,
-		Targets: []string{"vehicle.2"},
-		Values:  []float64{0.2, 0.8, 1.4, 2.2, 3.0},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.2, 0.8, 1.4, 2.2, 3.0},
 		Starts: []des.Time{
 			17 * des.Second,
 			18200 * des.Millisecond,

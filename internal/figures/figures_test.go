@@ -3,8 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"comfase/internal/core"
 )
 
 func TestDelaySetupFullIsTableII(t *testing.T) {
@@ -22,7 +20,7 @@ func TestDelaySetupQuickIsRepresentative(t *testing.T) {
 	if quick.NumExperiments() != 150 {
 		t.Errorf("quick grid = %d, want 150", quick.NumExperiments())
 	}
-	if quick.Attack != core.AttackDelay || quick.Targets[0] != "vehicle.2" {
+	if quick.AttackName != "delay" || quick.Targets[0] != "vehicle.2" {
 		t.Errorf("quick setup %+v not a delay attack on vehicle 2", quick)
 	}
 }

@@ -87,8 +87,7 @@ func (m Matrix) Expand() ([]Cell, error) {
 			return nil, fmt.Errorf("registry: matrix scenario %q: %w", label, err)
 		}
 		for _, ma := range m.Attacks {
-			entry, err := LookupAttack(ma.Name)
-			if err != nil {
+			if _, err := LookupAttack(ma.Name); err != nil {
 				return nil, err
 			}
 			targets := ma.Targets
@@ -96,7 +95,6 @@ func (m Matrix) Expand() ([]Cell, error) {
 				targets = []string{"vehicle.2"}
 			}
 			setup := core.CampaignSetup{
-				Attack:     entry.Kind,
 				AttackName: ma.Name,
 				Params:     ma.Params,
 				Scenario:   label,

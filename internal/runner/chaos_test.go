@@ -45,10 +45,10 @@ func chaosEngine(t *testing.T, budget uint64) *core.Engine {
 // (10 starts x 5 values x 4 durations).
 func chaosGrid() core.CampaignSetup {
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.2, 0.4, 0.6, 0.8, 1.0},
-		Durations: []des.Time{500 * des.Millisecond, des.Second, 1500 * des.Millisecond, 2 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.2, 0.4, 0.6, 0.8, 1.0},
+		Durations:  []des.Time{500 * des.Millisecond, des.Second, 1500 * des.Millisecond, 2 * des.Second},
 	}
 	for s := 0; s < 10; s++ {
 		setup.Starts = append(setup.Starts, des.Second+des.Time(s)*200*des.Millisecond)

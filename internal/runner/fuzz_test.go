@@ -64,9 +64,9 @@ func FuzzTrieGroupKey(f *testing.F) {
 			return raw[i%len(raw)]
 		}
 		setup := core.CampaignSetup{
-			Attack:  core.AttackDelay,
-			Targets: []string{"vehicle.2"},
-			Base:    base,
+			AttackName: "delay",
+			Targets:    []string{"vehicle.2"},
+			Base:       base,
 		}
 		for i := 0; i < nv; i++ {
 			v := float64(byteAt(i)%5) / 10 // few distinct values -> collisions

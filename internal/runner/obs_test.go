@@ -128,11 +128,11 @@ func TestHeartbeatLiveCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := obsEngine(t, 100_000, reg)
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.2, 0.5},
-		Starts:    []des.Time{des.Second, des.Second + 200*des.Millisecond, des.Second + 400*des.Millisecond},
-		Durations: []des.Time{300 * des.Millisecond, 600 * des.Millisecond},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.2, 0.5},
+		Starts:     []des.Time{des.Second, des.Second + 200*des.Millisecond, des.Second + 400*des.Millisecond},
+		Durations:  []des.Time{300 * des.Millisecond, 600 * des.Millisecond},
 	}
 	total := setup.NumExperiments()
 

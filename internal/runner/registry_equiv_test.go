@@ -34,42 +34,40 @@ func registryGrid(values []float64) core.CampaignSetup {
 // legacyFactory replicates the pre-registry buildModel switch for the
 // families the equivalence test sweeps — the reference the registry
 // path must match bit-for-bit.
-func legacyFactory(kind core.AttackKind) core.ModelFactory {
+func legacyFactory(name string) core.ModelFactory {
 	return func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
-		switch kind {
-		case core.AttackDelay:
+		switch name {
+		case "delay":
 			return core.NewDelayAttack(des.FromSeconds(spec.Value), spec.Targets...)
-		case core.AttackDoS:
+		case "dos":
 			return core.NewDoSAttack(horizon, spec.Targets...)
-		case core.AttackPacketLoss:
+		case "packet-loss":
 			stream := rng.New(seed, fmt.Sprintf("attack.loss.%d", spec.Nr))
 			return core.NewPacketLossAttack(spec.Value, stream, spec.Targets...)
-		case core.AttackReplay:
+		case "replay":
 			return core.NewReplayAttack(des.FromSeconds(spec.Value), spec.Targets...)
 		}
-		return nil, fmt.Errorf("legacyFactory: unhandled kind %v", kind)
+		return nil, fmt.Errorf("legacyFactory: unhandled attack %q", name)
 	}
 }
 
 // TestRegistryCampaignEquivalence is the refactor's self-test: the
-// registry attack path (by enum kind and by family name) must reproduce
-// the legacy hardcoded-switch behaviour bit-for-bit. For each family it
-// runs the same grid three ways — enum kind, registry name, and a
-// factory replicating the old switch — and requires byte-identical
-// result CSVs.
+// registry attack path must reproduce the legacy hardcoded-switch
+// behaviour bit-for-bit. For each family it runs the same grid two ways —
+// by registry name, and through a factory replicating the old switch —
+// and requires byte-identical result CSVs.
 func TestRegistryCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns in -short mode")
 	}
 	families := []struct {
 		name   string
-		kind   core.AttackKind
 		values []float64
 	}{
-		{"delay", core.AttackDelay, []float64{0.3, 1.0}},
-		{"dos", core.AttackDoS, []float64{5}},
-		{"packet-loss", core.AttackPacketLoss, []float64{0.5, 0.9}},
-		{"replay", core.AttackReplay, []float64{0.5, 1.5}},
+		{"delay", []float64{0.3, 1.0}},
+		{"dos", []float64{5}},
+		{"packet-loss", []float64{0.5, 0.9}},
+		{"replay", []float64{0.5, 1.5}},
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
@@ -87,17 +85,13 @@ func TestRegistryCampaignEquivalence(t *testing.T) {
 				}
 				return buf.Bytes()
 			}
-			kindCSV := run(func(s *core.CampaignSetup) { s.Attack = fam.kind })
 			nameCSV := run(func(s *core.CampaignSetup) { s.AttackName = fam.name })
 			factoryCSV := run(func(s *core.CampaignSetup) {
-				s.Factory = legacyFactory(fam.kind)
-				s.AttackName = fam.name // label parity with the registry paths
+				s.Factory = legacyFactory(fam.name)
+				s.AttackName = fam.name // label parity with the registry path
 			})
-			if !bytes.Equal(kindCSV, nameCSV) {
-				t.Errorf("registry name path differs from enum path:\nkind:\n%s\nname:\n%s", kindCSV, nameCSV)
-			}
-			if !bytes.Equal(kindCSV, factoryCSV) {
-				t.Errorf("registry path differs from legacy factory:\nkind:\n%s\nfactory:\n%s", kindCSV, factoryCSV)
+			if !bytes.Equal(nameCSV, factoryCSV) {
+				t.Errorf("registry path differs from legacy factory:\nname:\n%s\nfactory:\n%s", nameCSV, factoryCSV)
 			}
 		})
 	}
@@ -183,14 +177,12 @@ func TestRegistryChaosEquivalence(t *testing.T) {
 	clear(chaosAttackAttempts)
 	chaosAttackMu.Unlock()
 	regCSV, regClasses := run(func(s *core.CampaignSetup) {
-		s.Attack = 0 // chaosGrid pre-sets the delay kind; resolve by name alone
 		s.AttackName = "chaos-delay"
 	})
 
 	var mu sync.Mutex
 	attempts := map[int]int{}
 	facCSV, facClasses := run(func(s *core.CampaignSetup) {
-		s.Attack = 0
 		s.AttackName = "chaos-delay" // label parity; Factory wins in buildModel
 		s.Factory = chaosFactory(&mu, attempts)
 	})
@@ -305,7 +297,7 @@ func TestRunMatrixDeterminism(t *testing.T) {
 	// are in flight on the other workers, and must write the same bytes
 	// at every worker count.
 	failing := append([]MatrixCell(nil), cells...)
-	delay := legacyFactory(core.AttackDelay)
+	delay := legacyFactory("delay")
 	failing[0].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
 		if spec.Nr == 1 || spec.Nr == 2 {
 			return nil, fmt.Errorf("injected failure #%d", spec.Nr)
@@ -364,7 +356,7 @@ func TestRunMatrixOneQueue(t *testing.T) {
 	// Cell 0's groups start at 1, 2 and 3 s; grid points 8-11 are the last.
 	started := make(chan struct{})
 	var once sync.Once
-	delay, loss := legacyFactory(core.AttackDelay), legacyFactory(core.AttackPacketLoss)
+	delay, loss := legacyFactory("delay"), legacyFactory("packet-loss")
 	cells[0].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
 		if spec.Nr >= 8 {
 			select {
@@ -418,7 +410,7 @@ func TestRunMatrixEngineLifetime(t *testing.T) {
 		}
 		var mu sync.Mutex
 		maxLive := 0
-		delay := legacyFactory(core.AttackDelay)
+		delay := legacyFactory("delay")
 		cells[2].Setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
 			mu.Lock()
 			maxLive = max(maxLive, live())
@@ -456,9 +448,8 @@ func TestRunMatrixEngineLifetime(t *testing.T) {
 func testMatrixCells(t *testing.T) []MatrixCell {
 	t.Helper()
 	eng := chaosEngineConfig(0)
-	grid := func(base int, scenarioLabel, attack string, kind core.AttackKind, values []float64) core.CampaignSetup {
+	grid := func(base int, scenarioLabel, attack string, values []float64) core.CampaignSetup {
 		s := registryGrid(values)
-		s.Attack = kind
 		s.AttackName = attack
 		s.Scenario = scenarioLabel
 		s.Base = base
@@ -469,13 +460,12 @@ func testMatrixCells(t *testing.T) []MatrixCell {
 	for _, sc := range []string{"cell-a", "cell-b"} {
 		for _, at := range []struct {
 			name   string
-			kind   core.AttackKind
 			values []float64
 		}{
-			{"delay", core.AttackDelay, []float64{0.3, 1.0}},
-			{"packet-loss", core.AttackPacketLoss, []float64{0.5}},
+			{"delay", []float64{0.3, 1.0}},
+			{"packet-loss", []float64{0.5}},
 		} {
-			setup := grid(base, sc, at.name, at.kind, at.values)
+			setup := grid(base, sc, at.name, at.values)
 			cells = append(cells, MatrixCell{Scenario: sc, Attack: at.name, Engine: eng, Setup: setup})
 			base += setup.NumExperiments()
 		}
@@ -537,7 +527,7 @@ func TestRunMatrixBaseValidation(t *testing.T) {
 				cells[2].Setup.Values = nil
 				return cells
 			}},
-		{name: "invalid single campaign", want: "core: unknown attack kind", cells: func() []MatrixCell {
+		{name: "invalid single campaign", want: "core: campaign names no attack", cells: func() []MatrixCell {
 			return []MatrixCell{{Engine: chaosEngineConfig(0)}}
 		}},
 	} {

@@ -144,16 +144,11 @@ func parseResultRecord(rec []string, matrix bool) (core.ExperimentResult, error)
 		scenarioLabel = rec[1]
 		rec = rec[1:] // remaining columns match the legacy layout
 	}
-	// The attack column resolves through the registry: legacy enum names
-	// keep their AttackKind; registry-only family names are carried in
-	// Spec.Attack, so labels and cell grouping survive the round trip.
+	// The attack column resolves through the registry, so labels and cell
+	// grouping survive the round trip.
 	entry, err := core.LookupAttack(rec[1])
 	if err != nil {
 		return res, err
-	}
-	attackName := ""
-	if matrix || entry.Kind == 0 {
-		attackName = entry.Name
 	}
 	value, err := strconv.ParseFloat(rec[2], 64)
 	if err != nil {
@@ -189,8 +184,7 @@ func parseResultRecord(rec []string, matrix bool) (core.ExperimentResult, error)
 	res = core.ExperimentResult{
 		Spec: core.ExperimentSpec{
 			Nr:       nr,
-			Kind:     entry.Kind,
-			Attack:   attackName,
+			Attack:   entry.Name,
 			Scenario: scenarioLabel,
 			Value:    value,
 			Start:    des.FromSeconds(startS),

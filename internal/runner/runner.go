@@ -212,24 +212,17 @@ type Options struct {
 	// runner metrics; execution and outputs are bit-identical either way.
 	Metrics *obs.Registry
 
-	// DisableCheckpoints turns off prefix-checkpoint forking: every
-	// experiment then builds and simulates from t=0 (the pre-checkpoint
-	// execution path). The zero value — checkpoints enabled — is right
-	// for production campaigns: results are bit-identical either way and
-	// forking skips the redundant shared prefixes. Configurations the
-	// checkpoint layer cannot capture (fading channels, opaque custom
-	// controllers) fall back to the fresh path automatically.
-	DisableCheckpoints bool
-	// DisableTrie turns off duration chaining within checkpoint groups:
-	// every sibling then forks from the group's prefix checkpoint in grid
-	// order (the pre-trie behaviour). Only meaningful while checkpoints
-	// are enabled. The zero value — trie enabled — buckets each group
-	// into per-value chains sorted by ascending duration and shares the
-	// attacked interval between chain members; results are bit-identical
-	// either way, and models that cannot chain (stochastic ones,
-	// physical-layer Installers) fall back to prefix forking
+	// DisableCheckpoints turns off the checkpoint trie: every experiment
+	// then builds and simulates from t=0 (the fresh path). It exists as
+	// the oracle the equivalence gates compare against; the zero value —
+	// each same-start group forks from its prefix checkpoint and chains
+	// same-value siblings by ascending duration — is bit-identical and
+	// skips the redundant shared simulation. Configurations the checkpoint
+	// layer cannot capture (fading channels, opaque custom controllers)
+	// and models that cannot chain (stochastic ones, physical-layer
+	// Installers) fall back to the fresh path or to prefix forking
 	// automatically.
-	DisableTrie bool
+	DisableCheckpoints bool
 }
 
 // Runner executes campaign grids against a core.Engine.
@@ -486,18 +479,17 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 					return c.wrap(cerr)
 				}
 			}
-			// With a live session and the trie enabled, execute the group as
-			// per-value duration chains; otherwise keep the grid-order walk.
-			// Either way the release frontier restores grid order on output.
-			chained := gs != nil && !r.opts.DisableTrie
+			// With a live session, execute the group as per-value duration
+			// chains; otherwise keep the grid-order walk. Either way the
+			// release frontier restores grid order on output.
 			order := [][]int{group.idx}
-			if chained {
+			if gs != nil {
 				order = orderGroupChains(specs, group.idx)
 			}
 			for _, chain := range order {
 				for i, idx := range chain {
-					retain := chained && i+1 < len(chain)
-					res, attempts, runErr := r.runWithRetry(ctx, eng, specs[idx], gs, chained, retain)
+					retain := gs != nil && i+1 < len(chain)
+					res, attempts, runErr := r.runWithRetry(ctx, eng, specs[idx], gs, retain)
 					if runErr != nil && ctx.Err() != nil {
 						// Campaign-level cancellation, not an experiment failure.
 						return c.wrap(fmt.Errorf("experiment %v: %w", specs[idx], runErr))
@@ -626,16 +618,16 @@ func (r *Runner) beginGroup(ctx context.Context, eng *core.Engine, start des.Tim
 // runWithRetry executes one grid point with the per-attempt wall-clock
 // watchdog and the retry policy: up to 1+Retries attempts with linear
 // backoff between them. When the worker holds a healthy group session,
-// the first attempt forks from its checkpoint (through the duration
-// chain when chained is set; retain asks the session to keep a boundary
-// snapshot for the next chain member); retries — and the first attempt
-// once a sibling has poisoned the session — run on a fresh workspace, so
+// the first attempt forks from its checkpoint trie (retain asks the
+// session to keep a boundary snapshot for the next chain member);
+// retries — and the first attempt once a sibling has poisoned the
+// session — run on a fresh workspace, so
 // transient corruption does not leak between attempts and attempt counts
 // match the checkpoint-disabled path exactly. It returns the result of
 // the first successful attempt, or — after exhausting every attempt —
 // the final error. Campaign-level cancellation surfaces as an error too;
 // the caller distinguishes it via ctx.Err().
-func (r *Runner) runWithRetry(ctx context.Context, eng *core.Engine, spec core.ExperimentSpec, gs *core.GroupSession, chained, retain bool) (core.ExperimentResult, int, error) {
+func (r *Runner) runWithRetry(ctx context.Context, eng *core.Engine, spec core.ExperimentSpec, gs *core.GroupSession, retain bool) (core.ExperimentResult, int, error) {
 	attempts := 1 + r.opts.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -655,11 +647,7 @@ func (r *Runner) runWithRetry(ctx context.Context, eng *core.Engine, spec core.E
 		var res core.ExperimentResult
 		var err error
 		if a == 1 && gs != nil && gs.Healthy() {
-			if chained {
-				res, err = gs.RunExperimentChained(attemptCtx, spec, retain)
-			} else {
-				res, err = gs.RunExperiment(attemptCtx, spec)
-			}
+			res, err = gs.RunExperiment(attemptCtx, spec, retain)
 		} else {
 			res, err = eng.RunExperimentCtx(attemptCtx, spec)
 		}

@@ -37,11 +37,11 @@ func newEngine(t *testing.T) *core.Engine {
 // testGrid is an 8-point grid spanning severe and benign regions.
 func testGrid() core.CampaignSetup {
 	return core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{0.4, 2.0},
-		Starts:    []des.Time{17 * des.Second, 19800 * des.Millisecond},
-		Durations: []des.Time{2 * des.Second, 10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{0.4, 2.0},
+		Starts:     []des.Time{17 * des.Second, 19800 * des.Millisecond},
+		Durations:  []des.Time{2 * des.Second, 10 * des.Second},
 	}
 }
 
@@ -286,11 +286,11 @@ func TestReadResultsRoundTrip(t *testing.T) {
 	}
 	// More workers than grid points: the pool shrinks to the grid.
 	res, csvBytes := runToCSV(t, Options{Workers: 4}, core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{2.0},
-		Starts:    []des.Time{18 * des.Second},
-		Durations: []des.Time{10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{2.0},
+		Starts:     []des.Time{18 * des.Second},
+		Durations:  []des.Time{10 * des.Second},
 	})
 	completed, err := ReadResults(bytes.NewReader(csvBytes))
 	if err != nil {
@@ -302,7 +302,7 @@ func TestReadResultsRoundTrip(t *testing.T) {
 		t.Fatalf("expNr %d missing from %v", want.Spec.Nr, completed)
 	}
 	if got.Outcome != want.Outcome || got.Collider != want.Collider ||
-		got.Spec.Kind != want.Spec.Kind || got.Spec.Start != want.Spec.Start ||
+		got.Spec.Attack != want.Spec.Attack || got.Spec.Start != want.Spec.Start ||
 		got.Spec.Duration != want.Spec.Duration || got.Spec.Value != want.Spec.Value ||
 		len(got.Collisions) != len(want.Collisions) {
 		t.Errorf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
@@ -338,11 +338,11 @@ func TestJSONAndMemorySinks(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
-		Targets:   []string{"vehicle.2"},
-		Values:    []float64{2.0},
-		Starts:    []des.Time{18 * des.Second},
-		Durations: []des.Time{2 * des.Second, 10 * des.Second},
+		AttackName: "delay",
+		Targets:    []string{"vehicle.2"},
+		Values:     []float64{2.0},
+		Starts:     []des.Time{18 * des.Second},
+		Durations:  []des.Time{2 * des.Second, 10 * des.Second},
 	}
 	res, err := r.Run(context.Background(), setup)
 	if err != nil {

@@ -46,12 +46,13 @@ func trieChaosEngine(t *testing.T, budget uint64, reg *obs.Registry, earlyExit b
 	return eng
 }
 
-// runTrieEquiv executes the grid on the given engine with the requested
-// trie setting and returns the CSV bytes, the classified results in grid
-// order and the quarantined failures.
-func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts Options, disableTrie bool) (string, []core.ExperimentResult, []core.ExperimentFailure) {
+// runTrieEquiv executes the grid on the given engine through the
+// checkpoint trie, or on the fresh path when fresh is set, and returns the
+// CSV bytes, the classified results in grid order and the quarantined
+// failures.
+func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts Options, fresh bool) (string, []core.ExperimentResult, []core.ExperimentFailure) {
 	t.Helper()
-	opts.DisableTrie = disableTrie
+	opts.DisableCheckpoints = fresh
 	quarantine := &MemoryFailureSink{}
 	opts.Quarantine = quarantine
 	var csv bytes.Buffer
@@ -61,7 +62,7 @@ func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts
 	}
 	res, err := r.Run(context.Background(), setup)
 	if err != nil {
-		t.Fatalf("Run (trie disabled=%v): %v", disableTrie, err)
+		t.Fatalf("Run (fresh=%v): %v", fresh, err)
 	}
 	return csv.String(), res.Experiments, quarantine.Failures
 }
@@ -104,12 +105,12 @@ func trieBombFactory() core.ModelFactory {
 }
 
 // TestTrieCampaignEquivalence is the byte-equivalence proof for the
-// checkpoint trie: the same 200-point grid executed with duration
-// chaining on and off must emit byte-identical result CSVs — on a
-// healthy grid, on a sharded slice, under the chaos fault schedule, and
-// with early exit enabled on both sides (chain boundaries only exist
-// where the shorter sibling finished undecided, so fresh and chained
-// runs stop at the same aligned instants). The trie is the default, so
+// checkpoint trie: the same 200-point grid executed through the trie and
+// on the fresh path must emit byte-identical result CSVs — on a healthy
+// grid, on a sharded slice, under the chaos fault schedule, and with
+// early exit enabled on both sides (chain boundaries only exist where
+// the shorter sibling finished undecided, so fresh and chained runs stop
+// at the same aligned instants). The trie is the default, so
 // this is the campaign-level pin that it changes nothing but wall-clock
 // time.
 func TestTrieCampaignEquivalence(t *testing.T) {
@@ -123,7 +124,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, Options{Workers: 4}, false)
 		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, Options{Workers: 4}, true)
 		if on != off {
-			t.Errorf("trie CSV differs from chain-free CSV:\non:\n%s\noff:\n%s", on, off)
+			t.Errorf("trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
 		if forks := reg.Counter("engine.trie_suffix_forks").Load(); forks == 0 {
 			t.Error("trie run forked no suffixes from boundary snapshots — equivalence is vacuous")
@@ -138,7 +139,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, false)
 		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, true)
 		if on != off {
-			t.Errorf("sharded trie CSV differs from chain-free CSV:\non:\n%s\noff:\n%s", on, off)
+			t.Errorf("sharded trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
 	})
 
@@ -158,7 +159,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		off, _, offFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosOff, opts, true)
 
 		if on != off {
-			t.Errorf("chaos trie CSV differs from chain-free CSV:\non:\n%s\noff:\n%s", on, off)
+			t.Errorf("chaos trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
 		compareQuarantine(t, onFails, offFails)
 	})
@@ -167,7 +168,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), setup, Options{Workers: 4}, false)
 		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), setup, Options{Workers: 4}, true)
 		if on != off {
-			t.Errorf("early-exit trie CSV differs from chain-free CSV:\non:\n%s\noff:\n%s", on, off)
+			t.Errorf("early-exit trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
 	})
 
@@ -176,7 +177,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		// value chain quarantines its two longest durations (the trigger
 		// lies 1.2 s into the attack window), the session heals, and
 		// every sibling chain of the same group still produces rows
-		// byte-identical to the chain-free run.
+		// byte-identical to the fresh run.
 		opts := Options{Workers: 4, Retries: 1, MaxFailures: -1}
 		bombOn := setup
 		bombOn.Factory = trieBombFactory()
@@ -196,7 +197,7 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 			}
 		}
 		if on != off {
-			t.Errorf("bombed trie CSV differs from chain-free CSV:\non:\n%s\noff:\n%s", on, off)
+			t.Errorf("bombed trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
 		compareQuarantine(t, onFails, offFails)
 	})
