@@ -261,8 +261,8 @@ func TestRunServeWorkErrors(t *testing.T) {
 	}
 	err := run(bg(), []string{"serve", "-config", cfg, "-results", gap,
 		"-addr", "127.0.0.1:0", "-resume"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "contiguous") {
-		t.Errorf("resume on gapped results = %v, want contiguity error", err)
+	if err == nil || !strings.Contains(err.Error(), "contiguous") || !strings.Contains(err.Error(), gap) {
+		t.Errorf("resume on gapped results = %v, want a contiguity error naming %s", err, gap)
 	}
 
 	if err := run(bg(), []string{"work"}, os.Stdout); err == nil {

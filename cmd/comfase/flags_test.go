@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"comfase/internal/config"
 	"comfase/internal/runner"
+	"comfase/internal/runner/pool"
 	"comfase/internal/sim/des"
 )
 
@@ -112,10 +115,16 @@ func TestCampaignFlagPrecedence(t *testing.T) {
 		{"metrics-addr", `"metricsAddr": "127.0.0.1:0"`, "runtime", "127.0.0.1:0", "-metrics-addr=", ""},
 	})
 	// The config's workers 0 is the sequential paper setup: one worker.
-	one := effective(t, campaignFlags, `{"campaign": {"valuesS": {"values": [1]}, "startTimesS": {"values": [17]}, "durationsS": {"values": [1]}}}`,
-		nil, func(p *config.Parsed) any { return p.Runtime.Workers })
-	if one != 1 {
+	// The flag's 0 is all cores: it reaches the runner, which reads it as
+	// GOMAXPROCS.
+	const noWorkers = `{"campaign": {"valuesS": {"values": [1]}, "startTimesS": {"values": [17]}, "durationsS": {"values": [1]}}}`
+	workers := func(p *config.Parsed) any { return p.Runtime.Workers }
+	if one := effective(t, campaignFlags, noWorkers, nil, workers); one != 1 {
 		t.Errorf("config without workers and no -workers: %v workers, want 1", one)
+	}
+	all := effective(t, campaignFlags, noWorkers, []string{"-workers=0"}, workers).(int)
+	if got := pool.Workers(all, 1<<20); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("-workers 0 runs %d workers, want all %d cores", got, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -124,16 +133,23 @@ func TestServeFlagPrecedence(t *testing.T) {
 	get := func(p *config.Parsed, name string) any {
 		fb := p.Fabric
 		return map[string]any{
-			"dir": fb.Dir, "addr": fb.Addr, "lease-size": fb.LeaseSize, "lease-ttl": fb.LeaseTTL,
-			"fairness-cap": fb.FairnessCap, "max-failures": p.Runtime.MaxFailures,
+			"addr": fb.Addr, "lease-size": fb.LeaseSize, "lease-ttl": fb.LeaseTTL,
+			"max-failures": p.Runtime.MaxFailures,
 		}[name]
 	}
 	checkPrecedence(t, serveFlags, get, []precedenceCase{
-		{"dir", `"dir": "svc"`, "fabric", "svc", "-dir=", ""},
 		{"addr", `"addr": "127.0.0.1:7440"`, "fabric", "127.0.0.1:7440", "-addr=", ""},
 		{"lease-size", `"leaseSize": 8`, "fabric", 8, "-lease-size=0", 0},
 		{"lease-ttl", `"leaseTTLS": 3`, "fabric", 3 * time.Second, "-lease-ttl=0", time.Duration(0)},
-		{"fairness-cap", `"fairnessCap": 2`, "fabric", 2, "-fairness-cap=0", 0},
 		{"max-failures", `"maxFailures": 5`, "runtime", 5, "-max-failures=0", 0},
 	})
+	// serve has one mode: the multi-campaign queue's flags are gone.
+	for _, arg := range []string{"-dir=svc", "-fairness-cap=2"} {
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		serveFlags(fs, &config.Parsed{})
+		if err := fs.Parse([]string{arg}); err == nil {
+			t.Errorf("serve %s parsed", arg)
+		}
+	}
 }

@@ -125,10 +125,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return runServe(ctx, args[1:], stdout)
 	case "work":
 		return runWork(ctx, args[1:], stdout)
-	case "submit":
-		return runSubmit(ctx, args[1:], stdout)
-	case "campaigns":
-		return runCampaigns(ctx, args[1:], stdout)
 	case "merge":
 		return runMerge(args[1:], stdout)
 	case "list":
@@ -142,7 +138,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: comfase <golden|campaign|serve|work|submit|campaigns|merge|list> [flags]; see comfase help")
+	return fmt.Errorf("usage: comfase <golden|campaign|serve|work|merge|list> [flags]; see comfase help")
 }
 
 func printUsage(w io.Writer) {
@@ -193,24 +189,14 @@ Subcommands:
             answers every waiting worker, then closes.
             the first SIGINT drains (finish what's leased, lease nothing
             new) and exits 2 with a -resume hint; a second force-exits.
-            with -dir DIR campaigns arrive via "comfase submit", run
-            oldest-first under a per-campaign -fairness-cap, and every
-            campaign's config/results/quarantine/status files live side
-            by side in DIR; -resume re-adopts everything in DIR, and
-            -config becomes optional (fabric defaults only)
-  submit    enqueue a campaign config on a "comfase serve -dir" service
-            flags: -coordinator URL (required), -config FILE (required),
-                   -name NAME (label shown by "comfase campaigns")
-  campaigns inspect a campaign service: list all campaigns, or one of
-            -id ID (status JSON), -cancel ID, -results ID [-o FILE]
-            [-quarantine-out FILE]; plus -coordinator URL (required)
-  work      execute leased ranges for a "comfase serve" coordinator; each
-            campaign's config arrives with its first lease, an idle worker
+  work      execute leased ranges for a "comfase serve" coordinator; the
+            campaign config arrives with the registration, an idle worker
             waits on the coordinator instead of sleeping, and it exits
             once told the run is done or draining
             flags: -coordinator URL (required unless -config supplies
                    fabric.addr), -config FILE (optional local defaults),
-                   -workers N (local experiment pool; 0 = all cores),
+                   -workers N (local experiment pool; 0 = the campaign
+                   config's runtime.workers, which defaults to 1),
                    -max-coordinator-retries N (consecutive failed calls
                    tolerated before giving up),
                    -retry-base D (backoff base; capped exponential with
@@ -327,10 +313,7 @@ func writeCSV(log *trace.FullLog, path string) error {
 // default (see applyFlags).
 func campaignFlags(fs *flag.FlagSet, p *config.Parsed) {
 	rt := &p.Runtime
-	if rt.Workers == 0 {
-		rt.Workers = 1 // the config's 0 is one worker, the flag's is all cores
-	}
-	fs.IntVar(&rt.Workers, "workers", rt.Workers, "parallel experiment workers (0 = all cores)")
+	fs.IntVar(&rt.Workers, "workers", rt.Workers, "parallel experiment workers (0 = all cores; default: the config's runtime.workers, else 1)")
 	fs.Var(shardFlag{&rt.Shard}, "shard", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
 	fs.StringVar(&rt.ResultsFile, "results", rt.ResultsFile, "stream per-experiment results to this CSV (resume source)")
 	fs.IntVar(&rt.Retries, "retries", rt.Retries, "re-run a failed experiment up to N times before quarantining it")
@@ -350,11 +333,9 @@ func campaignFlags(fs *flag.FlagSet, p *config.Parsed) {
 // serveFlags is serve's flag table (see campaignFlags).
 func serveFlags(fs *flag.FlagSet, p *config.Parsed) {
 	fb := &p.Fabric
-	fs.StringVar(&fb.Dir, "dir", fb.Dir, "campaign service directory: enables submit mode, where campaigns arrive via `comfase submit` and every campaign's files live here")
 	fs.StringVar(&fb.Addr, "addr", fb.Addr, `HTTP listen address (default config fabric.addr, else "127.0.0.1:0")`)
 	fs.IntVar(&fb.LeaseSize, "lease-size", fb.LeaseSize, "grid points per worker lease (0 = config fabric.leaseSize, else 16)")
 	fs.DurationVar(&fb.LeaseTTL, "lease-ttl", fb.LeaseTTL, "worker lease TTL; silence past it re-leases the range (0 = config fabric.leaseTTLS, else 15s)")
-	fs.IntVar(&fb.FairnessCap, "fairness-cap", fb.FairnessCap, "max chunks one campaign may hold leased while others wait (0 = config fabric.fairnessCap, else 4; submit mode only)")
 	fs.IntVar(&p.Runtime.MaxFailures, "max-failures", p.Runtime.MaxFailures, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
 }
 
@@ -618,19 +599,17 @@ func openOutput(path string, appendTo bool) (*os.File, error) {
 	return os.OpenFile(path, mode, 0o644)
 }
 
-// runServe is the fabric service: it owns campaign grids, leases
-// contiguous expNr ranges to `comfase work` processes, re-leases ranges
-// whose worker goes silent past the TTL, and streams each campaign's
-// merged results CSV (and quarantine) in grid order — byte-identical to
-// a sequential run. With -dir, campaigns arrive via `comfase submit` and
-// the service runs until drained; without it, the campaign -config names
-// is added at startup and the service finishes with it.
+// runServe is the fabric coordinator: it owns the -config campaign's
+// grid, leases contiguous expNr ranges to `comfase work` processes,
+// re-leases ranges whose worker goes silent past the TTL, and streams
+// the merged results CSV (and quarantine) in grid order — byte-identical
+// to a sequential run. It finishes with the campaign.
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	cfgPath := fs.String("config", "", "JSON experiment configuration (required); served to workers at registration")
 	resultsPath := fs.String("results", "", "merged results CSV (required; also the -resume source)")
 	quarantinePath := fs.String("quarantine", "", "merged quarantine JSON-lines file")
-	resume := fs.Bool("resume", false, "trust the merged prefix already in -results/-quarantine (or every campaign in -dir) and serve only the rest")
+	resume := fs.Bool("resume", false, "trust the merged prefix already in -results/-quarantine and serve only the rest")
 	verbose := fs.Bool("v", false, "log fabric events (registrations, leases, expiries)")
 	heartbeatPath := fs.String("heartbeat", "", "periodically publish a JSON metrics snapshot to this file (atomic rename)")
 	heartbeatInterval := fs.Duration("heartbeat-interval", 0, "heartbeat snapshot period (0 = 5s default)")
@@ -639,29 +618,24 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// With -dir the config file is optional and only supplies fabric
-	// defaults; campaigns bring their own configs over the API.
-	var cfgJSON []byte
-	parsed := &config.Parsed{}
-	if *cfgPath != "" {
-		var err error
-		if cfgJSON, err = os.ReadFile(*cfgPath); err != nil {
-			return err
-		}
-		if parsed, err = config.Parse(bytes.NewReader(cfgJSON)); err != nil {
-			return err
-		}
+	switch {
+	case *cfgPath == "":
+		return fmt.Errorf("serve: -config is required")
+	case *resultsPath == "":
+		return fmt.Errorf("serve: -results is required")
+	}
+	cfgJSON, err := os.ReadFile(*cfgPath)
+	if err != nil {
+		return err
+	}
+	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
+	if err != nil {
+		return err
 	}
 	if err := applyFlags(fs, serveFlags, parsed); err != nil {
 		return err
 	}
 	fb := parsed.Fabric
-	switch {
-	case *cfgPath == "" && fb.Dir == "":
-		return fmt.Errorf("serve: -config is required")
-	case fb.Dir == "" && *resultsPath == "":
-		return fmt.Errorf("serve: -results is required")
-	}
 	if fb.Addr == "" {
 		fb.Addr = "127.0.0.1:0"
 	}
@@ -671,27 +645,20 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if *verbose {
 		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
 	}
-	svc, err := fabric.NewService(fabric.ServiceOptions{
-		Dir:         fb.Dir,
+	svc, err := fabric.NewService(fabric.Campaign{
+		Config:      cfgJSON,
+		Results:     *resultsPath,
+		Quarantine:  *quarantinePath,
 		Resume:      *resume,
-		LeaseSize:   fb.LeaseSize,
-		LeaseTTL:    fb.LeaseTTL,
-		FairnessCap: fb.FairnessCap,
-		Metrics:     reg,
-		Logf:        logf,
+		MaxFailures: &parsed.Runtime.MaxFailures,
+	}, fabric.ServiceOptions{
+		LeaseSize: fb.LeaseSize,
+		LeaseTTL:  fb.LeaseTTL,
+		Metrics:   reg,
+		Logf:      logf,
 	})
 	if err != nil {
 		return err
-	}
-	// Without -dir the -config campaign is the service's only one: it
-	// writes no config or status document, and no quarantine file unless
-	// -quarantine names one.
-	var single fabric.CampaignStatus
-	if fb.Dir == "" {
-		files := runner.CampaignFiles{ID: "c1", Results: *resultsPath, Quarantine: *quarantinePath}
-		if single, err = svc.Add("", cfgJSON, files, *resume, &parsed.Runtime.MaxFailures); err != nil {
-			return err
-		}
 	}
 
 	if *metricsAddr != "" {
@@ -720,14 +687,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
 	url := "http://" + ln.Addr().String()
-	if fb.Dir == "" {
-		fmt.Fprintf(stdout, "fabric coordinator on %s: %d grid points (%d resumed), lease TTL %v\n",
-			url, single.Total, single.Merged, svc.LeaseTTL())
-	} else {
-		fmt.Fprintf(stdout, "fabric campaign service on %s: %d campaign(s) in %s, lease TTL %v\n",
-			url, len(svc.ListCampaigns()), fb.Dir, svc.LeaseTTL())
-		fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator %s -config FILE\n", url)
-	}
+	st := svc.Status()
+	fmt.Fprintf(stdout, "fabric coordinator on %s: %d grid points (%d resumed), lease TTL %v\n",
+		url, st.Total, st.Merged, svc.LeaseTTL())
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator %s\n", url)
 
 	err = svc.Wait(ctx)
@@ -746,23 +708,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil && !drained {
 		return err
 	}
-	if fb.Dir != "" {
-		campaigns := svc.ListCampaigns()
-		if drained {
-			incomplete := 0
-			for _, st := range campaigns {
-				if st.State == fabric.StateQueued || st.State == fabric.StateRunning {
-					incomplete++
-				}
-			}
-			fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete; configs and merged prefixes are in %s — continue with -resume\n",
-				incomplete, fb.Dir)
-			return errInterrupted
-		}
-		fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(campaigns), fb.Dir)
-		return nil
-	}
-	st, _ := svc.CampaignStatusByID(single.ID)
+	st = svc.Status()
 	if drained {
 		fmt.Fprintf(stdout, "campaign drained: %d/%d grid points merged to %s; continue with -resume\n",
 			st.Merged, st.Total, *resultsPath)
@@ -780,7 +726,7 @@ func runWork(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	coordURL := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:7440 (required unless -config supplies fabric.addr)")
 	cfgPath := fs.String("config", "", "optional local config supplying fabric worker defaults")
-	workers := fs.Int("workers", 0, "local parallel experiment workers (0 = the coordinator config's setting, else all cores)")
+	workers := fs.Int("workers", 0, "local parallel experiment workers (0 = the campaign config's runtime.workers, else 1)")
 	maxRetries := fs.Int("max-coordinator-retries", 0, "consecutive failed coordinator calls tolerated per request (0 = config fabric.maxCoordinatorRetries, else 8)")
 	retryBase := fs.Duration("retry-base", 0, "base of the capped jittered exponential backoff between retries (0 = config fabric.retryBaseMS, else 200ms)")
 	verbose := fs.Bool("v", false, "log lease progress")

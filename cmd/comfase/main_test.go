@@ -19,8 +19,11 @@ func TestRunUsage(t *testing.T) {
 	if err := run(bg(), nil, os.Stdout); err == nil {
 		t.Error("no args accepted")
 	}
-	if err := run(bg(), []string{"frobnicate"}, os.Stdout); err == nil {
-		t.Error("unknown subcommand accepted")
+	// submit and campaigns belonged to the deleted multi-campaign queue.
+	for _, sub := range []string{"frobnicate", "submit", "campaigns"} {
+		if err := run(bg(), []string{sub}, os.Stdout); err == nil || !strings.HasPrefix(err.Error(), "usage:") {
+			t.Errorf("subcommand %q: err = %v, want the usage error", sub, err)
+		}
 	}
 	var sb strings.Builder
 	if err := run(bg(), []string{"help"}, &sb); err != nil {

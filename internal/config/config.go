@@ -443,6 +443,9 @@ func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 		EarlyExitHold:      des.FromSeconds(r.EarlyExitHoldS),
 	}
 	out.Workers = r.Workers
+	if out.Workers == 0 {
+		out.Workers = 1 // the sequential paper setup; the runner would read 0 as all cores
+	}
 	out.ResultsFile = r.ResultsFile
 	if r.Shard != "" {
 		sh, err := runner.ParseShard(r.Shard)
@@ -533,14 +536,6 @@ type FabricConfig struct {
 	// RetryBaseMS is the base of the worker's capped jittered exponential
 	// backoff in milliseconds (0 = the fabric default of 200 ms).
 	RetryBaseMS int `json:"retryBaseMS,omitempty"`
-	// Dir, when set, starts `comfase serve` in submit mode: campaigns
-	// arrive over the /v1/campaigns API and every campaign's artifacts
-	// live side by side in this directory.
-	Dir string `json:"dir,omitempty"`
-	// FairnessCap bounds how many chunks one campaign may hold leased
-	// while other campaigns still have pending work (0 = the fabric
-	// default of 4). Only meaningful in submit mode.
-	FairnessCap int `json:"fairnessCap,omitempty"`
 }
 
 // Build validates the fabric settings.
@@ -563,11 +558,6 @@ func (f FabricConfig) Build() (FabricSettings, error) {
 		return FabricSettings{}, fmt.Errorf("config: negative fabric retryBaseMS %d", f.RetryBaseMS)
 	}
 	out.RetryBase = time.Duration(f.RetryBaseMS) * time.Millisecond
-	out.Dir = f.Dir
-	if f.FairnessCap < 0 {
-		return FabricSettings{}, fmt.Errorf("config: negative fabric fairnessCap %d", f.FairnessCap)
-	}
-	out.FairnessCap = f.FairnessCap
 	return out, nil
 }
 
@@ -579,8 +569,6 @@ type FabricSettings struct {
 	LeaseTTL              time.Duration
 	MaxCoordinatorRetries int
 	RetryBase             time.Duration
-	Dir                   string
-	FairnessCap           int
 }
 
 // File is a complete experiment description.

@@ -251,9 +251,7 @@ func TestParseFabricSection(t *testing.T) {
 	    "leaseSize": 8,
 	    "leaseTTLS": 2.5,
 	    "maxCoordinatorRetries": 4,
-	    "retryBaseMS": 50,
-	    "dir": "/tmp/campaigns",
-	    "fairnessCap": 2
+	    "retryBaseMS": 50
 	  }
 	}`
 	p, err := Parse(strings.NewReader(doc))
@@ -270,9 +268,6 @@ func TestParseFabricSection(t *testing.T) {
 	if fb.MaxCoordinatorRetries != 4 || fb.RetryBase != 50*time.Millisecond {
 		t.Errorf("worker retry settings = %+v", fb)
 	}
-	if fb.Dir != "/tmp/campaigns" || fb.FairnessCap != 2 {
-		t.Errorf("submit-mode settings = %+v", fb)
-	}
 	// An absent section yields all-zero settings (fabric defaults apply).
 	p2, err := Parse(strings.NewReader(`{"campaign": {
 	  "attack": "delay",
@@ -286,16 +281,18 @@ func TestParseFabricSection(t *testing.T) {
 	if p2.Fabric != (FabricSettings{}) {
 		t.Errorf("absent fabric section = %+v, want zero", p2.Fabric)
 	}
-	for _, bad := range []string{
-		`{"fabric": {"leaseSize": -1}}`,
-		`{"fabric": {"leaseTTLS": -2}}`,
-		`{"fabric": {"maxCoordinatorRetries": -3}}`,
-		`{"fabric": {"retryBaseMS": -4}}`,
-		`{"fabric": {"fairnessCap": -1}}`,
-		`{"fabric": {"bogus": true}}`,
+	for _, bad := range []struct{ doc, want string }{
+		{`{"fabric": {"leaseSize": -1}}`, "leaseSize"},
+		{`{"fabric": {"leaseTTLS": -2}}`, "leaseTTLS"},
+		{`{"fabric": {"maxCoordinatorRetries": -3}}`, "maxCoordinatorRetries"},
+		{`{"fabric": {"retryBaseMS": -4}}`, "retryBaseMS"},
+		{`{"fabric": {"bogus": true}}`, `unknown field "bogus"`},
+		// The multi-campaign queue's knobs are gone: naming one is an error.
+		{`{"fabric": {"dir": "svc"}}`, `unknown field "dir"`},
+		{`{"fabric": {"fairnessCap": 2}}`, `unknown field "fairnessCap"`},
 	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("%s accepted", bad)
+		if _, err := Parse(strings.NewReader(bad.doc)); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want one naming %s", bad.doc, err, bad.want)
 		}
 	}
 }
@@ -402,8 +399,12 @@ func TestRuntimeConfigDefaultsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if rt.Shard.Enabled() || rt.Workers != 0 || rt.ResultsFile != "" {
-		t.Errorf("zero runtime config built %+v, want disabled defaults", rt)
+	// workers 0 is the sequential paper setup: one worker.
+	if rt.Shard.Enabled() || rt.Workers != 1 || rt.ResultsFile != "" {
+		t.Errorf("zero runtime config built %+v, want one worker and disabled defaults", rt)
+	}
+	if all, err := (RuntimeConfig{Workers: -1}).Build(); err != nil || all.Workers != -1 {
+		t.Errorf("negative workers built %d (%v), want -1: all cores", all.Workers, err)
 	}
 	if _, err := (RuntimeConfig{Shard: "5/4"}).Build(); err == nil {
 		t.Error("out-of-range shard accepted")

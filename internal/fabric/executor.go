@@ -46,10 +46,11 @@ type campaignExecutor struct {
 
 // NewExecutor builds the production executor from the raw config JSON a
 // coordinator serves at registration. The runner options come from the
-// config's runtime section, with fabric-imposed changes: leases replace
-// the shard, the failure budget is unlimited (the coordinator owns the
-// campaign-level budget) and result/quarantine files are replaced by
-// in-memory wire rows.
+// config's runtime section (so a config without workers runs one
+// experiment thread, as under `comfase campaign`), with fabric-imposed
+// changes: leases replace the shard, the failure budget is unlimited
+// (the coordinator owns the campaign-level budget) and result/quarantine
+// files are replaced by in-memory wire rows.
 func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
 	if err != nil {
@@ -61,9 +62,6 @@ func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	base.Metrics = opts.Metrics
 	if opts.Workers > 0 {
 		base.Workers = opts.Workers
-	}
-	if base.Workers == 0 {
-		base.Workers = -1 // all cores
 	}
 	cells, matrix := parsed.Grid()
 	for i := range cells {

@@ -45,3 +45,29 @@ func TestExecutorKeepsEngineAcrossLeases(t *testing.T) {
 		})
 	}
 }
+
+// TestExecutorWorkers: a config without runtime.workers runs the
+// executor on one experiment thread, the meaning `comfase campaign`
+// gives it; a negative setting is all cores, and ExecutorOptions.Workers
+// (`work -workers N`) overrides either.
+func TestExecutorWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		runtime   string
+		opt, want int
+	}{
+		{runtime: `{}`, opt: 0, want: 1},
+		{runtime: `{"workers": -1}`, opt: 0, want: -1},
+		{runtime: `{"workers": 4}`, opt: 0, want: 4},
+		{runtime: `{}`, opt: 3, want: 3},
+	} {
+		cfg := `{"campaign": {"attack": "delay", "valuesS": {"values": [0.5]}, "startTimesS": {"values": [1]},
+		  "durationsS": {"values": [1]}}, "runtime": ` + tc.runtime + `}`
+		exec, err := NewExecutor([]byte(cfg), ExecutorOptions{Workers: tc.opt})
+		if err != nil {
+			t.Fatalf("NewExecutor(%s): %v", tc.runtime, err)
+		}
+		if got := exec.(*campaignExecutor).base.Workers; got != tc.want {
+			t.Errorf("runtime %s, Workers option %d: executor runs %d workers, want %d", tc.runtime, tc.opt, got, tc.want)
+		}
+	}
+}

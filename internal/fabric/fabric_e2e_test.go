@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -33,14 +32,7 @@ const e2eConfig = `{
 // way and returns the results CSV and quarantine bytes.
 func sequentialReference(t *testing.T) (csvOut, quarantineOut []byte) {
 	t.Helper()
-	return sequentialReferenceFor(t, e2eConfig)
-}
-
-// sequentialReferenceFor runs an arbitrary campaign config sequentially —
-// the byte-identity oracle for the multi-campaign drills.
-func sequentialReferenceFor(t *testing.T, cfg string) (csvOut, quarantineOut []byte) {
-	t.Helper()
-	parsed, err := config.Parse(bytes.NewReader([]byte(cfg)))
+	parsed, err := config.Parse(bytes.NewReader([]byte(e2eConfig)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +161,7 @@ func TestFabricChaosEquivalence(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 
-	if st, _ := coord.CampaignStatusByID(files.ID); st.Merged != total {
+	if st := coord.Status(); st.Merged != total {
 		t.Fatalf("merged %d/%d grid points", st.Merged, total)
 	}
 	csvBuf := bytes.NewBufferString(readString(t, files.Results))
@@ -242,207 +234,5 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 	csvBuf := bytes.NewBufferString(readString(t, files.Results))
 	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
 		t.Errorf("distributed CSV differs from sequential:\nfabric:\n%s\nsequential:\n%s", csvBuf.Bytes(), wantCSV)
-	}
-}
-
-// multiCampaignConfigs are three genuinely different grids for the
-// multi-campaign drill: distinct sizes and attack parameters, so a
-// cross-campaign merge bug cannot cancel out.
-var multiCampaignConfigs = []string{
-	e2eConfig,
-	`{
-  "scenario": {"totalSimTimeS": 6},
-  "campaign": {
-    "attack": "delay",
-    "valuesS": {"values": [0.5, 1.5]},
-    "startTimesS": {"values": [2]},
-    "durationsS": {"values": [1, 2, 3]}
-  }
-}`,
-	`{
-  "scenario": {"totalSimTimeS": 6},
-  "campaign": {
-    "attack": "delay",
-    "valuesS": {"values": [0.8]},
-    "startTimesS": {"values": [1, 2]},
-    "durationsS": {"values": [1, 2, 3, 4]}
-  }
-}`,
-}
-
-// TestFabricMultiCampaignChaosEquivalence is the multi-campaign failure
-// drill: three campaigns submitted concurrently to ONE submit-mode
-// service, three workers sharing the queue, one worker killed
-// mid-campaign while holding a lease. Every campaign's merged CSV and
-// quarantine must come out byte-identical to its own sequential run —
-// the namespaced lease tables and per-campaign release frontiers must
-// not leak a single row across campaigns, even through a crash.
-func TestFabricMultiCampaignChaosEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second end-to-end campaign")
-	}
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	svc, err := NewService(ServiceOptions{
-		Dir:         dir,
-		LeaseSize:   2,
-		LeaseTTL:    400 * time.Millisecond,
-		FairnessCap: 2,
-		Metrics:     reg,
-		Logf:        t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	waitCtx, stopService := context.WithCancel(ctx)
-	defer stopService()
-	svcErr := make(chan error, 1)
-	go func() { svcErr <- svc.Wait(waitCtx) }()
-
-	// Submit all three campaigns concurrently — the submit path must be
-	// safe under contention and hand out distinct sequential IDs.
-	var submitWG sync.WaitGroup
-	ids := make([]string, len(multiCampaignConfigs))
-	for i, cfg := range multiCampaignConfigs {
-		submitWG.Add(1)
-		go func(i int, cfg string) {
-			defer submitWG.Done()
-			resp, err := svc.Submit("drill-"+string(rune('a'+i)), []byte(cfg))
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			ids[i] = resp.CampaignID
-		}(i, cfg)
-	}
-	submitWG.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	seen := map[string]bool{}
-	for i, id := range ids {
-		if id == "" || seen[id] {
-			t.Fatalf("submission %d got duplicate or empty ID %q (all: %v)", i, id, ids)
-		}
-		seen[id] = true
-	}
-
-	// The victim takes a lease and crashes holding it; the TTL sweeper
-	// must return its range to the pool.
-	victim, err := NewWorker(WorkerOptions{
-		Coordinator: srv.URL,
-		MaxRetries:  3,
-		RetryBase:   10 * time.Millisecond,
-		Seed:        7,
-		NewExecutor: func([]byte) (Executor, error) {
-			return &crashingExecutor{delay: 50 * time.Millisecond}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if verr := victim.Run(ctx); !errors.Is(verr, errInjectedCrash) {
-		t.Fatalf("victim died with %v, want the injected crash", verr)
-	}
-
-	// Three healthy workers drain the whole queue, building one executor
-	// per campaign from the config shipped with its first grant.
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 3)
-	for i := range workerErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w, err := NewWorker(WorkerOptions{
-				Coordinator: srv.URL,
-				Workers:     2,
-				MaxRetries:  8,
-				RetryBase:   20 * time.Millisecond,
-				Seed:        int64(200 + i),
-				Metrics:     obs.NewRegistry(),
-			})
-			if err != nil {
-				workerErrs[i] = err
-				return
-			}
-			workerErrs[i] = w.Run(ctx)
-		}(i)
-	}
-
-	// Submit mode never self-finishes: wait for every campaign to reach
-	// done, then drain so the workers exit cleanly.
-	for {
-		states := svc.ListCampaigns()
-		done := 0
-		for _, st := range states {
-			switch st.State {
-			case StateDone:
-				done++
-			case StateFailed:
-				t.Fatalf("campaign %s failed: %s", st.ID, st.Error)
-			}
-		}
-		if done == len(multiCampaignConfigs) {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			t.Fatalf("campaigns stuck: %+v (%v)", states, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	stopService()
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
-	if err := <-svcErr; err != nil {
-		t.Fatalf("service: %v", err)
-	}
-
-	// Byte-identity, campaign by campaign, on the durable files AND the
-	// results-endpoint snapshot.
-	for i, cfg := range multiCampaignConfigs {
-		wantCSV, wantQ := sequentialReferenceFor(t, cfg)
-		files := runner.CampaignFilesIn(dir, ids[i])
-		gotCSV, err := os.ReadFile(files.Results)
-		if err != nil {
-			t.Fatalf("campaign %s results: %v", ids[i], err)
-		}
-		if !bytes.Equal(gotCSV, wantCSV) {
-			t.Errorf("campaign %s CSV differs from its sequential run:\nfabric:\n%s\nsequential:\n%s", ids[i], gotCSV, wantCSV)
-		}
-		gotQ, err := os.ReadFile(files.Quarantine)
-		if err != nil {
-			t.Fatalf("campaign %s quarantine: %v", ids[i], err)
-		}
-		if !bytes.Equal(gotQ, wantQ) {
-			t.Errorf("campaign %s quarantine differs:\nfabric: %q\nsequential: %q", ids[i], gotQ, wantQ)
-		}
-		snap, ok := svc.Results(ids[i])
-		if !ok || snap.State != StateDone {
-			t.Fatalf("campaign %s snapshot missing or not done: %+v", ids[i], snap)
-		}
-		if snap.CSV != string(wantCSV) {
-			t.Errorf("campaign %s snapshot CSV diverges from the sequential run", ids[i])
-		}
-	}
-
-	msnap := reg.Snapshot()
-	if msnap.Counters["fabric.leases_expired"] == 0 {
-		t.Errorf("no lease expired — the victim's death went undetected: %v", msnap.Counters)
-	}
-	if msnap.Counters["fabric.campaigns_submitted"] != 3 || msnap.Counters["fabric.campaigns_finished"] != 3 {
-		t.Errorf("campaign counters = submitted %d finished %d, want 3/3",
-			msnap.Counters["fabric.campaigns_submitted"], msnap.Counters["fabric.campaigns_finished"])
-	}
-	if msnap.Counters["fabric.workers_registered"] != 4 {
-		t.Errorf("workers_registered = %d, want 4", msnap.Counters["fabric.workers_registered"])
 	}
 }

@@ -86,12 +86,8 @@ type LeaseTable struct {
 
 // NewLeaseTable cuts the grid [base, base+total) into ceil(total/size)
 // contiguous chunks of at most size points each. ttl must be positive;
-// now may be nil for the wall clock; reg may be nil. Optional label
-// pairs (obs.Label form) decorate the per-table state gauges so a
-// multi-campaign service can expose one gauge set per campaign; the
-// event counters stay undecorated and therefore aggregate across every
-// table sharing the registry.
-func NewLeaseTable(base, total, size int, ttl time.Duration, now func() time.Time, reg *obs.Registry, labels ...string) (*LeaseTable, error) {
+// now may be nil for the wall clock; reg may be nil.
+func NewLeaseTable(base, total, size int, ttl time.Duration, now func() time.Time, reg *obs.Registry) (*LeaseTable, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("fabric: lease table needs a non-empty grid (total %d)", total)
 	}
@@ -111,9 +107,9 @@ func NewLeaseTable(base, total, size int, ttl time.Duration, now func() time.Tim
 		expired:  reg.Counter("fabric.leases_expired"),
 		released: reg.Counter("fabric.leases_released"),
 		stale:    reg.Counter("fabric.stale_rejected"),
-		pendingG: reg.Gauge(obs.Label("fabric.chunks_pending", labels...)),
-		leasedG:  reg.Gauge(obs.Label("fabric.chunks_leased", labels...)),
-		doneG:    reg.Gauge(obs.Label("fabric.chunks_done", labels...)),
+		pendingG: reg.Gauge("fabric.chunks_pending"),
+		leasedG:  reg.Gauge("fabric.chunks_leased"),
+		doneG:    reg.Gauge("fabric.chunks_done"),
 	}
 	for from := base; from < base+total; from += size {
 		to := from + size
@@ -313,26 +309,6 @@ func (t *LeaseTable) Idle() bool {
 		}
 	}
 	return true
-}
-
-// Stats reports the table's chunk counts by state, sweeping expired
-// leases first so the leased count reflects live workers only. The
-// multi-campaign scheduler reads it to apply the per-campaign fairness
-// cap (leased) and to know whether a campaign still has work to hand
-// out (pending).
-func (t *LeaseTable) Stats() (pending, leased, done int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepLocked()
-	for i := range t.chunks {
-		switch t.chunks[i].state {
-		case chunkPending:
-			pending++
-		case chunkLeased:
-			leased++
-		}
-	}
-	return pending, leased, t.done
 }
 
 // DoneChunks reports how many chunks completed.

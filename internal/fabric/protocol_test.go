@@ -41,36 +41,37 @@ func TestDecodeValidators(t *testing.T) {
 	if _, err := DecodeLeaseRequest([]byte(`{}`)); !errors.Is(err, ErrProtocol) {
 		t.Error("empty workerID accepted")
 	}
-	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","chunk":-2}`)); !errors.Is(err, ErrProtocol) {
+	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","chunk":-2}`)); !errors.Is(err, ErrProtocol) {
 		t.Error("negative chunk accepted")
 	}
-	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","done":-1}`)); !errors.Is(err, ErrProtocol) {
+	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","done":-1}`)); !errors.Is(err, ErrProtocol) {
 		t.Error("negative done accepted")
 	}
-	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","chunk":3,"gen":2}`)); !errors.Is(err, ErrProtocol) {
-		t.Error("report without campaign accepted")
-	}
-	if m, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","chunk":3,"gen":2}`)); err != nil || m.Gen != 2 {
+	if m, err := DecodeReportRequest([]byte(`{"workerID":"w1","chunk":3,"gen":2}`)); err != nil || m.Gen != 2 {
 		t.Errorf("valid report rejected: %v", err)
 	}
-	if _, err := DecodeLeaseRequest([]byte(`{"workerID":"w1","known":["c1",""]}`)); !errors.Is(err, ErrProtocol) {
-		t.Error("empty known entry accepted")
+	// Protocol v3's campaign namespacing is gone from the wire.
+	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","chunk":3,"gen":2}`)); !errors.Is(err, ErrProtocol) {
+		t.Error("v3 report with a campaign accepted")
+	}
+	if _, err := DecodeLeaseRequest([]byte(`{"workerID":"w1","known":["c1"]}`)); !errors.Is(err, ErrProtocol) {
+		t.Error("v3 lease request with a known list accepted")
 	}
 
 	complete := func(body string) error {
 		_, err := DecodeCompleteRequest([]byte(body))
 		return err
 	}
-	if err := complete(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a","b"]}]}`); err != nil {
+	if err := complete(`{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a","b"]}]}`); err != nil {
 		t.Errorf("valid complete rejected: %v", err)
 	}
 	for name, body := range map[string]string{
-		"row without fields":   `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":[]}]}`,
-		"row negative nr":      `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":-1,"fields":["a"]}]}`,
-		"failure empty record": `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"failures":[{"nr":0,"record":null}]}`,
-		"failure negative nr":  `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"failures":[{"nr":-3,"record":{}}]}`,
-		"missing workerID":     `{"campaign":"c1","chunk":0,"gen":1}`,
-		"missing campaign":     `{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a"]}]}`,
+		"row without fields":   `{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":[]}]}`,
+		"row negative nr":      `{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":-1,"fields":["a"]}]}`,
+		"failure empty record": `{"workerID":"w1","chunk":0,"gen":1,"failures":[{"nr":0,"record":null}]}`,
+		"failure negative nr":  `{"workerID":"w1","chunk":0,"gen":1,"failures":[{"nr":-3,"record":{}}]}`,
+		"missing workerID":     `{"chunk":0,"gen":1}`,
+		"v3 campaign field":    `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a"]}]}`,
 	} {
 		if err := complete(body); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s accepted (err=%v)", name, err)
@@ -78,39 +79,13 @@ func TestDecodeValidators(t *testing.T) {
 	}
 }
 
-func TestDecodeCampaignMessages(t *testing.T) {
-	if _, err := DecodeSubmitRequest([]byte(`{"config":{"campaign":{}}}`)); err != nil {
-		t.Errorf("valid submit rejected: %v", err)
-	}
-	for name, body := range map[string]string{
-		"no config":        `{"name":"x"}`,
-		"config not json":  `{"config":"nope"}`,
-		"config array":     `{"config":[1,2]}`,
-		"unknown field":    `{"config":{},"bogus":1}`,
-		"name with slash":  `{"name":"a/b","config":{}}`,
-		"name with ctrl":   `{"name":"a\tb","config":{}}`,
-		"name too long":    `{"name":"` + strings.Repeat("x", maxCampaignName+1) + `","config":{}}`,
-		"trailing garbage": `{"config":{}} {}`,
-	} {
-		if _, err := DecodeSubmitRequest([]byte(body)); !errors.Is(err, ErrProtocol) {
-			t.Errorf("submit %s accepted (err=%v)", name, err)
-		}
-	}
-	if _, err := DecodeCancelRequest([]byte(`{}`)); !errors.Is(err, ErrProtocol) {
-		t.Error("cancel without campaignID accepted")
-	}
-	if m, err := DecodeCancelRequest([]byte(`{"campaignID":"c2"}`)); err != nil || m.CampaignID != "c2" {
-		t.Errorf("valid cancel rejected: %v", err)
-	}
-}
-
 func TestProtocolRoundTrips(t *testing.T) {
 	reqs := []any{
 		RegisterRequest{Host: "node1", PID: 1234},
 		LeaseRequest{WorkerID: "w1"},
-		ReportRequest{WorkerID: "w1", Campaign: "c1", Chunk: 3, Gen: 7, Done: 2},
+		ReportRequest{WorkerID: "w1", Chunk: 3, Gen: 7, Done: 2},
 		CompleteRequest{
-			WorkerID: "w2", Campaign: "c1", Chunk: 1, Gen: 2,
+			WorkerID: "w2", Chunk: 1, Gen: 2,
 			Rows:     []ResultRow{{Nr: 4, Fields: []string{"4", "x"}}},
 			Failures: []FailureRow{{Nr: 5, Record: json.RawMessage(`{"expNr":5}`)}},
 		},

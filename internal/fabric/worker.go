@@ -63,15 +63,13 @@ const (
 )
 
 // Worker is a fabric worker process: it registers with a coordinator,
+// builds its executor from the campaign config the registration returns,
 // then loops lease → execute → complete until the run is done or the
-// coordinator drains. Leases are namespaced by campaign; each campaign's
-// config arrives with its first lease grant (the worker advertises the
-// campaigns it already knows, and caches one executor per campaign), so
-// one worker serves many queued grids without restarting. A renew
-// goroutine reports progress (and the obs snapshot heartbeat) every
-// TTL/3; if the coordinator answers Cancel — the lease expired and moved
-// on, or the campaign was cancelled — the in-flight execution is aborted
-// via context cancellation and the worker asks for fresh work.
+// coordinator drains. A renew goroutine reports progress (and the obs
+// snapshot heartbeat) every TTL/3; if the coordinator answers Cancel —
+// the lease expired and moved on, or the run failed — the in-flight
+// execution is aborted via context cancellation and the worker asks for
+// fresh work.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -79,11 +77,6 @@ type Worker struct {
 
 	id  string
 	ttl time.Duration
-	// execs caches one executor per campaign; known is its key list in
-	// first-seen order, advertised on every lease request so the
-	// coordinator ships a campaign's config exactly once per worker.
-	execs map[string]Executor
-	known []string
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -154,9 +147,21 @@ func (w *Worker) Run(ctx context.Context) error {
 	if reg.LeaseTTLMS <= 0 {
 		return fmt.Errorf("%w: non-positive lease TTL %dms", ErrProtocol, reg.LeaseTTLMS)
 	}
+	if len(reg.Config) == 0 {
+		return fmt.Errorf("%w: registration carries no campaign config", ErrProtocol)
+	}
 	w.id = reg.WorkerID
 	w.ttl = time.Duration(reg.LeaseTTLMS) * time.Millisecond
-	w.execs = make(map[string]Executor)
+	newExec := w.opts.NewExecutor
+	if newExec == nil {
+		newExec = func(cfgJSON []byte) (Executor, error) {
+			return NewExecutor(cfgJSON, ExecutorOptions{Workers: w.opts.Workers, Metrics: w.opts.Metrics})
+		}
+	}
+	exec, err := newExec(reg.Config)
+	if err != nil {
+		return fmt.Errorf("fabric: campaign config: %w", err)
+	}
 	w.logf("registered as %s: lease TTL %v", w.id, w.ttl)
 
 	for {
@@ -164,7 +169,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var lr LeaseResponse
-		if err := w.post(ctx, PathLease, LeaseRequest{WorkerID: w.id, Known: w.known}, &lr); err != nil {
+		if err := w.post(ctx, PathLease, LeaseRequest{WorkerID: w.id}, &lr); err != nil {
 			return err
 		}
 		switch {
@@ -179,17 +184,13 @@ func (w *Worker) Run(ctx context.Context) error {
 			// and nothing came free: ask again.
 			continue
 		}
-		exec, err := w.executorFor(lr.Campaign, lr.Config)
-		if err != nil {
-			return err
-		}
 		lease := Lease{Chunk: lr.Chunk, From: lr.From, To: lr.To, Gen: lr.Gen}
 		w.leases.Inc()
-		w.logf("lease %s/%d gen %d: range [%d,%d)", lr.Campaign, lease.Chunk, lease.Gen, lease.From, lease.To)
-		if err := w.runLease(ctx, lr.Campaign, lease, exec); err != nil {
+		w.logf("lease %d gen %d: range [%d,%d)", lease.Chunk, lease.Gen, lease.From, lease.To)
+		if err := w.runLease(ctx, lease, exec); err != nil {
 			if errors.Is(err, errLeaseLost) {
 				w.cancels.Inc()
-				w.logf("lease %s/%d gen %d lost; asking for new work", lr.Campaign, lease.Chunk, lease.Gen)
+				w.logf("lease %d gen %d lost; asking for new work", lease.Chunk, lease.Gen)
 				continue
 			}
 			return err
@@ -197,38 +198,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// executorFor resolves the campaign's executor: cached from an earlier
-// lease, or built from the config shipped with this grant (the
-// coordinator sends it exactly when the campaign is absent from the
-// request's Known list).
-func (w *Worker) executorFor(campaign string, cfg json.RawMessage) (Executor, error) {
-	if campaign == "" {
-		return nil, fmt.Errorf("%w: lease grant names no campaign", ErrProtocol)
-	}
-	if exec, ok := w.execs[campaign]; ok {
-		return exec, nil
-	}
-	if len(cfg) == 0 {
-		return nil, fmt.Errorf("%w: lease grant for unknown campaign %s carries no config", ErrProtocol, campaign)
-	}
-	newExec := w.opts.NewExecutor
-	if newExec == nil {
-		newExec = func(cfgJSON []byte) (Executor, error) {
-			return NewExecutor(cfgJSON, ExecutorOptions{Workers: w.opts.Workers, Metrics: w.opts.Metrics})
-		}
-	}
-	exec, err := newExec(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: campaign %s config: %w", campaign, err)
-	}
-	w.execs[campaign] = exec
-	w.known = append(w.known, campaign)
-	w.logf("campaign %s config received; executor ready", campaign)
-	return exec, nil
-}
-
 // runLease executes one leased range with a TTL/3 renew loop alongside.
-func (w *Worker) runLease(ctx context.Context, campaign string, lease Lease, exec Executor) error {
+func (w *Worker) runLease(ctx context.Context, lease Lease, exec Executor) error {
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var lost bool // set by the renew loop before cancelling leaseCtx
@@ -257,7 +228,7 @@ func (w *Worker) runLease(ctx context.Context, campaign string, lease Lease, exe
 			// Renews use single attempts: the next tick retries anyway, and
 			// the lease survives missed renews for a full TTL.
 			err := w.postOnce(leaseCtx, PathReport, ReportRequest{
-				WorkerID: w.id, Campaign: campaign, Chunk: lease.Chunk, Gen: lease.Gen, Snapshot: snap,
+				WorkerID: w.id, Chunk: lease.Chunk, Gen: lease.Gen, Snapshot: snap,
 			}, &resp)
 			if err != nil {
 				if leaseCtx.Err() != nil {
@@ -289,22 +260,22 @@ func (w *Worker) runLease(ctx context.Context, campaign string, lease Lease, exe
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		return fmt.Errorf("fabric: lease %s/%d [%d,%d): %w", campaign, lease.Chunk, lease.From, lease.To, err)
+		return fmt.Errorf("fabric: lease %d [%d,%d): %w", lease.Chunk, lease.From, lease.To, err)
 	}
 
 	var resp CompleteResponse
 	if err := w.post(ctx, PathComplete, CompleteRequest{
-		WorkerID: w.id, Campaign: campaign, Chunk: lease.Chunk, Gen: lease.Gen, Rows: rows, Failures: failures,
+		WorkerID: w.id, Chunk: lease.Chunk, Gen: lease.Gen, Rows: rows, Failures: failures,
 	}, &resp); err != nil {
 		return err
 	}
 	if resp.Stale {
-		// The range was re-leased while we worked (or its campaign was
-		// cancelled): our payload was discarded (idempotently — the
-		// surviving execution's rows are the ones merged). Not an error;
-		// just move on.
+		// The range was re-leased while we worked (or the run stopped):
+		// our payload was discarded (idempotently — the surviving
+		// execution's rows are the ones merged). Not an error; just move
+		// on.
 		w.staleDrops.Inc()
-		w.logf("lease %s/%d gen %d completed stale; results discarded by coordinator", campaign, lease.Chunk, lease.Gen)
+		w.logf("lease %d gen %d completed stale; results discarded by coordinator", lease.Chunk, lease.Gen)
 	} else {
 		w.completed.Inc()
 		w.rowsSent.Add(uint64(len(rows)))

@@ -134,7 +134,7 @@ func TestWorkerRunRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "protocol v99") {
+	if err == nil || !strings.Contains(err.Error(), "protocol v99, worker v4") {
 		t.Fatalf("version skew not rejected: %v", err)
 	}
 }
@@ -147,13 +147,7 @@ func TestWorkerIdleLongPollNoBusyLoop(t *testing.T) {
 	clock := newFakeClock() // the outstanding lease never expires
 	const ttl = 200 * time.Millisecond
 	bound := ttl / 2
-	svc, err := NewService(ServiceOptions{Dir: t.TempDir(), LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit("", gridConfig(2, -1)); err != nil {
-		t.Fatal(err)
-	}
+	svc, _ := idleCampaign(t, clock, ttl, nil)
 	h := svc.Handler()
 	lease(t, h, register(t, h))
 

@@ -4,8 +4,7 @@ import "strings"
 
 // Label decorates a metric name with key="value" label pairs in the
 // canonical `name{k1="v1",k2="v2"}` form, so one Registry can hold the
-// same logical metric for many instances (the fabric service registers
-// per-campaign counters this way: `fabric.campaign.rows_merged{campaign="c3"}`).
+// same logical metric for many instances, e.g. `requests{host="a"}`.
 // The registry itself treats the decorated name as an opaque string —
 // labels are a naming convention, not a registry feature — which keeps
 // the lock-free metric hot path untouched.

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Per-package coverage report plus the internal/obs coverage floor.
-# -short keeps this fast by skipping the multi-campaign self-tests; those
-# exercise integration behaviour the line-coverage floor is not about.
+# -short keeps this fast by skipping the multi-second end-to-end and
+# equivalence self-tests (campaign, fabric, chaos, checkpoint, trie);
+# those exercise integration behaviour the line-coverage floor is not
+# about.
 # internal/obs is held to a hard floor: it is pure bookkeeping whose
 # failures would corrupt metrics silently, so near-total unit coverage is
 # the cheapest defense it has.
