@@ -101,16 +101,19 @@ fabric-equiv:
 # anything (a zero delay, a window starting at the horizon, a family that
 # alters only frames sent by the tail vehicle, which nobody reads) must
 # equal the golden run bit for bit, and DoS, a delay beyond the horizon
-# and packet loss with p = 1 must equal each other, fresh and forked. The race step
-# already runs them; this is a shortcut, not an extra gate step.
+# and packet loss with p = 1 must equal each other, fresh and forked, and
+# leave as many events queued and no more receptions pooled at the
+# horizon. The race step already runs them; this is a shortcut, not an
+# extra gate step.
 oracle:
 	$(GO) test -run 'TestOracle' ./internal/core
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler,
-# snapshot/restore and batch chains against plain scheduling, the radio
-# medium's dispatch-ordered fan-out against per-event scheduling, its
-# lazy receptions against the eager reference, the traffic simulator's
+# snapshot/restore and batch chains and the horizon against plain
+# scheduling, the radio medium's dispatch-ordered fan-out against
+# per-event scheduling, its lazy receptions and held jamming bursts
+# against the eager reference, the traffic simulator's
 # reused lane order, the shard designator, the trie group key, the
 # heartbeat snapshot decoder, the fabric wire protocol). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'

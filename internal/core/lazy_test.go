@@ -118,3 +118,70 @@ func TestLazyReceptionsMatchEager(t *testing.T) {
 		}
 	}
 }
+
+// jammingWindow runs the paper platoon of 16 vehicles to 18 s, jams it
+// from vehicle.2 at 11.1 dBm for 10 s and reports the window's executed
+// and dispatched (executed minus settled) events, its MAC busy
+// deferrals and how many receptions the medium pooled for it. A non-zero
+// event budget, too large to abort, turns elision off.
+func jammingWindow(t *testing.T, budget uint64) (executed, dispatched, deferrals uint64, pooled int) {
+	t.Helper()
+	ts := scenario.PaperScenario()
+	ts.NrVehicles = 16
+	sim, err := scenario.NewWorkspace().Build(ts, scenario.PaperCommModel(), 1, nil)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	sim.Kernel.SetEventBudget(budget)
+	spec := ExperimentSpec{Nr: 1, Attack: "jamming", Targets: []string{"vehicle.2"}, Value: 11.1,
+		Start: 18 * des.Second, Duration: 10 * des.Second}
+	model, err := buildModelSafe(spec, ts.TotalSimTime, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() (uint64, uint64, uint64) {
+		var bd uint64
+		for _, m := range sim.Members {
+			bd += m.Radio().MAC().Stats().BusyDeferrals
+		}
+		return sim.Kernel.Executed(), sim.Kernel.Settled(), bd
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunUntil(spec.Start); err != nil {
+		t.Fatal(err)
+	}
+	e0, s0, bd0 := count()
+	p0 := sim.Air.Pooled()
+	if err := applyAttack(sim, model); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunUntil(spec.End(ts.TotalSimTime)); err != nil {
+		t.Fatal(err)
+	}
+	e1, s1, bd1 := count()
+	return e1 - e0, (e1 - e0) - (s1 - s0), bd1 - bd0, sim.Air.Pooled() - p0
+}
+
+// TestJammingWindowHeldCarrierSense: back-to-back jamming bursts keep a
+// jammed MAC's carrier sense held, so its attempts are held and the
+// bursts at radios holding frames stay off the kernel queue. Over a 10 s
+// window the lazy run must execute the same events and make the same
+// busy deferrals as the eager reference while dispatching at most a
+// tenth of its events. The jammer settles the radios it holds, so the
+// window, run in one go, pools receptions for a few bursts a radio.
+func TestJammingWindowHeldCarrierSense(t *testing.T) {
+	executed, dispatched, deferrals, pooled := jammingWindow(t, 0)
+	eagerExecuted, eagerDispatched, eagerDeferrals, _ := jammingWindow(t, math.MaxUint64)
+	if executed != eagerExecuted || deferrals != eagerDeferrals {
+		t.Errorf("executed %d, busy deferrals %d; eager %d, %d", executed, deferrals, eagerExecuted, eagerDeferrals)
+	}
+	if deferrals == 0 || 10*dispatched > eagerDispatched {
+		t.Errorf("dispatched %d events (eager %d) with %d busy deferrals; want at most a tenth, under jamming",
+			dispatched, eagerDispatched, deferrals)
+	}
+	if pooled > 8*16 {
+		t.Errorf("the window pooled %d receptions, want at most 8 a radio: held timelines must not grow", pooled)
+	}
+}

@@ -72,8 +72,8 @@ func checkGoldenResult(t *testing.T, what string, res ExperimentResult, golden G
 }
 
 // forkedLog runs spec on the forked path and returns its result with the
-// log recorded from the fork point on.
-func forkedLog(t *testing.T, eng *Engine, spec ExperimentSpec) (ExperimentResult, *trace.FullLog) {
+// log recorded from the fork point on and its footprint at the end.
+func forkedLog(t *testing.T, eng *Engine, spec ExperimentSpec) (ExperimentResult, *trace.FullLog, footprint) {
 	t.Helper()
 	ctx := context.Background()
 	gs, err := eng.BeginGroup(ctx, spec.Start)
@@ -87,7 +87,7 @@ func forkedLog(t *testing.T, eng *Engine, spec ExperimentSpec) (ExperimentResult
 	if err != nil {
 		t.Fatalf("forked %+v: %v", spec, err)
 	}
-	return res, log
+	return res, log, footprintOf(gs.sim)
 }
 
 // TestOracleZeroDelayIsGolden: a delay attack with PD = 0 on vehicle.2
@@ -108,7 +108,7 @@ func TestOracleZeroDelayIsGolden(t *testing.T) {
 		sameSuffix(t, "fresh", full, golden)
 		checkGoldenResult(t, "fresh", res, gres)
 
-		res, log := forkedLog(t, eng, spec)
+		res, log, _ := forkedLog(t, eng, spec)
 		sameSuffix(t, "forked", log, golden)
 		checkGoldenResult(t, "forked", res, gres)
 	}
@@ -128,7 +128,7 @@ func TestOracleAttackAtHorizonIsGolden(t *testing.T) {
 	sameSuffix(t, "fresh", full, golden)
 	checkGoldenResult(t, "fresh", res, gres)
 
-	res, _ = forkedLog(t, eng, spec)
+	res, _, _ = forkedLog(t, eng, spec)
 	checkGoldenResult(t, "forked", res, gres)
 }
 
@@ -151,6 +151,43 @@ func sameOutcome(t *testing.T, what string, got, want ExperimentResult) {
 	}
 }
 
+// footprint is what an experiment leaves in the kernel and the medium at
+// the horizon: the events still queued and the receptions pooled.
+type footprint struct{ pending, pooled int }
+
+func footprintOf(sim *scenario.Simulation) footprint {
+	return footprint{pending: sim.Kernel.Pending(), pooled: sim.Air.Pooled()}
+}
+
+// freshFootprint runs spec on a fresh build through Algorithm 1's three
+// SimUntil phases and returns its footprint at the horizon.
+func freshFootprint(t *testing.T, eng *Engine, spec ExperimentSpec) footprint {
+	t.Helper()
+	cfg := eng.Config()
+	horizon := cfg.Scenario.TotalSimTime
+	sim, err := scenario.NewWorkspace().Build(cfg.Scenario, cfg.Comm, cfg.Seed, cfg.Controllers)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	model, err := buildModelSafe(spec, horizon, cfg.Seed)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Attack, err)
+	}
+	for _, step := range []func() error{
+		sim.Start,
+		func() error { return sim.RunUntil(spec.Start) },
+		func() error { return applyAttack(sim, model) },
+		func() error { return sim.RunUntil(spec.End(horizon)) },
+		func() error { return removeAttack(sim, model) },
+		func() error { return sim.RunUntil(horizon) },
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("%s fresh: %v", spec.Attack, err)
+		}
+	}
+	return footprintOf(sim)
+}
+
 // TestOracleDoSIsDelayBeyondHorizon: a DoS attack holds every beacon on
 // the target's links back until the horizon, a delay attack whose PD
 // exceeds the horizon holds them back for longer, and packet loss with
@@ -159,7 +196,9 @@ func sameOutcome(t *testing.T, what string, got, want ExperimentResult) {
 // must agree bit for bit, fresh and forked, on a 4- and a 16-vehicle
 // platoon. The window ends at the horizon and starts where the paper's
 // DoS grid does, so the experiments collide and the collider is pinned
-// too.
+// too. A frame that arrives after the run costs nothing either: at the
+// horizon the three leave as many events queued as each other, and DoS
+// and the long delay pool no more receptions than packet loss.
 func TestOracleDoSIsDelayBeyondHorizon(t *testing.T) {
 	for _, n := range []int{4, 16} {
 		eng, _, _ := oracleEngine(t, n)
@@ -170,6 +209,7 @@ func TestOracleDoSIsDelayBeyondHorizon(t *testing.T) {
 			{Attack: "packet-loss", Value: 1},
 		}
 		results := make([][2]ExperimentResult, len(specs))
+		prints := make([][2]footprint, len(specs))
 		for i := range specs {
 			spec := specs[i]
 			spec.Nr, spec.Targets = i+1, []string{"vehicle.2"}
@@ -178,8 +218,18 @@ func TestOracleDoSIsDelayBeyondHorizon(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d vehicles, %s fresh: %v", n, spec.Attack, err)
 			}
-			forked, _ := forkedLog(t, eng, spec)
+			forked, _, fp := forkedLog(t, eng, spec)
 			results[i] = [2]ExperimentResult{res, forked}
+			prints[i] = [2]footprint{freshFootprint(t, eng, spec), fp}
+		}
+		loss := prints[len(specs)-1]
+		for i, spec := range specs {
+			for path, what := range []string{"fresh", "forked"} {
+				if got, want := prints[i][path], loss[path]; got.pending != want.pending || got.pooled > want.pooled {
+					t.Errorf("%d vehicles, %s %s: %d events queued and %d receptions pooled at the horizon; packet loss %d and %d",
+						n, spec.Attack, what, got.pending, got.pooled, want.pending, want.pooled)
+				}
+			}
 		}
 		if !results[0][0].Collided() {
 			t.Errorf("%d vehicles: the DoS run did not collide, so the collider goes unchecked", n)
@@ -236,7 +286,7 @@ func TestOracleUnreadTargetIsGolden(t *testing.T) {
 			t.Fatalf("%s fresh: %v", name, err)
 		}
 		sameOutcome(t, name+" fresh", res, golden)
-		forked, _ := forkedLog(t, eng, spec)
+		forked, _, _ := forkedLog(t, eng, spec)
 		sameOutcome(t, name+" forked", forked, golden)
 	}
 	if tested == 0 {

@@ -22,7 +22,7 @@ func allocHarness(tb testing.TB) (*des.Kernel, *EDCA) {
 		RNG:      rng.New(1, "mac-alloc"),
 		Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
 		Airtime:  func(int) des.Time { return 80 * des.Microsecond },
-		Transmit: func(Frame) { k.ScheduleAfter(80*des.Microsecond, txDone) },
+		Medium:   transmitFunc(func(Frame) { k.ScheduleAfter(80*des.Microsecond, txDone) }),
 	})
 	if err != nil {
 		tb.Fatalf("New: %v", err)

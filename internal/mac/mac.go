@@ -89,6 +89,10 @@ func (ac AccessCategory) AIFS() des.Time {
 	return SIFS + des.Time(ac.Params().AIFSN)*SlotTime
 }
 
+// MinAIFS is the shortest arbitration interframe space, AC_VO's: no
+// attempt starts sooner than this after carrier sense drops.
+const MinAIFS = SIFS + 2*SlotTime
+
 // Frame is a MAC service data unit to broadcast.
 //
 // The platooning beacon — the only message on the steady-state hot path
@@ -147,11 +151,23 @@ type Config struct {
 	// Airtime maps PSDU bits to on-air duration (required; provided by
 	// the PHY's MCS).
 	Airtime func(bits int) des.Time
-	// Transmit starts a transmission on the shared medium (required).
-	// The medium must call TxDone when the transmission ends.
-	Transmit func(Frame)
+	// Medium attaches the entity to the shared channel (required).
+	Medium Medium
 	// MaxQueue is the per-AC queue capacity. Zero defaults to 32.
 	MaxQueue int
+}
+
+// Medium is an EDCA entity's attachment to the shared channel.
+type Medium interface {
+	// Transmit starts a transmission. The medium must call TxDone when
+	// the transmission ends.
+	Transmit(f Frame)
+	// Held reports whether carrier sense is certain to rise at this
+	// station before an attempt starting at start would fire: a
+	// reception already queued there raises it at or before start. Such
+	// an attempt could only be interrupted, so it is taken without a
+	// kernel event (see kick).
+	Held(start des.Time) bool
 }
 
 // acState is the contention state of one access category. The queue is
@@ -192,7 +208,7 @@ type EDCA struct {
 	rng      *rng.Source
 	sched    wave1609.Schedule
 	airtime  func(int) des.Time
-	transmit func(Frame)
+	medium   Medium
 	maxQueue int
 
 	acs [numAC]acState
@@ -202,7 +218,9 @@ type EDCA struct {
 	busy         bool
 	transmitting bool
 
-	// attempt is the pending transmission-start event (0 = none).
+	// attempt is the pending transmission-start event (0 = none). A held
+	// attempt is des.Unqueued: it waits for the interruption carrier
+	// sense is certain to bring, with no kernel event (see kick).
 	attempt des.EventID
 	// deferAC is the category the pending attempt belongs to.
 	deferAC AccessCategory
@@ -238,8 +256,8 @@ func (m *EDCA) Reset(cfg Config) error {
 		return errors.New("mac: Config.RNG is required")
 	case cfg.Airtime == nil:
 		return errors.New("mac: Config.Airtime is required")
-	case cfg.Transmit == nil:
-		return errors.New("mac: Config.Transmit is required")
+	case cfg.Medium == nil:
+		return errors.New("mac: Config.Medium is required")
 	}
 	if err := cfg.Schedule.Validate(); err != nil {
 		return err
@@ -252,7 +270,7 @@ func (m *EDCA) Reset(cfg Config) error {
 	m.rng = cfg.RNG
 	m.sched = cfg.Schedule
 	m.airtime = cfg.Airtime
-	m.transmit = cfg.Transmit
+	m.medium = cfg.Medium
 	m.maxQueue = maxQ
 	for i := range m.acs {
 		st := &m.acs[i]
@@ -305,28 +323,32 @@ func (m *EDCA) Enqueue(f Frame) error {
 	if m.busy && st.backoff < 0 {
 		m.drawBackoff(f.AC)
 	}
-	m.kick()
+	m.kick(m.k.Now())
 	return nil
 }
 
-// ChannelBusy notifies the MAC that carrier sense went busy.
-func (m *EDCA) ChannelBusy() {
+// ChannelBusy notifies the MAC that carrier sense went busy at now: the
+// kernel's Now for an event, or the time of a reception a medium settles
+// off the kernel queue after its key has passed.
+func (m *EDCA) ChannelBusy(now des.Time) {
 	if m.busy {
 		return
 	}
 	m.busy = true
 	if m.attempt != 0 {
-		m.interruptAttempt()
+		m.interruptAttempt(now)
 	}
 }
 
-// ChannelIdle notifies the MAC that carrier sense went idle.
-func (m *EDCA) ChannelIdle() {
+// ChannelIdle notifies the MAC that carrier sense went idle at now (see
+// ChannelBusy). An attempt it starts is held (Medium.Held) whenever
+// carrier sense is certain to rise again first.
+func (m *EDCA) ChannelIdle(now des.Time) {
 	if !m.busy {
 		return
 	}
 	m.busy = false
-	m.kick()
+	m.kick(now)
 }
 
 // Busy reports the carrier-sense state.
@@ -338,13 +360,17 @@ func (m *EDCA) Busy() bool { return m.busy }
 // clears the transmitting flag: none of them schedules, cancels or draws.
 func (m *EDCA) Idle() bool { return m.attempt == 0 && m.queued == 0 }
 
+// Scheduled reports whether a transmission attempt waits in the kernel
+// queue: one neither held nor keyed past the kernel's horizon.
+func (m *EDCA) Scheduled() bool { return m.attempt != 0 && m.attempt != des.Unqueued }
+
 // TxDone notifies the MAC that its own transmission completed on the air.
 func (m *EDCA) TxDone() {
 	if !m.transmitting {
 		return
 	}
 	m.transmitting = false
-	m.kick()
+	m.kick(m.k.Now())
 }
 
 // Transmitting reports whether the station is currently on air.
@@ -358,9 +384,10 @@ func (m *EDCA) drawBackoff(ac AccessCategory) {
 	m.stats.BackoffsDrawn++
 }
 
-// interruptAttempt cancels the pending attempt and credits elapsed
-// backoff slots, freezing the remainder per 802.11 backoff rules.
-func (m *EDCA) interruptAttempt() {
+// interruptAttempt cancels the pending attempt at now and credits elapsed
+// backoff slots, freezing the remainder per 802.11 backoff rules. A held
+// attempt has no event to cancel, and Cancel ignores des.Unqueued.
+func (m *EDCA) interruptAttempt(now des.Time) {
 	m.k.Cancel(m.attempt)
 	m.attempt = 0
 	m.stats.BusyDeferrals++
@@ -370,7 +397,7 @@ func (m *EDCA) interruptAttempt() {
 		m.drawBackoff(m.deferAC)
 		return
 	}
-	elapsed := m.k.Now().Sub(m.deferStart) - m.deferAC.AIFS()
+	elapsed := now.Sub(m.deferStart) - m.deferAC.AIFS()
 	if elapsed > 0 {
 		slots := int(elapsed / SlotTime)
 		if slots > st.backoff {
@@ -395,8 +422,13 @@ func (m *EDCA) nextAC() (AccessCategory, bool) {
 	return 0, false
 }
 
-// kick (re)schedules the next transmission attempt if possible.
-func (m *EDCA) kick() {
+// kick (re)schedules the next transmission attempt at now if possible.
+// When carrier sense is held until the attempt's start (Medium.Held), a
+// busy channel is certain to interrupt the attempt before it fires, so
+// the attempt is held: it takes no kernel event, and kick and the
+// interruption still make every deferral update, count and backoff draw
+// a scheduled attempt would have made.
+func (m *EDCA) kick(now des.Time) {
 	if m.transmitting || m.busy || m.attempt != 0 {
 		return
 	}
@@ -409,7 +441,7 @@ func (m *EDCA) kick() {
 	if st.backoff > 0 {
 		wait += des.Time(st.backoff) * SlotTime
 	}
-	start := m.k.Now().Add(wait)
+	start := now.Add(wait)
 	air := m.airtime(st.front().Bits)
 	if !m.sched.CanTransmit(start, air) {
 		opp := m.sched.NextTxOpportunity(start, air)
@@ -417,7 +449,7 @@ func (m *EDCA) kick() {
 			// Frame can never fit a CCH window: drop it.
 			st.pop()
 			m.queued--
-			m.kick()
+			m.kick(now)
 			return
 		}
 		// Re-contend from the window start with a fresh AIFS.
@@ -427,7 +459,11 @@ func (m *EDCA) kick() {
 		}
 	}
 	m.deferAC = ac
-	m.deferStart = m.k.Now()
+	m.deferStart = now
+	if m.medium.Held(start) {
+		m.attempt = des.Unqueued
+		return
+	}
 	m.attempt = m.k.ScheduleAt(start, m.txStartFn)
 }
 
@@ -443,7 +479,7 @@ func (m *EDCA) txStart() {
 	st.backoff = -1
 	m.transmitting = true
 	m.stats.Sent++
-	m.transmit(f)
+	m.medium.Transmit(f)
 	// Post-transmission backoff so back-to-back frames re-contend.
 	if st.count > 0 {
 		m.drawBackoff(m.deferAC)

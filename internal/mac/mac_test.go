@@ -2,6 +2,7 @@ package mac
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"comfase/internal/sim/des"
@@ -32,10 +33,10 @@ func newHarness(t *testing.T, sched wave1609.Schedule) *testHarness {
 		RNG:      rng.New(1, "mac-test"),
 		Schedule: sched,
 		Airtime:  func(int) des.Time { return h.air },
-		Transmit: func(f Frame) {
+		Medium: transmitFunc(func(f Frame) {
 			h.sent = append(h.sent, sentFrame{at: h.k.Now(), f: f})
 			h.k.ScheduleAfter(h.air, h.m.TxDone)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -43,6 +44,14 @@ func newHarness(t *testing.T, sched wave1609.Schedule) *testHarness {
 	h.m = m
 	return h
 }
+
+// transmitFunc is a test medium that transmits with a function and never
+// holds carrier sense.
+type transmitFunc func(Frame)
+
+func (fn transmitFunc) Transmit(f Frame) { fn(f) }
+
+func (transmitFunc) Held(des.Time) bool { return false }
 
 func beacon(seq uint64) Frame {
 	return Frame{Seq: seq, Src: "v", Bits: 424, AC: ACVideo}
@@ -55,7 +64,7 @@ func TestNewValidation(t *testing.T) {
 			RNG:      rng.New(1, "x"),
 			Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
 			Airtime:  func(int) des.Time { return des.Microsecond },
-			Transmit: func(Frame) {},
+			Medium:   transmitFunc(func(Frame) {}),
 		}
 	}
 	tests := []struct {
@@ -65,7 +74,7 @@ func TestNewValidation(t *testing.T) {
 		{name: "nil kernel", mutate: func(c *Config) { c.Kernel = nil }},
 		{name: "nil rng", mutate: func(c *Config) { c.RNG = nil }},
 		{name: "nil airtime", mutate: func(c *Config) { c.Airtime = nil }},
-		{name: "nil transmit", mutate: func(c *Config) { c.Transmit = nil }},
+		{name: "nil transmit", mutate: func(c *Config) { c.Medium = nil }},
 		{name: "bad schedule", mutate: func(c *Config) { c.Schedule.Mode = 0 }},
 	}
 	for _, tt := range tests {
@@ -130,7 +139,7 @@ func TestEnqueueRejectsBadFrames(t *testing.T) {
 
 func TestQueueOverflowDrops(t *testing.T) {
 	h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
-	h.m.ChannelBusy() // block transmissions so the queue fills
+	h.m.ChannelBusy(h.k.Now()) // block transmissions so the queue fills
 	var full int
 	for i := 0; i < 40; i++ {
 		if err := h.m.Enqueue(beacon(uint64(i))); errors.Is(err, ErrQueueFull) {
@@ -150,12 +159,12 @@ func TestQueueOverflowDrops(t *testing.T) {
 
 func TestBusyChannelDefersTransmission(t *testing.T) {
 	h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
-	h.m.ChannelBusy()
+	h.m.ChannelBusy(h.k.Now())
 	if err := h.m.Enqueue(beacon(1)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	// Medium stays busy until 1 ms.
-	h.k.ScheduleAt(des.Millisecond, h.m.ChannelIdle)
+	h.k.ScheduleAt(des.Millisecond, func() { h.m.ChannelIdle(h.k.Now()) })
 	if err := h.k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -177,8 +186,8 @@ func TestBusyInterruptsPendingAttempt(t *testing.T) {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	// Busy hits during the AIFS wait.
-	h.k.ScheduleAt(10*des.Microsecond, h.m.ChannelBusy)
-	h.k.ScheduleAt(500*des.Microsecond, h.m.ChannelIdle)
+	h.k.ScheduleAt(10*des.Microsecond, func() { h.m.ChannelBusy(h.k.Now()) })
+	h.k.ScheduleAt(500*des.Microsecond, func() { h.m.ChannelIdle(h.k.Now()) })
 	if err := h.k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -220,14 +229,14 @@ func TestBackToBackFramesRecontend(t *testing.T) {
 
 func TestInternalContentionHigherACWins(t *testing.T) {
 	h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
-	h.m.ChannelBusy() // hold both frames in queue
+	h.m.ChannelBusy(h.k.Now()) // hold both frames in queue
 	lo := beacon(1)
 	lo.AC = ACBestEffort
 	hi := beacon(2)
 	hi.AC = ACVoice
 	_ = h.m.Enqueue(lo)
 	_ = h.m.Enqueue(hi)
-	h.k.ScheduleAt(des.Millisecond, h.m.ChannelIdle)
+	h.k.ScheduleAt(des.Millisecond, func() { h.m.ChannelIdle(h.k.Now()) })
 	if err := h.k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -269,13 +278,13 @@ func TestTxDoneWithoutTransmittingIsNoop(t *testing.T) {
 
 func TestChannelBusyIdempotent(t *testing.T) {
 	h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
-	h.m.ChannelBusy()
-	h.m.ChannelBusy()
+	h.m.ChannelBusy(h.k.Now())
+	h.m.ChannelBusy(h.k.Now())
 	if !h.m.Busy() {
 		t.Error("not busy")
 	}
-	h.m.ChannelIdle()
-	h.m.ChannelIdle()
+	h.m.ChannelIdle(h.k.Now())
+	h.m.ChannelIdle(h.k.Now())
 	if h.m.Busy() {
 		t.Error("still busy")
 	}
@@ -321,8 +330,8 @@ func TestEventualDeliveryProperty(t *testing.T) {
 		}
 		busyStart := des.Time(busyAtMs) * des.Millisecond
 		busyEnd := busyStart + des.Time(busyLenMs)*des.Millisecond + des.Millisecond
-		h.k.ScheduleAt(busyStart, h.m.ChannelBusy)
-		h.k.ScheduleAt(busyEnd, h.m.ChannelIdle)
+		h.k.ScheduleAt(busyStart, func() { h.m.ChannelBusy(h.k.Now()) })
+		h.k.ScheduleAt(busyEnd, func() { h.m.ChannelIdle(h.k.Now()) })
 		if err := h.k.Run(); err != nil {
 			return false
 		}
@@ -338,11 +347,11 @@ func TestEventualDeliveryProperty(t *testing.T) {
 func TestBackoffBoundedProperty(t *testing.T) {
 	h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
 	// Force backoff draws by keeping the channel busy at every arrival.
-	h.m.ChannelBusy()
+	h.m.ChannelBusy(h.k.Now())
 	for i := 0; i < 30; i++ {
 		_ = h.m.Enqueue(beacon(uint64(i)))
 	}
-	h.k.ScheduleAt(des.Millisecond, h.m.ChannelIdle)
+	h.k.ScheduleAt(des.Millisecond, func() { h.m.ChannelIdle(h.k.Now()) })
 	if err := h.k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -353,5 +362,83 @@ func TestBackoffBoundedProperty(t *testing.T) {
 		if gap > maxGap {
 			t.Fatalf("inter-frame gap %v exceeds airtime+AIFS+CWmin slots (%v)", gap, maxGap)
 		}
+	}
+}
+
+// holdMedium is a test medium that holds every attempt while hold is set.
+type holdMedium struct {
+	transmitFunc
+	hold *bool
+}
+
+func (m holdMedium) Held(des.Time) bool { return *m.hold }
+
+// TestHeldAttemptMatchesScheduled: a held attempt takes no kernel event,
+// yet kick and the interruption make every deferral update, count and
+// backoff draw a scheduled-then-canceled attempt makes. Under 1 ms busy
+// periods 13 µs apart (shorter than any AIFS), a MAC whose medium holds
+// every attempt and one whose medium holds none must agree on their
+// stats, their transmissions after carrier sense is released, and their
+// backoff streams, and the held MAC must have queued no attempt. A
+// snapshot taken with a held attempt pending restores it: the next busy
+// period still interrupts it.
+func TestHeldAttemptMatchesScheduled(t *testing.T) {
+	run := func(hold bool) (*testHarness, int) {
+		h := newHarness(t, wave1609.NewSchedule(wave1609.AccessContinuous))
+		holding := hold
+		m := h.m
+		if err := m.Reset(Config{
+			Kernel: h.k, RNG: rng.New(1, "mac-test"), Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
+			Airtime: func(int) des.Time { return h.air },
+			Medium: holdMedium{transmitFunc: func(f Frame) {
+				h.sent = append(h.sent, sentFrame{at: h.k.Now(), f: f})
+				h.k.ScheduleAfter(h.air, m.TxDone)
+			}, hold: &holding},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.ChannelBusy(h.k.Now())
+		for i := 0; i < 3; i++ {
+			if err := m.Enqueue(beacon(uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peak := 0
+		for i := 1; i <= 50; i++ {
+			idle := des.Time(i) * des.Millisecond
+			h.k.ScheduleAt(idle, func() { m.ChannelIdle(h.k.Now()) })
+			h.k.ScheduleAt(idle+SlotTime, func() { m.ChannelBusy(h.k.Now()) })
+			h.k.ScheduleAt(idle+SlotTime, func() { peak = max(peak, h.k.Pending()) })
+		}
+		if err := h.k.RunUntil(25 * des.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		var st EDCAState
+		m.SaveState(&st)
+		attempt := m.attempt
+		m.LoadState(&EDCAState{})
+		m.LoadState(&st)
+		if m.attempt != attempt {
+			t.Fatalf("restored attempt %v, saved %v", m.attempt, attempt)
+		}
+		h.k.ScheduleAt(60*des.Millisecond, func() { holding = false; m.ChannelIdle(h.k.Now()) })
+		if err := h.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return h, peak
+	}
+	held, heldPeak := run(true)
+	sched, schedPeak := run(false)
+	if held.m.Stats() != sched.m.Stats() || fmt.Sprint(held.sent) != fmt.Sprint(sched.sent) {
+		t.Errorf("held: stats %+v, sent %v; scheduled: %+v, %v", held.m.Stats(), held.sent, sched.m.Stats(), sched.sent)
+	}
+	if held.m.Stats().BusyDeferrals != 50 || len(held.sent) != 3 {
+		t.Errorf("%d busy deferrals and %d frames sent, want 50 and 3", held.m.Stats().BusyDeferrals, len(held.sent))
+	}
+	if a, b := held.m.rng.IntN(1<<30), sched.m.rng.IntN(1<<30); a != b {
+		t.Errorf("backoff streams diverged: next draw %d held, %d scheduled", a, b)
+	}
+	if heldPeak >= schedPeak {
+		t.Errorf("peak queue %d held, %d scheduled: held attempts must not be queued", heldPeak, schedPeak)
 	}
 }

@@ -47,7 +47,8 @@ func (m *EDCA) SaveState(st *EDCAState) {
 // LoadState restores state captured by SaveState. The saved attempt
 // EventID is only meaningful together with a Kernel.Restore to the
 // matching snapshot, which rewinds the generation counters that make it
-// valid again. Each ring is rebuilt with head 0; only queue order
+// valid again; a held attempt (des.Unqueued) has no event and restores
+// as it was. Each ring is rebuilt with head 0; only queue order
 // matters for determinism, not the head index, so a restored entity
 // replays identically to the captured one.
 func (m *EDCA) LoadState(st *EDCAState) {

@@ -437,13 +437,13 @@ func TestGuardDistanceOff(t *testing.T) {
 // TestReceptionStateMirrorsReception pins the checkpoint to the
 // reception's shape: every reception field must have a receptionState
 // field of the same name and type, except the receiver (captured as a
-// radio index) and the two handler closures (bound once per pooled
-// object). A field added to reception without a twin would leave
+// radio index), the handler closure (bound once per pooled object) and
+// the registry slot. A field added to reception without a twin would leave
 // in-flight receptions half restored at a checkpoint.
 func TestReceptionStateMirrorsReception(t *testing.T) {
 	rec := reflect.TypeOf(reception{})
 	st := reflect.TypeOf(receptionState{})
-	skip := map[string]bool{"dst": true, "beginFn": true, "endFn": true}
+	skip := map[string]bool{"dst": true, "fn": true, "idx": true}
 	for i := 0; i < rec.NumField(); i++ {
 		f := rec.Field(i)
 		if skip[f.Name] {
@@ -530,5 +530,51 @@ func TestSnapshotRestoresDeferredPower(t *testing.T) {
 	}
 	if s := air.Stats(); s != refStats {
 		t.Errorf("restored stats %+v, uninterrupted %+v", s, refStats)
+	}
+}
+
+// horizonDelay delays every frame so that it begins at the horizon, and
+// the frame for late a nanosecond after it.
+type horizonDelay struct {
+	horizon des.Time
+	late    string
+}
+
+func (h horizonDelay) Intercept(now des.Time, _, dst string, _ mac.Frame) Verdict {
+	d := h.horizon - now
+	if dst == h.late {
+		d += des.Nanosecond
+	}
+	return Verdict{OverrideDelay: true, Delay: d}
+}
+
+// TestHorizonBoundaryReception: a delayed reception whose begin lies
+// exactly at the kernel's horizon still begins, raising carrier sense at
+// its receiver, and one beginning a nanosecond later is never pooled or
+// queued. Both count as delay-overridden.
+func TestHorizonBoundaryReception(t *testing.T) {
+	var rx []rxRecord
+	k, air, radios := lineNet(t, phy.DefaultChannelConfig(), []string{"a", "b", "c"}, []float64{0, 10, 20}, &rx)
+	const horizon = des.Second
+	k.SetHorizon(horizon)
+	air.SetInterceptor(horizonDelay{horizon: horizon, late: "c"})
+	if err := radios[0].Send("x", 200, mac.ACVideo, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if !radios[1].MAC().Busy() || radios[2].MAC().Busy() {
+		t.Errorf("carrier sense at the horizon: b %v, c %v; want b busy, c idle",
+			radios[1].MAC().Busy(), radios[2].MAC().Busy())
+	}
+	if inUse := len(air.allRecs) - len(air.recFree); inUse != 1 {
+		t.Errorf("%d receptions in use, want 1 (b's)", inUse)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("%d events pending at the horizon, want 0", k.Pending())
+	}
+	if st := air.Stats(); st.DelayOverridden != 2 || st.FramesSent != 1 {
+		t.Errorf("stats %+v: want 1 frame sent, 2 delays overridden", st)
 	}
 }

@@ -72,15 +72,16 @@ type fanoutTrace struct {
 	executed uint64
 }
 
-// fanoutPool is how many receptions instrumentFanout pre-registers; a run
-// that needs more fails instead of dispatching unrecorded handlers.
+// fanoutPool is how many receptions instrumentFanout pre-registers at
+// least; a run that needs more fails instead of dispatching unrecorded
+// handlers.
 const fanoutPool = 1024
 
 // instrumentFanout makes every fan-out handler of air append to tr when it
 // is dispatched: each radio's txDone, and the begin and end of a pool of
 // pre-registered receptions, which the freelist recycles with their
-// handlers intact.
-func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) {
+// handlers intact. It returns the size of the pool.
+func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) int {
 	log := func(kind, radio string) {
 		tr.events = append(tr.events, fanoutEvent{kind: kind, radio: radio, now: k.Now(), executed: k.Executed()})
 	}
@@ -89,15 +90,20 @@ func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) {
 		r.txDoneFn = func() { log("txDone", r.id); done() }
 	}
 	for len(air.allRecs) < fanoutPool {
-		air.acquireReception(nil)
+		air.refill()
 	}
 	for _, rec := range air.allRecs {
-		rec := rec
-		begin, end := rec.beginFn, rec.endFn
-		rec.beginFn = func() { log("begin", rec.dst.id); begin() }
-		rec.endFn = func() { log("end", rec.dst.id); end() }
-		air.recFree = append(air.recFree, rec)
+		rec, fn := rec, rec.fn
+		rec.fn = func() {
+			kind := "begin"
+			if rec.begun {
+				kind = "end"
+			}
+			log(kind, rec.dst.id)
+			fn()
+		}
 	}
+	return len(air.allRecs)
 }
 
 // fanoutPositions holds co-located radios (0 twice), radios equidistant
@@ -147,7 +153,7 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 		radios[i] = r
 	}
 
-	instrumentFanout(k, air, &tr)
+	pool := instrumentFanout(k, air, &tr)
 
 	if code := in.next(); code%2 == 1 {
 		codes := []byte{byte(code >> 1)}
@@ -187,8 +193,8 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 	if err := k.RunUntil(40 * des.Millisecond); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if len(air.allRecs) > fanoutPool {
-		t.Fatalf("%d receptions registered, only %d instrumented", len(air.allRecs), fanoutPool)
+	if len(air.allRecs) > pool {
+		t.Fatalf("%d receptions registered, only %d instrumented", len(air.allRecs), pool)
 	}
 	tr.stats = air.Stats()
 	for _, r := range radios {

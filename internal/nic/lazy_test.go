@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -30,19 +31,40 @@ type lazyRecord struct {
 	err      string
 }
 
-// lazyTrace is everything a lazy-medium run exposes, and how many of its
-// events were settled off the kernel queue (not compared).
+// lazyTrace is everything a lazy-medium run exposes, how many of its
+// events were settled off the kernel queue and how many MAC attempts
+// were held (neither compared).
 type lazyTrace struct {
 	records []lazyRecord
 	settled uint64
+	held    int
+}
+
+// filterFunc is a receive filter made of a function.
+type filterFunc func(f *mac.Frame) bool
+
+func (fn filterFunc) Wants(f *mac.Frame) bool { return fn(f) }
+
+// heldCounter counts the attempts a MAC's medium holds.
+type heldCounter struct {
+	mac.Medium
+	n *int
+}
+
+func (c heldCounter) Held(start des.Time) bool {
+	ok := c.Medium.Held(start)
+	if ok {
+		*c.n++
+	}
+	return ok
 }
 
 // lazyFilters are the receive filters a fuzzed radio may install: none,
 // one rejecting every third sequence number, and one rejecting all.
 var lazyFilters = [...]RxFilter{
 	nil,
-	func(f *mac.Frame) bool { return f.Seq%3 != 1 },
-	func(*mac.Frame) bool { return false },
+	filterFunc(func(f *mac.Frame) bool { return f.Seq%3 != 1 }),
+	filterFunc(func(*mac.Frame) bool { return false }),
 }
 
 // runLazyMedium decodes a random medium from data and runs it for 40 ms,
@@ -54,7 +76,10 @@ var lazyFilters = [...]RxFilter{
 // receptions wait, interceptor drops and delay overrides, jamming bursts,
 // both deciders, mid-run probes of Stats and MAC stats, an interrupt
 // poll cadence and event budgets set from the start or only before the
-// restore.
+// restore. Its jammer sends back-to-back bursts (burst = period) or
+// bursts with gaps, at powers far off or just either side of the CCA
+// threshold at 20 m, stops at any point of its burst train, and has
+// frames sent to radios it jams, whose MACs then hold them.
 func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 	in := &fanoutBytes{data: data}
 	k := des.NewKernel()
@@ -85,7 +110,7 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 		if kind < 3 {
 			filter = lazyFilters[kind]
 			handler = func(f *mac.Frame, m RxMeta) {
-				if filter != nil && !filter(f) {
+				if filter != nil && !filter.Wants(f) {
 					return
 				}
 				tr.records = append(tr.records, lazyRecord{
@@ -100,6 +125,14 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 		}
 		r.SetFilter(filter)
 		radios[i] = r
+	}
+	// Count the attempts the MACs hold.
+	for _, r := range radios {
+		cfg := r.macConfig()
+		cfg.Medium = heldCounter{Medium: cfg.Medium, n: &tr.held}
+		if err := r.mac.Reset(cfg); err != nil {
+			t.Fatalf("mac.Reset: %v", err)
+		}
 	}
 	macStats := func() []mac.Stats {
 		out := make([]mac.Stats, n)
@@ -117,9 +150,20 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 		air.SetInterceptor(&fanoutInterceptor{codes: codes, dur: air.airtime(200 + MACOverheadBits)})
 	}
 
-	if in.next()%3 == 0 {
+	if mode := in.next(); mode%3 == 0 {
+		// A mode from 128 up extends the jammer: powers half a dB either
+		// side of the CCA threshold at 20 m, Stop on a 50 µs grid and
+		// frames sent to jammed radios. Below 128 it decodes as it did
+		// before the extension, which the corpus was recorded under.
+		ext := mode >= 128
 		p := geo.Vec{X: fanoutPositions[in.next()%len(fanoutPositions)]}
-		power := [...]float64{-20, 10, 30}[in.next()%3]
+		cca20 := ch.CCAThresholdDBm + ch.PathLoss.LossDB(20, ch.FreqHz)
+		powers := [...]float64{-20, 10, 30, cca20 - 0.5, cca20 + 0.5}
+		pb := in.next()
+		power := powers[pb%3]
+		if ext {
+			power = powers[pb%5]
+		}
 		burst := des.Time(1+in.next()%8) * 50 * des.Microsecond
 		period := burst * des.Time(1+in.next()%3)
 		j, err := air.AddJammer("j", func() geo.Vec { return p }, power, burst, period)
@@ -127,9 +171,27 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 			t.Fatalf("AddJammer: %v", err)
 		}
 		on := des.Time(in.next()%40) * des.Millisecond / 2
-		off := on + des.Time(1+in.next()%8)*des.Millisecond
+		ob := in.next()
+		off := on + des.Time(1+ob%8)*des.Millisecond
+		if ext {
+			off = on + des.Time(1+ob%160)*50*des.Microsecond
+		}
 		k.ScheduleAt(on, j.Start)
 		k.ScheduleAt(off, j.Stop)
+		jammed := 0
+		if ext {
+			jammed = in.next() % 8
+		}
+		for s := 0; s < jammed; s++ {
+			r := radios[in.next()%n]
+			at := on + des.Time(in.next()%64)*100*des.Microsecond
+			seq := uint64(100 + s)
+			k.ScheduleAt(at, func() {
+				if err := r.Send("x", 200, mac.ACVideo, seq); err != nil && !errors.Is(err, mac.ErrQueueFull) {
+					t.Errorf("Send: %v", err)
+				}
+			})
+		}
 	}
 
 	sends := 1 + in.next()%16
@@ -230,6 +292,37 @@ var lazySeeds = [][]byte{
 	{0, 3, 2, 3, 5, 3, 6, 3, 0, 0, 2, 1, 1, 1, 3, 1, 7, 0, 2, 2, 5, 2, 9, 1, 0, 3, 12, 1},
 	// The probabilistic decider: elision off.
 	{3, 3, 0, 0, 2, 1, 3, 2, 0, 1, 0, 5, 0, 1, 0, 1, 2, 0, 3, 1, 0, 1, 0, 1, 20},
+	// Back-to-back 30 dBm bursts over radios 0 to 20 m away, frames sent
+	// to three jammed radios, the checkpoint inside the burst train and
+	// Stop in the middle of a burst: held attempts.
+	jamBackToBack,
+	// The same jammer with a gap after every burst: nothing is held.
+	{0, 2, 0, 0, 2, 0, 3, 1, 4, 3, 0, 129, 0, 2, 1, 1, 2, 100, 4, 1, 5, 2, 10, 3, 15, 1, 20, 1, 0, 0, 0, 0, 1, 60, 0, 0, 1, 1, 20, 0, 0, 0, 3},
+	// Back-to-back bursts half a dB under the CCA threshold at 20 m and
+	// above it nearer in.
+	{0, 2, 0, 0, 4, 0, 5, 1, 2, 3, 0, 129, 0, 3, 1, 0, 2, 100, 4, 1, 5, 2, 10, 3, 15, 1, 20, 1, 0, 0, 0, 0, 1, 60, 0, 0, 1, 1, 20, 0, 0, 0, 3},
+	// Half a dB over it.
+	{0, 2, 0, 0, 4, 0, 5, 1, 2, 3, 0, 129, 0, 4, 1, 0, 2, 100, 4, 1, 5, 2, 10, 3, 15, 1, 20, 1, 0, 0, 0, 0, 1, 60, 0, 0, 1, 1, 20, 0, 0, 0, 3},
+	// Back-to-back bursts and an event budget set before the restore: the
+	// held bursts go back into the kernel.
+	{0, 2, 0, 0, 2, 0, 3, 1, 4, 3, 0, 129, 0, 2, 1, 0, 2, 100, 4, 1, 5, 2, 10, 3, 15, 1, 20, 1, 0, 0, 0, 0, 1, 60, 0, 0, 1, 1, 20, 3, 3, 0, 3},
+}
+
+// jamBackToBack is the lazySeeds medium whose jammed MACs hold attempts.
+var jamBackToBack = []byte{0, 2, 0, 0, 2, 0, 3, 1, 4, 3, 0, 129, 0, 2, 1, 0, 2, 100, 4, 1, 5, 2, 10, 3, 15, 1, 20, 1, 0, 0, 0, 0, 1, 60, 0, 0, 1, 1, 20, 0, 0, 0, 3}
+
+// TestLazyJammerHoldsAttempts keeps the jamming seeds honest: with
+// back-to-back bursts at MACs holding frames, the lazy medium must hold
+// attempts, the eager reference none, and both must agree.
+func TestLazyJammerHoldsAttempts(t *testing.T) {
+	lazy := runLazyMedium(t, jamBackToBack, false)
+	eager := runLazyMedium(t, jamBackToBack, true)
+	if lazy.held == 0 || eager.held != 0 {
+		t.Errorf("held attempts: %d lazy, %d eager; want some lazy, none eager", lazy.held, eager.held)
+	}
+	if !reflect.DeepEqual(lazy.records, eager.records) {
+		t.Fatalf("lazy medium diverged from the eager reference:\nlazy  %+v\neager %+v", lazy.records, eager.records)
+	}
 }
 
 // TestLazySeedsElide keeps the seed corpus honest: most seeds must
@@ -260,7 +353,7 @@ func TestRecycledReceptionHoldsNoReferences(t *testing.T) {
 		var rx []rxRecord
 		k, air, radios := lineNet(t, phy.DefaultChannelConfig(), []string{"a", "b", "c"}, []float64{0, 10, 20}, &rx)
 		air.eager = eager
-		radios[2].SetFilter(func(*mac.Frame) bool { return false })
+		radios[2].SetFilter(filterFunc(func(*mac.Frame) bool { return false }))
 		if err := radios[0].Send("payload", 200, mac.ACVideo, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +384,7 @@ func TestLazyBeaconDeliveryZeroAllocs(t *testing.T) {
 		k, air, src := beaconNet(t, n)
 		for _, r := range air.radios {
 			if r != src {
-				r.SetFilter(func(*mac.Frame) bool { return false })
+				r.SetFilter(filterFunc(func(*mac.Frame) bool { return false }))
 			}
 		}
 		seq := uint64(0)

@@ -59,9 +59,13 @@ func (m RxMeta) SINRdB() float64 { return m.rec.dst.air.sinr(m.rec) }
 // call: a handler that keeps any part of the frame must copy it.
 type RxHandler func(f *mac.Frame, meta RxMeta)
 
-// RxFilter is a radio's receive filter (Radio.SetFilter): a pure function
-// of the frame that reports whether the radio's handler may read it.
-type RxFilter func(f *mac.Frame) bool
+// RxFilter is a radio's receive filter (Radio.SetFilter): Wants is a pure
+// function of the frame that reports whether the radio's handler may
+// read it. An interface rather than a func, so a receiver installs itself
+// without allocating a method value.
+type RxFilter interface {
+	Wants(f *mac.Frame) bool
+}
 
 // Verdict is an Interceptor's decision about one frame delivery on one
 // link.
@@ -171,16 +175,15 @@ type Air struct {
 	airBits   int
 	airDur    des.Time
 	// recFree is the reception freelist: finished receptions are recycled
-	// here with their two scheduling closures intact, so steady-state
-	// frame delivery allocates nothing.
+	// here with their scheduling closure intact, so steady-state frame
+	// delivery allocates nothing.
 	recFree []*reception
 	// allRecs registers every reception ever allocated on this medium, in
-	// creation order, and recIndex maps each back to its registry slot.
-	// The registry is what lets a checkpoint capture in-flight receptions
-	// by identity: kernel handlers hold pointers to specific reception
+	// creation order; each reception holds its registry slot (idx). The
+	// registry is what lets a checkpoint capture in-flight receptions by
+	// identity: kernel handlers hold pointers to specific reception
 	// objects, so restore must rewind those objects' fields in place.
-	allRecs  []*reception
-	recIndex map[*reception]int32
+	allRecs []*reception
 
 	// links holds the receptions of the fan-out being queued, in the order
 	// they were made; keys is the scratch list of its dispatch keys when
@@ -325,6 +328,10 @@ func (a *Air) Stats() Stats {
 	return a.stats
 }
 
+// Pooled reports how many receptions the medium has allocated: the size
+// of its reception registry, free ones included.
+func (a *Air) Pooled() int { return len(a.allRecs) }
+
 // Channel returns the analog channel configuration.
 func (a *Air) Channel() phy.ChannelConfig { return a.cfg }
 
@@ -376,7 +383,6 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 		handler: handler,
 		macRNG:  rng.New(a.seed, "nic.mac."+id),
 	}
-	r.transmitFn = r.transmitFrame
 	m, err := mac.New(r.macConfig())
 	if err != nil {
 		return nil, err
@@ -388,9 +394,8 @@ func (a *Air) AddRadio(id string, pos func() geo.Vec, handler RxHandler) (*Radio
 	return r, nil
 }
 
-// macConfig assembles the MAC wiring for this radio. The transmit hook
-// is bound once per radio, whose identity is stable across pool reuse, so
-// recycling a radio allocates no method value.
+// macConfig assembles the MAC wiring for this radio. The radio is its
+// MAC's medium through macPort, a conversion that allocates nothing.
 func (r *Radio) macConfig() mac.Config {
 	a := r.air
 	return mac.Config{
@@ -398,12 +403,26 @@ func (r *Radio) macConfig() mac.Config {
 		RNG:      r.macRNG,
 		Schedule: a.sched,
 		Airtime:  a.airtimeFn,
-		Transmit: r.transmitFn,
+		Medium:   (*macPort)(r),
 	}
 }
 
-// transmitFrame adapts Air.transmit to the MAC's Transmit hook.
-func (r *Radio) transmitFrame(f mac.Frame) { r.air.transmit(r, f) }
+// macPort is a radio as its MAC's medium (mac.Medium).
+type macPort Radio
+
+// Transmit starts the MAC's frame on the air. The attempt that calls it
+// is a MAC event, which observes the radio, so the timeline settles
+// first: only receptions that leave carrier sense alone can wait there
+// before a scheduled attempt (see held), and their decisions read the
+// transmit window this transmission moves.
+func (p *macPort) Transmit(f mac.Frame) {
+	r := (*Radio)(p)
+	r.settle()
+	r.air.transmit(r, f)
+}
+
+// Held implements mac.Medium (see Radio.held).
+func (p *macPort) Held(start des.Time) bool { return (*Radio)(p).held(start) }
 
 // airtime converts PSDU bits to on-air time via the configured MCS.
 func (a *Air) airtime(bits int) des.Time {
@@ -414,47 +433,56 @@ func (a *Air) airtime(bits int) des.Time {
 	return a.airDur
 }
 
-// acquireReception takes a reception from the freelist (or allocates one
-// with its scheduling closures) and binds it to a receiver. It zeroes the
+// acquireReception takes a reception from the freelist, refilled one
+// fan-out at a time (refill), and binds it to a receiver. It zeroes the
 // fields that transmit and Jammer.emit do not set, and leaves the others
 // (frame, times, power, distance) for the caller to fill in.
 func (a *Air) acquireReception(dst *Radio) *reception {
-	if n := len(a.recFree); n > 0 {
-		rec := a.recFree[n-1]
-		a.recFree = a.recFree[:n-1]
-		rec.dst = dst
-		rec.delay = 0
-		rec.interferenceMw = 0
-		rec.mwKnown = false
-		rec.deferred = false
-		rec.sensedBusy = false
-		rec.noise = false
-		rec.lazy = false
-		return rec
+	if len(a.recFree) == 0 {
+		a.refill()
 	}
-	rec := &reception{dst: dst}
-	rec.beginFn = func() {
-		rec.dst.settle()
-		rec.dst.beginReception(rec)
-	}
-	rec.endFn = func() { rec.dst.air.finishReception(rec) }
-	if a.recIndex == nil {
-		a.recIndex = make(map[*reception]int32, 16)
-	}
-	a.recIndex[rec] = int32(len(a.allRecs))
-	a.allRecs = append(a.allRecs, rec)
+	n := len(a.recFree)
+	rec := a.recFree[n-1]
+	a.recFree = a.recFree[:n-1]
+	rec.dst = dst
+	rec.delay = 0
+	rec.interferenceMw = 0
+	rec.mwKnown = false
+	rec.deferred = false
+	rec.sensedBusy = false
+	rec.noise = false
+	rec.lazy = false
+	rec.begun = false
 	return rec
 }
 
-// finishReception completes a reception at its receiver, hands a decoded
-// frame to the handler and recycles the reception.
-func (a *Air) finishReception(rec *reception) {
-	r := rec.dst
-	r.settle()
-	if r.endReception(rec) {
-		r.deliver(rec)
+// refill adds one fan-out's worth of receptions to the pool, sized from
+// the radio count: one per receiver of a transmission, allocated as one
+// block, each with its scheduling closure. The freelist grows with the
+// registry, so recycling never reallocates it.
+func (a *Air) refill() {
+	block := make([]reception, max(len(a.radios)-1, 1))
+	if need := len(a.allRecs) + len(block); cap(a.recFree) < need {
+		a.recFree = slices.Grow(a.recFree, need-len(a.recFree))
 	}
-	a.recycle(rec)
+	for i := range block {
+		rec := &block[i]
+		rec.idx = int32(len(a.allRecs))
+		rec.fn = func() {
+			r := rec.dst
+			r.settle()
+			if !rec.begun {
+				r.beginReception(rec, a.k.Now())
+				return
+			}
+			if r.endReception(rec, a.k.Now()) {
+				r.deliver(rec)
+			}
+			a.recycle(rec)
+		}
+		a.allRecs = append(a.allRecs, rec)
+		a.recFree = append(a.recFree, rec)
+	}
 }
 
 // recycle returns a reception to the freelist. Only the fields that hold
@@ -507,7 +535,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 
 	srcPos := src.pos()
 	elide := a.elides()
-	a.links = a.links[:0]
+	a.resetLinks()
 	for _, dst := range a.radios {
 		if dst == src {
 			continue
@@ -527,6 +555,15 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 			if v.OverrideDelay {
 				delay = v.Delay
 				a.stats.DelayOverridden++
+				if now.Add(delay) > a.k.Horizon() {
+					// The frame would begin after the run ends (a DoS
+					// attack): the fading stream keeps its draw, and
+					// nothing is pooled or queued.
+					if a.cfg.Fading != nil {
+						a.cfg.Fading.GainDB(dist)
+					}
+					continue
+				}
 				lazy = false
 			}
 			rec = a.acquireReception(dst)
@@ -590,8 +627,8 @@ func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
 			k.ScheduleAt(txEnd, txDone)
 		}
 		for _, rec := range a.links {
-			k.ScheduleAt(rec.start, rec.beginFn)
-			k.ScheduleAt(rec.end, rec.endFn)
+			k.ScheduleAt(rec.start, rec.fn)
+			k.ScheduleAt(rec.end, rec.fn)
 		}
 		return
 	}
@@ -610,7 +647,7 @@ func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
 			if rec.lazy {
 				rec.dst.keepLazy(rec.start, k.Reserve(), rec, false)
 			} else {
-				k.BatchAt(rec.start, des.PriorityNormal, rec.beginFn)
+				k.BatchAt(rec.start, des.PriorityNormal, rec.fn)
 			}
 		}
 		if txDone != nil {
@@ -620,13 +657,21 @@ func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
 			if rec.lazy {
 				rec.dst.keepLazy(rec.end, k.Reserve(), rec, true)
 			} else {
-				k.BatchAt(rec.end, des.PriorityNormal, rec.endFn)
+				k.BatchAt(rec.end, des.PriorityNormal, rec.fn)
 			}
 		}
 	} else {
 		a.queueSorted(txDone, txEnd)
 	}
 	k.EndBatch()
+}
+
+// resetLinks empties the fan-out list, sized once to the radio count.
+func (a *Air) resetLinks() {
+	if cap(a.links) < len(a.radios) {
+		a.links = make([]*reception, 0, len(a.radios))
+	}
+	a.links = a.links[:0]
 }
 
 // sortLinks sorts receptions by start time with an insertion sort, which
@@ -684,14 +729,10 @@ func (a *Air) queueSorted(txDone des.Handler, txEnd des.Time) {
 			continue
 		}
 		rec := a.links[(x.ref-1)/2]
-		end := x.ref%2 == 0
-		switch {
-		case rec.lazy:
-			rec.dst.keepLazy(x.at, k.Reserve(), rec, end)
-		case end:
-			k.BatchAt(x.at, des.PriorityNormal, rec.endFn)
-		default:
-			k.BatchAt(x.at, des.PriorityNormal, rec.beginFn)
+		if rec.lazy {
+			rec.dst.keepLazy(x.at, k.Reserve(), rec, x.ref%2 == 0)
+		} else {
+			k.BatchAt(x.at, des.PriorityNormal, rec.fn)
 		}
 	}
 	a.keys = keys
@@ -699,7 +740,7 @@ func (a *Air) queueSorted(txDone des.Handler, txEnd des.Time) {
 
 // reception is one frame arriving at one radio. Receptions are pooled on
 // the Air: acquireReception recycles finished entries together with the
-// two pre-bound scheduling closures, so the per-link delivery path is
+// pre-bound scheduling closure, so the per-link delivery path is
 // allocation-free in steady state.
 type reception struct {
 	frame  mac.Frame
@@ -731,12 +772,16 @@ type reception struct {
 	// lazy marks a reception no handler reads, bound for its radio's
 	// timeline instead of the kernel queue (see Radio.settle).
 	lazy bool
+	// begun marks a reception whose begin has run.
+	begun bool
 
-	// dst is the receiving radio; beginFn/endFn are the kernel handlers
-	// created once per pooled entry.
-	dst     *Radio
-	beginFn des.Handler
-	endFn   des.Handler
+	// dst is the receiving radio. fn is the kernel handler of both the
+	// begin and the end, created once per pooled entry: the begin is
+	// always dispatched first, so fn begins a reception that has not
+	// begun and ends one that has. idx is the registry slot.
+	dst *Radio
+	fn  des.Handler
+	idx int32
 }
 
 // power returns the received power in dBm, computing a deferred one on
@@ -779,10 +824,8 @@ type Radio struct {
 	mac     *mac.EDCA
 	macRNG  *rng.Source
 	// txDoneFn is the bound txDone method, created once so transmit
-	// completions do not allocate method values; transmitFn is the bound
-	// transmitFrame, the MAC's Transmit hook.
-	txDoneFn   des.Handler
-	transmitFn func(mac.Frame)
+	// completions do not allocate method values.
+	txDoneFn des.Handler
 
 	active  []*reception
 	txStart des.Time
@@ -794,6 +837,9 @@ type Radio struct {
 	// which lazy[lazyHead:] are still to settle (see settle).
 	lazy     []lazyEvent
 	lazyHead int
+	// settling is set while settle runs the timeline: the MAC then sees
+	// carrier sense change at keys the kernel has long passed.
+	settling bool
 }
 
 // lazyEvent is the begin or end of a lazy reception at its reserved key;
@@ -824,7 +870,7 @@ func (r *Radio) SetFilter(f RxFilter) { r.filter = f }
 
 // ignores reports whether no handler will read f at this radio.
 func (r *Radio) ignores(f *mac.Frame) bool {
-	return r.handler == nil || r.filter != nil && !r.filter(f)
+	return r.handler == nil || r.filter != nil && !r.filter.Wants(f)
 }
 
 // Send broadcasts an application payload of the given size (payload bits,
@@ -874,6 +920,10 @@ func (r *Radio) txDone() {
 // its reserved key. The key's seq is the newest, so it goes after every
 // event at the same time.
 func (r *Radio) keepLazy(at des.Time, seq uint64, rec *reception, end bool) {
+	if r.lazy == nil {
+		// Room for two fan-outs' begins and ends from every other radio.
+		r.lazy = make([]lazyEvent, 0, 4*len(r.air.radios))
+	}
 	r.lazy = append(r.lazy, lazyEvent{})
 	i := len(r.lazy) - 1
 	for ; i > r.lazyHead && r.lazy[i-1].at > at; i-- {
@@ -886,29 +936,34 @@ func (r *Radio) keepLazy(at des.Time, seq uint64, rec *reception, end bool) {
 // has passed, with the code their kernel events would have run minus the
 // handler call, and counts them as executed. It is called whenever the
 // radio is observed: at its own reception events, Send and SendBeacon,
-// txDone, MAC, Air.Stats and every Run/RunUntil return. That is exact:
-// a lazy reception reaches the timeline only while the radio's MAC is
-// idle (mac.EDCA.Idle), where ChannelBusy and ChannelIdle only flip the
-// carrier-sense flag, and its events touch nothing but this radio and
-// the medium's counters, which only these observers read. The MAC stays
-// idle until an observer enqueues a frame, and that observer promotes
-// what is left.
+// txDone, the attempt that transmits, MAC, Air.Stats and every
+// Run/RunUntil return. That is exact: a lazy reception touches nothing
+// but this radio and the medium's counters, which only these observers
+// read, and the MAC sees carrier sense change at the event's own time.
+// At an idle MAC (mac.EDCA.Idle) ChannelBusy and ChannelIdle only flip
+// the carrier-sense flag; the MAC stays idle until an observer enqueues
+// a frame, and that observer promotes what is left. A MAC holding frames
+// meets only jamming bursts whose every carrier-sense drop is held
+// (Jammer.emit): the attempt it starts is held too, and so schedules
+// nothing (see held).
 func (r *Radio) settle() {
 	if r.lazyHead == len(r.lazy) {
 		return
 	}
 	a := r.air
-	n := r.lazyHead
-	for ; n < len(r.lazy); n++ {
-		ev := &r.lazy[n]
+	first := r.lazyHead
+	r.settling = true
+	for r.lazyHead < len(r.lazy) {
+		ev := &r.lazy[r.lazyHead]
 		if !a.k.Passed(ev.at, des.PriorityNormal, ev.seq) {
 			break
 		}
-		switch next := n + 1; {
+		r.lazyHead++
+		switch next := r.lazyHead; {
 		case ev.end:
-			r.endReception(ev.rec)
+			r.endReception(ev.rec, ev.at)
 			a.recycle(ev.rec)
-		case len(r.active) == 0 && next < len(r.lazy) && r.lazy[next].rec == ev.rec &&
+		case len(r.active) == 0 && next < len(r.lazy) && r.lazy[next].rec == ev.rec && r.mac.Idle() &&
 			a.k.Passed(r.lazy[next].at, des.PriorityNormal, r.lazy[next].seq):
 			// Nothing else is on the air here from this begin to its own
 			// end: any other begin in between would sit between them on
@@ -918,13 +973,14 @@ func (r *Radio) settle() {
 			// back where it was, so only the decision is left to make.
 			r.decide(ev.rec)
 			a.recycle(ev.rec)
-			n = next
+			r.lazyHead++
 		default:
-			r.beginReception(ev.rec)
+			r.beginReception(ev.rec, ev.at)
 		}
 	}
-	a.k.CountSettled(uint64(n - r.lazyHead))
-	r.lazyHead = n
+	r.settling = false
+	n := r.lazyHead
+	a.k.CountSettled(uint64(n - first))
 	switch {
 	case n == len(r.lazy):
 		r.lazy = r.lazy[:0]
@@ -934,6 +990,33 @@ func (r *Radio) settle() {
 		r.lazy = r.lazy[:copy(r.lazy, r.lazy[n:])]
 		r.lazyHead = 0
 	}
+}
+
+// held is the MAC's Held hook: it reports whether a reception on the
+// timeline raises carrier sense at or before start, so an attempt
+// starting then is certain to be interrupted first. Every key on the
+// timeline was reserved before the attempt's would be, so a begin at
+// start itself comes first. While the timeline settles, the attempt's key
+// would have been taken when the settled event was due, before later
+// bursts were reserved, so only a begin strictly before start counts
+// there; Jammer.emit keeps a burst at a MAC holding frames on the
+// timeline only while such a begin is certain, so every drop that
+// settles is held.
+func (r *Radio) held(start des.Time) bool {
+	cca := r.air.cfg.CCAThresholdDBm
+	for i := r.lazyHead; i < len(r.lazy); i++ {
+		ev := &r.lazy[i]
+		if ev.at > start || r.settling && ev.at == start {
+			break
+		}
+		if !ev.end && (ev.rec.deferred || ev.rec.powerDBm >= cca) {
+			return true
+		}
+	}
+	if r.settling {
+		panic("nic: carrier sense dropped on a timeline with nothing to raise it again")
+	}
+	return false
 }
 
 // promote hands the rest of the timeline to the kernel as one chain at
@@ -947,21 +1030,18 @@ func (r *Radio) promote() {
 	k := r.air.k
 	k.BeginBatch()
 	for _, ev := range r.lazy[r.lazyHead:] {
-		fn := ev.rec.beginFn
-		if ev.end {
-			fn = ev.rec.endFn
-		}
-		k.BatchReserved(ev.at, des.PriorityNormal, ev.seq, fn)
+		k.BatchReserved(ev.at, des.PriorityNormal, ev.seq, ev.rec.fn)
 	}
 	k.EndBatch()
 	r.lazy = r.lazy[:0]
 	r.lazyHead = 0
 }
 
-// beginReception registers an incoming frame: it interferes with every
-// overlapping reception and may raise carrier sense. A deferred power
-// lies inside the guard distance and so clears the CCA threshold.
-func (r *Radio) beginReception(rec *reception) {
+// beginReception registers an incoming frame at time at: it interferes
+// with every overlapping reception and may raise carrier sense. A
+// deferred power lies inside the guard distance and so clears the CCA
+// threshold.
+func (r *Radio) beginReception(rec *reception, at des.Time) {
 	if len(r.active) > 0 {
 		mw := rec.mw()
 		for _, other := range r.active {
@@ -970,18 +1050,19 @@ func (r *Radio) beginReception(rec *reception) {
 		}
 	}
 	r.active = append(r.active, rec)
+	rec.begun = true
 	if rec.deferred || rec.powerDBm >= r.air.cfg.CCAThresholdDBm {
 		rec.sensedBusy = true
 		r.busy++
 		if r.busy == 1 {
-			r.mac.ChannelBusy()
+			r.mac.ChannelBusy(at)
 		}
 	}
 }
 
-// endReception finishes an incoming frame: it releases carrier sense,
-// then decides the frame and reports whether it decoded.
-func (r *Radio) endReception(rec *reception) bool {
+// endReception finishes an incoming frame at time at: it releases
+// carrier sense, then decides the frame and reports whether it decoded.
+func (r *Radio) endReception(rec *reception, at des.Time) bool {
 	for i, other := range r.active {
 		if other == rec {
 			n := len(r.active) - 1
@@ -996,7 +1077,7 @@ func (r *Radio) endReception(rec *reception) bool {
 	if rec.sensedBusy {
 		r.busy--
 		if r.busy == 0 {
-			r.mac.ChannelIdle()
+			r.mac.ChannelIdle(at)
 		}
 	}
 	return r.decide(rec)

@@ -28,6 +28,7 @@ type receptionState struct {
 	sensedBusy     bool
 	noise          bool
 	lazy           bool
+	begun          bool
 	dst            int32
 }
 
@@ -113,12 +114,13 @@ func (a *Air) SaveState(st *AirState) error {
 			sensedBusy:     rec.sensedBusy,
 			noise:          rec.noise,
 			lazy:           rec.lazy,
+			begun:          rec.begun,
 			dst:            dst,
 		})
 	}
 	st.recFree = st.recFree[:0]
 	for _, rec := range a.recFree {
-		st.recFree = append(st.recFree, a.recIndex[rec])
+		st.recFree = append(st.recFree, rec.idx)
 	}
 
 	if cap(st.radios) < len(a.radios) {
@@ -132,11 +134,11 @@ func (a *Air) SaveState(st *AirState) error {
 		rs.busy = r.busy
 		rs.active = rs.active[:0]
 		for _, rec := range r.active {
-			rs.active = append(rs.active, a.recIndex[rec])
+			rs.active = append(rs.active, rec.idx)
 		}
 		rs.lazy = rs.lazy[:0]
 		for _, ev := range r.lazy[r.lazyHead:] {
-			rs.lazy = append(rs.lazy, lazyState{at: ev.at, seq: ev.seq, rec: a.recIndex[ev.rec], end: ev.end})
+			rs.lazy = append(rs.lazy, lazyState{at: ev.at, seq: ev.seq, rec: ev.rec.idx, end: ev.end})
 		}
 		if err := r.macRNG.SaveState(&rs.macRNG); err != nil {
 			return err
@@ -188,6 +190,7 @@ func (a *Air) LoadState(st *AirState) error {
 		rec.sensedBusy = rs.sensedBusy
 		rec.noise = rs.noise
 		rec.lazy = rs.lazy
+		rec.begun = rs.begun
 		if rs.dst >= 0 {
 			rec.dst = a.radios[rs.dst]
 		} else {
@@ -223,11 +226,14 @@ func (a *Air) LoadState(st *AirState) error {
 		}
 		r.mac.LoadState(&rs.mac)
 	}
-	if a.k.EventBudget() != 0 {
-		// An event budget set before the kernel restore turns elision off
-		// for this run: lazy receptions captured from a run without one
-		// become events again, at their keys.
-		for _, r := range a.radios {
+	// An event budget set before the kernel restore turns elision off for
+	// this run: lazy receptions captured from a run without one become
+	// events again, at their keys. So do the jamming bursts held at a MAC
+	// holding frames: the jammer that would hold their carrier-sense
+	// drops with its next burst is not part of the snapshot.
+	budget := a.k.EventBudget() != 0
+	for _, r := range a.radios {
+		if budget || !r.mac.Idle() {
 			r.settle()
 			r.promote()
 		}

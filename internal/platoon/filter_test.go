@@ -101,7 +101,7 @@ func TestReceiveFilterContract(t *testing.T) {
 			f.Payload = "command"
 		}
 		for _, m := range members {
-			if m.wants(&f) {
+			if m.Wants(&f) {
 				before := viewOf(m)
 				m.handleRx(&f, nic.RxMeta{})
 				if viewOf(m) != before {

@@ -72,6 +72,9 @@ func (w *Workspace) Build(ts TrafficScenario, cm CommModel, seed uint64, factory
 		w.kernel.Reset()
 	}
 	k := w.kernel
+	// The run ends at TotalSimTime: the kernel queues nothing past it, so
+	// a DoS attack's receptions, delayed beyond the run, cost nothing.
+	k.SetHorizon(ts.TotalSimTime)
 
 	if !w.haveNet || w.road != ts.Road {
 		net, err := roadnet.NewNetwork(ts.Road)

@@ -6,9 +6,8 @@ import (
 	"unsafe"
 )
 
-// The slab slot stays at 40 bytes: a campaign's DoS cell holds tens of
-// thousands of queued events, each copied into every checkpoint
-// snapshot, so the chain link must not grow the slot.
+// The slab slot stays at 40 bytes: every checkpoint snapshot copies the
+// queue's slots, so the chain link must not grow the slot.
 func TestEventSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Fatalf("event slot is %d bytes, want 40", got)
@@ -19,6 +18,8 @@ func TestEventSlotSize(t *testing.T) {
 // a batch as one chain, plain schedules the same events one by one with
 // ScheduleAtPrio. Handlers log "<tag>" into their kernel's log and may
 // spawn a follow-up batch, so chains are also built from inside handlers.
+// Once a horizon is set on the batched kernel (MaxTime: none), both run
+// only up to it.
 type batchTwin struct {
 	t              *testing.T
 	batched, plain *Kernel
@@ -27,10 +28,11 @@ type batchTwin struct {
 	stB, stP       KernelState
 	haveSnap       bool
 	snapIDs        int // len(idsB) at the snapshot
+	horizon        Time
 }
 
 func newBatchTwin(t *testing.T) *batchTwin {
-	return &batchTwin{t: t, batched: NewKernel(), plain: NewKernel()}
+	return &batchTwin{t: t, batched: NewKernel(), plain: NewKernel(), horizon: MaxTime}
 }
 
 // handler returns the event body for one kernel. A non-negative tag
@@ -76,14 +78,16 @@ func (w *batchTwin) queue(batched bool, evs []batchEvent) []EventID {
 	return ids
 }
 
-// check fails unless both kernels are observably identical.
+// check fails unless both kernels are observably identical. Under a
+// horizon the batched kernel queues nothing past it, so only the plain
+// kernel's Pending counts those events.
 func (w *batchTwin) check(step int) {
 	w.t.Helper()
 	b, p := w.batched, w.plain
 	if fmt.Sprint(w.logB) != fmt.Sprint(w.logP) {
 		w.t.Fatalf("step %d: dispatch order differs:\nbatched %v\nplain   %v", step, w.logB, w.logP)
 	}
-	if b.Now() != p.Now() || b.Executed() != p.Executed() || b.Pending() != p.Pending() {
+	if b.Now() != p.Now() || b.Executed() != p.Executed() || w.horizon == MaxTime && b.Pending() != p.Pending() {
 		w.t.Fatalf("step %d: batched now=%v executed=%d pending=%d, plain now=%v executed=%d pending=%d",
 			step, b.Now(), b.Executed(), b.Pending(), p.Now(), p.Executed(), p.Pending())
 	}
@@ -94,13 +98,21 @@ func (w *batchTwin) check(step int) {
 // the same events with plain ScheduleAtPrio. Across scheduling, batches,
 // cancels (chain members included), RunUntil, event-budget aborts,
 // snapshot/restore mid-chain and Reset, both must dispatch the identical
-// handler sequence and agree on Now, Executed and Pending.
+// handler sequence and agree on Now, Executed and Pending. It is the
+// horizon's oracle too: after a horizon op the batched kernel queues
+// nothing keyed past it, and both kernels, run only up to it, must still
+// dispatch the same handlers and agree on Now and Executed.
 func FuzzBatchOrder(f *testing.F) {
 	f.Add([]byte{1, 6, 3, 0, 1, 2, 5, 9, 4, 3})
 	f.Add([]byte{1, 15, 0, 2, 1, 5, 2, 3, 3, 1, 2, 9})
 	f.Add([]byte{1, 7, 4, 0, 3, 2, 5, 0, 3, 50})
 	f.Add([]byte{0, 4, 1, 3, 7, 2, 3, 200, 6, 0, 1, 4, 3, 9})
 	f.Add([]byte{1, 31, 2, 0, 2, 1, 2, 2, 4, 0, 3, 1, 5, 0, 3, 255})
+	// A horizon at 3 ms, a burst straddling it, a cancel of an event
+	// past it, runs up to it.
+	f.Add([]byte{158, 3, 1, 20, 0, 11, 2, 7, 3, 2, 0, 3, 4, 0, 3, 15, 2, 2})
+	// A horizon at 1 ms, events spawned past it from handlers, a budget.
+	f.Add([]byte{158, 1, 0, 0, 1, 9, 7, 9, 3, 5, 0, 1, 5, 0, 3, 9})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) > 512 {
 			program = program[:512]
@@ -109,6 +121,11 @@ func FuzzBatchOrder(f *testing.F) {
 		tag := 0
 		for i := 0; i+1 < len(program); i += 2 {
 			op, arg := program[i]%8, program[i+1]
+			if op == 6 && program[i] >= 128 {
+				// Op bytes below 128 decode as they did before the
+				// horizon op, which the corpus was recorded under.
+				op = 8
+			}
 			switch op {
 			case 0: // one plain event on both kernels
 				at := w.plain.Now().Add(Time(arg%4) * Millisecond)
@@ -134,12 +151,15 @@ func FuzzBatchOrder(f *testing.F) {
 				if len(w.idsB) > 0 {
 					j := int(arg) % len(w.idsB)
 					cb, cp := w.batched.Cancel(w.idsB[j]), w.plain.Cancel(w.idsP[j])
-					if cb != cp {
+					if w.idsB[j] == Unqueued && cb {
+						t.Fatalf("step %d: Cancel of an event past the horizon reported it pending", i)
+					}
+					if cb != cp && w.idsB[j] != Unqueued {
 						t.Fatalf("step %d: Cancel = %v batched, %v plain", i, cb, cp)
 					}
 				}
-			case 3: // run until arg past now
-				limit := w.plain.Now().Add(Time(arg%16) * Millisecond)
+			case 3: // run until arg past now, at most to the horizon
+				limit := min(w.plain.Now().Add(Time(arg%16)*Millisecond), w.horizon)
 				eb, ep := w.batched.RunUntil(limit), w.plain.RunUntil(limit)
 				if fmt.Sprint(eb) != fmt.Sprint(ep) {
 					t.Fatalf("step %d: RunUntil = %v batched, %v plain", i, eb, ep)
@@ -166,8 +186,14 @@ func FuzzBatchOrder(f *testing.F) {
 			case 6: // reset
 				w.batched.Reset()
 				w.plain.Reset()
-				if w.batched.Pending() != 0 {
-					t.Fatalf("step %d: Reset left %d pending", i, w.batched.Pending())
+				if w.horizon != MaxTime {
+					// A snapshot taken under the horizon lacks the events
+					// past it, which the plain kernel's still holds.
+					w.haveSnap = false
+				}
+				w.horizon = MaxTime
+				if w.batched.Pending() != 0 || w.batched.Horizon() != MaxTime {
+					t.Fatalf("step %d: Reset left %d pending, horizon %v", i, w.batched.Pending(), w.batched.Horizon())
 				}
 			case 7: // event budget with a short poll cadence
 				budget := w.plain.Executed() + uint64(arg%8) + 1
@@ -176,6 +202,15 @@ func FuzzBatchOrder(f *testing.F) {
 					k.SetInterruptCheck(every, func() error { return nil })
 					k.SetEventBudget(budget)
 				}
+			case 8: // an op-6 byte from 128 up: a new run with a horizon on the batched kernel
+				w.batched.Reset()
+				w.plain.Reset()
+				w.horizon = Time(arg%32) * Millisecond
+				w.batched.SetHorizon(w.horizon)
+				w.haveSnap = false
+				if err := w.batched.RunUntil(w.horizon + 1); err == nil {
+					t.Fatalf("step %d: RunUntil past the horizon succeeded", i)
+				}
 			}
 			w.check(i)
 		}
@@ -183,7 +218,12 @@ func FuzzBatchOrder(f *testing.F) {
 			k.SetEventBudget(0)
 			k.SetInterruptCheck(0, nil)
 		}
-		eb, ep := w.batched.Run(), w.plain.Run()
+		var eb, ep error
+		if w.horizon == MaxTime {
+			eb, ep = w.batched.Run(), w.plain.Run()
+		} else {
+			eb, ep = w.batched.RunUntil(w.horizon), w.plain.RunUntil(w.horizon)
+		}
 		if eb != nil || ep != nil {
 			t.Fatalf("final drain: batched %v, plain %v", eb, ep)
 		}

@@ -41,6 +41,12 @@ func makeEventID(slot int32, gen uint32) EventID {
 	return EventID(uint64(slot)+1)<<32 | EventID(gen)
 }
 
+// Unqueued is the ID of an event that was never queued: one keyed past
+// the kernel's horizon (SetHorizon). It is not zero, so its holder still
+// sees the event as pending, and Cancel ignores it: the event could
+// never have fired within the run anyway.
+const Unqueued EventID = math.MaxUint64
+
 // split unpacks the ID. slot is -1 for the zero (invalid) ID.
 func (id EventID) split() (slot int64, gen uint32) {
 	return int64(id>>32) - 1, uint32(id)
@@ -114,9 +120,8 @@ const (
 	maxSeq      uint64   = math.MaxUint64
 )
 
-// Kernel is a single-threaded discrete-event scheduler. The zero value is
-// ready to use, but create kernels with NewKernel for symmetry with the
-// rest of the stack. Kernels are not safe for concurrent use — all
+// Kernel is a single-threaded discrete-event scheduler. Create kernels
+// with NewKernel. Kernels are not safe for concurrent use — all
 // scheduling must happen from event handlers or from the goroutine
 // driving Run/RunUntil, exactly as in OMNeT++.
 //
@@ -155,6 +160,8 @@ type Kernel struct {
 	// pause, when non-nil, runs whenever Run or RunUntil returns (see
 	// SetPauseHook).
 	pause func(drain bool)
+	// horizon is the instant the run ends (SetHorizon); MaxTime for none.
+	horizon Time
 
 	// interrupt, when non-nil, is polled every checkEvery executed events
 	// during Run/RunUntil; a non-nil return aborts the run with that
@@ -178,11 +185,11 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel with the clock at t=0.
-func NewKernel() *Kernel { return &Kernel{prio: minPriority} }
+func NewKernel() *Kernel { return &Kernel{prio: minPriority, horizon: MaxTime} }
 
 // Reset returns the kernel to its initial state — clock at t=0, no
-// pending events, counters cleared, interrupt check, event budget and
-// pause hook removed — without
+// pending events, counters cleared, interrupt check, event budget, pause
+// hook and horizon removed — without
 // releasing the slab, freelist or heap storage. A Reset kernel behaves
 // exactly like a fresh NewKernel (same seq numbering, hence the same
 // deterministic tie-breaking), which is what lets campaign workers reuse
@@ -210,6 +217,7 @@ func (k *Kernel) Reset() {
 	k.prio = minPriority
 	k.seq = 0
 	k.pause = nil
+	k.horizon = MaxTime
 	k.stopped = false
 	k.interrupt = nil
 	k.checkEvery = 0
@@ -327,6 +335,9 @@ func (k *Kernel) ScheduleAt(at Time, fn Handler) EventID {
 
 // ScheduleAtPrio schedules fn at time at with an explicit priority.
 func (k *Kernel) ScheduleAtPrio(at Time, prio Priority, fn Handler) EventID {
+	if at > k.horizon {
+		return Unqueued
+	}
 	slot, id := k.newEvent(at, prio, fn)
 	k.heapPush(slot)
 	return id
@@ -348,6 +359,21 @@ func (k *Kernel) newEvent(at Time, prio Priority, fn Handler) (int32, EventID) {
 	k.nextSeq++
 	return slot, makeEventID(slot, ev.gen)
 }
+
+// SetHorizon sets the instant the run ends: the simulation is never run
+// past it, so an event keyed strictly after it can never fire. Such an
+// event takes no sequence number and is not queued; its ID is Unqueued.
+// Dispatch depends only on the order of the keys, which the gaps it
+// leaves do not change, so up to the horizon the kernel dispatches
+// exactly what a kernel without one would (FuzzBatchOrder), and RunUntil
+// past the horizon is an error. An event at the horizon itself is
+// queued, since RunUntil fires events at its limit. Set it before
+// scheduling anything; MaxTime removes it, as Reset does. Like the pause
+// hook it is wiring, not simulation state: snapshots do not capture it.
+func (k *Kernel) SetHorizon(h Time) { k.horizon = h }
+
+// Horizon reports the instant the run ends (MaxTime for none).
+func (k *Kernel) Horizon() Time { return k.horizon }
 
 // BeginBatch opens a batch: events added with BatchAt until EndBatch
 // enter the queue as one chain sorted by (at, prio, seq) behind a single
@@ -372,6 +398,9 @@ func (k *Kernel) BeginBatch() {
 func (k *Kernel) BatchAt(at Time, prio Priority, fn Handler) EventID {
 	if !k.batching {
 		panic("des: BatchAt outside BeginBatch/EndBatch")
+	}
+	if at > k.horizon {
+		return Unqueued
 	}
 	slot, id := k.newEvent(at, prio, fn)
 	ev := &k.slab[slot]
@@ -445,6 +474,9 @@ func (k *Kernel) BatchReserved(at Time, prio Priority, seq uint64, fn Handler) E
 	}
 	if seq >= k.nextSeq || k.Passed(at, prio, seq) {
 		panic("des: BatchReserved with a key that was not reserved or has passed")
+	}
+	if at > k.horizon {
+		return Unqueued
 	}
 	slot := k.alloc()
 	ev := &k.slab[slot]
@@ -524,8 +556,9 @@ func (k *Kernel) ScheduleAfterPrio(delay Time, prio Priority, fn Handler) EventI
 }
 
 // Cancel removes a pending event. It reports whether the event was still
-// pending (false if it already fired, was canceled, never existed, or
-// predates a Reset).
+// pending (false if it already fired, was canceled, never existed, was
+// never queued — Unqueued, whose slot is out of range — or predates a
+// Reset).
 func (k *Kernel) Cancel(id EventID) bool {
 	slot, gen := id.split()
 	if slot < 0 || slot >= int64(len(k.slab)) {
@@ -638,7 +671,8 @@ func (k *Kernel) step(limit Time) bool {
 }
 
 // Run executes events until the queue is empty, Stop is called, or the
-// interrupt check (SetInterruptCheck) reports an error.
+// interrupt check (SetInterruptCheck) reports an error. The queue holds
+// nothing past the horizon, so Run never dispatches past it.
 func (k *Kernel) Run() error {
 	defer k.flushMetrics()
 	defer k.paused()
@@ -672,6 +706,9 @@ func (k *Kernel) Run() error {
 func (k *Kernel) RunUntil(limit Time) error {
 	if limit < k.now {
 		return fmt.Errorf("des: RunUntil(%v) is in the past (now %v)", limit, k.now)
+	}
+	if limit > k.horizon {
+		return fmt.Errorf("des: RunUntil(%v) is past the horizon %v", limit, k.horizon)
 	}
 	defer k.flushMetrics()
 	defer k.paused()
