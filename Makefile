@@ -49,14 +49,15 @@ chaos:
 
 # The checkpoint-equivalence self-test by name, under the race detector:
 # the same 200-experiment grid with prefix-checkpoint forking on and off
-# — healthy, sharded and with chaos-injected failures — must emit
+# — healthy, with resume holes in every same-start group and with
+# chaos-injected failures — must emit
 # byte-identical result CSVs and matching quarantine records.
 checkpoint-equiv:
 	$(GO) test -race -run 'TestCheckpointCampaignEquivalence' ./internal/runner
 
 # The trie-equivalence self-test by name, under the race detector: the
 # same grid through the checkpoint trie and on the fresh path — healthy,
-# sharded, under chaos injection, with early exit enabled, and with a
+# with resume holes, under chaos injection, with early exit enabled, and with a
 # mid-chain panic poisoning one trie subtree — must emit byte-identical
 # result CSVs; and early termination on vs off must preserve every
 # classification and the rendered per-cell report bit-for-bit.
@@ -76,8 +77,9 @@ obs-equiv:
 # result CSVs byte-identical to a factory replaying the pre-registry
 # model switch — healthy
 # and with chaos-injected failures — and matrix execution must stay
-# deterministic across worker counts, shards, resume, fabric-style
-# ranges and a failure-budget abort, with every cell's groups on one
+# deterministic across worker counts, resume, ranges (each on its own
+# Matrix, and in turn through one Matrix as the fabric executor runs
+# them) and a failure-budget abort, with every cell's groups on one
 # work queue and each scenario's engine held only while it has work.
 registry-equiv:
 	$(GO) test -race -run 'TestRegistryCampaignEquivalence|TestRegistryChaosEquivalence|TestRunMatrixDeterminism|TestRunMatrixOneQueue|TestRunMatrixEngineLifetime' ./internal/runner
@@ -114,7 +116,7 @@ oracle:
 # scheduling, the radio medium's dispatch-ordered fan-out against
 # per-event scheduling, its lazy receptions and held jamming bursts
 # against the eager reference, the traffic simulator's
-# reused lane order, the shard designator, the trie group key, the
+# reused lane order, the trie group key, the
 # heartbeat snapshot decoder, the fabric wire protocol). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -127,7 +129,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFanoutOrder' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLazyReception' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
-	$(GO) test -run '^$$' -fuzz 'FuzzParseShard' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzHeartbeatDecode' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzLeaseProtocolDecode' -fuzztime 5s ./internal/fabric

@@ -272,69 +272,3 @@ func TestRunServeWorkErrors(t *testing.T) {
 		t.Error("work with missing config accepted")
 	}
 }
-
-// TestRunMergeQuarantineCLI merges per-worker quarantine files through
-// the CLI and checks grid ordering, plus the flag-validation paths.
-func TestRunMergeQuarantineCLI(t *testing.T) {
-	dir := t.TempDir()
-	recs := []core.ExperimentFailure{
-		{Nr: 5, Attack: "delay", Class: "panic", Error: "boom"},
-		{Nr: 1, Attack: "delay", Class: "timeout", Error: "slow"},
-		{Nr: 3, Attack: "delay", Class: "invariant", Error: "NaN"},
-	}
-	write := func(name string, failures ...core.ExperimentFailure) string {
-		t.Helper()
-		var buf bytes.Buffer
-		sink := runner.NewQuarantineSink(&buf)
-		for _, f := range failures {
-			if err := sink.Put(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	a := write("a.jsonl", recs[0])
-	b := write("b.jsonl", recs[1], recs[2])
-
-	out := filepath.Join(dir, "merged.jsonl")
-	var sb strings.Builder
-	if err := run(bg(), []string{"merge",
-		"-quarantine", a, "-quarantine", b, "-quarantine-out", out}, &sb); err != nil {
-		t.Fatalf("merge -quarantine: %v", err)
-	}
-	if !strings.Contains(sb.String(), "merged 2 quarantine files") {
-		t.Errorf("merge output = %q", sb.String())
-	}
-	got, err := runner.ReadQuarantineFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("merged quarantine has %d records, want 3", len(got))
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		for nr, f := range got {
-			if strings.Contains(line, `"`+f.Class+`"`) {
-				order = append(order, nr)
-			}
-		}
-	}
-	for i := 1; i < len(order); i++ {
-		if order[i-1] >= order[i] {
-			t.Errorf("merged quarantine out of grid order: %v", order)
-		}
-	}
-
-	if err := run(bg(), []string{"merge", "-quarantine", a}, os.Stdout); err == nil {
-		t.Error("merge -quarantine without -quarantine-out accepted")
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"comfase/internal/config"
-	"comfase/internal/runner"
 	"comfase/internal/runner/pool"
 	"comfase/internal/sim/des"
 )
@@ -89,17 +88,15 @@ func TestCampaignFlagPrecedence(t *testing.T) {
 		cells, _ := p.Grid()
 		ec := cells[0].Engine
 		return map[string]any{
-			"workers": rt.Workers, "shard": rt.Shard, "results": rt.ResultsFile,
+			"workers": rt.Workers, "results": rt.ResultsFile,
 			"retries": rt.Retries, "max-failures": rt.MaxFailures, "experiment-timeout": rt.ExperimentTimeout,
 			"event-budget": ec.EventBudget, "invariants": ec.Invariants, "early-exit": ec.EarlyExit,
-			"early-exit-tolerance": ec.EarlyExitTolerance, "early-exit-hold": ec.EarlyExitHold,
-			"quarantine": rt.QuarantineFile, "heartbeat": rt.HeartbeatFile,
+			"early-exit-hold": ec.EarlyExitHold, "quarantine": rt.QuarantineFile, "heartbeat": rt.HeartbeatFile,
 			"heartbeat-interval": rt.HeartbeatInterval, "metrics-addr": rt.MetricsAddr,
 		}[name]
 	}
 	checkPrecedence(t, campaignFlags, get, []precedenceCase{
 		{"workers", `"workers": 3`, "runtime", 3, "-workers=0", 0},
-		{"shard", `"shard": "1/2"`, "runtime", runner.Shard{Index: 1, Count: 2}, "-shard=2/3", runner.Shard{Index: 2, Count: 3}},
 		{"results", `"resultsFile": "a.csv"`, "runtime", "a.csv", "-results=", ""},
 		{"retries", `"retries": 2`, "runtime", 2, "-retries=0", 0},
 		{"max-failures", `"maxFailures": 5`, "runtime", 5, "-max-failures=0", 0},
@@ -107,7 +104,6 @@ func TestCampaignFlagPrecedence(t *testing.T) {
 		{"event-budget", `"eventBudget": 500000`, "runtime", uint64(500000), "-event-budget=0", uint64(0)},
 		{"invariants", `"invariants": true`, "runtime", true, "-invariants=false", false},
 		{"early-exit", `"earlyExit": true`, "runtime", true, "-early-exit=false", false},
-		{"early-exit-tolerance", `"earlyExitToleranceMps": 0.01`, "runtime", 0.01, "-early-exit-tolerance=0", 0.0},
 		{"early-exit-hold", `"earlyExitHoldS": 2`, "runtime", 2 * des.Second, "-early-exit-hold=0s", des.Time(0)},
 		{"quarantine", `"quarantineFile": "q.jsonl"`, "runtime", "q.jsonl", "-quarantine=", ""},
 		{"heartbeat", `"heartbeatFile": "hb.json"`, "runtime", "hb.json", "-heartbeat=", ""},

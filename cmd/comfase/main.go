@@ -5,13 +5,14 @@
 //
 //	comfase golden [-seed N] [-csv golden.csv]
 //	comfase campaign -config experiment.json [-out report.txt] [-v]
-//	         [-workers N] [-shard i/n] [-results FILE] [-resume] [-jsonl FILE]
-//	comfase merge -out merged.csv shard1.csv shard2.csv ...
+//	         [-workers N] [-results FILE] [-resume] [-jsonl FILE]
+//	comfase serve -config experiment.json -results merged.csv
+//	comfase work -coordinator URL
 //
 // Campaigns stream per-experiment results to -results as they complete,
-// honor SIGINT by flushing partial results and exiting cleanly, resume
-// an interrupted run with -resume, and split the grid across processes
-// with -shard (merge the per-shard files with `comfase merge`).
+// honor SIGINT by flushing partial results and exiting cleanly, and
+// resume an interrupted run with -resume. `comfase serve` splits the
+// grid across `comfase work` processes and merges their rows itself.
 //
 // The config format is documented in internal/config; an empty scenario/
 // comm section reproduces the paper's setup (§IV-A). Example:
@@ -40,7 +41,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -125,8 +125,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return runServe(ctx, args[1:], stdout)
 	case "work":
 		return runWork(ctx, args[1:], stdout)
-	case "merge":
-		return runMerge(args[1:], stdout)
 	case "list":
 		return runList(stdout)
 	case "-h", "--help", "help":
@@ -138,7 +136,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: comfase <golden|campaign|serve|work|merge|list> [flags]; see comfase help")
+	return fmt.Errorf("usage: comfase <golden|campaign|serve|work|list> [flags]; see comfase help")
 }
 
 func printUsage(w io.Writer) {
@@ -150,7 +148,7 @@ Subcommands:
                    -cpuprofile FILE, -memprofile FILE (pprof output)
   campaign  run an attack-injection campaign from a JSON config
             flags: -config FILE (required), -out FILE, -v (progress),
-                   -workers N (0 = all cores), -shard i/n (grid slice),
+                   -workers N (0 = all cores),
                    -results FILE (stream per-experiment CSV rows; resume source),
                    -resume (skip experiments already in -results and -quarantine),
                    -jsonl FILE (stream JSON-lines results),
@@ -160,7 +158,7 @@ Subcommands:
                    -event-budget N (per-experiment kernel event cap),
                    -invariants (runtime NaN/position/overlap checks),
                    -early-exit (stop experiments once their verdict is decided),
-                   -early-exit-tolerance T, -early-exit-hold D (stability window),
+                   -early-exit-hold D (stability window),
                    -quarantine FILE (append persistent failures as JSON lines),
                    -heartbeat FILE (publish periodic JSON metrics snapshots),
                    -heartbeat-interval D (snapshot period, default 5s),
@@ -201,19 +199,14 @@ Subcommands:
                    tolerated before giving up),
                    -retry-base D (backoff base; capped exponential with
                    jitter), -v (log lease progress)
-  merge     merge per-shard result CSVs into one file ordered by expNr,
-            and/or per-worker quarantine.jsonl files likewise
-            flags: -out FILE (required with CSV inputs), then the shard
-                   CSV paths; -quarantine FILE (repeatable quarantine
-                   inputs) with -quarantine-out FILE
   list      print the registered scenario, attack and campaign families
             with their parameter schemas — the names a config file's
             campaign/matrix sections accept
 
 A config file may replace the single "campaign" section with a "matrix"
 section crossing registered scenarios with registered attacks; the grid
-is flattened into one contiguous expNr space, so -shard, -resume and
-merge work unchanged, and the results CSV gains a scenario column.
+is flattened into one contiguous expNr space, so -resume and serve's
+leases work unchanged, and the results CSV gains a scenario column.
 `)
 }
 
@@ -314,7 +307,6 @@ func writeCSV(log *trace.FullLog, path string) error {
 func campaignFlags(fs *flag.FlagSet, p *config.Parsed) {
 	rt := &p.Runtime
 	fs.IntVar(&rt.Workers, "workers", rt.Workers, "parallel experiment workers (0 = all cores; default: the config's runtime.workers, else 1)")
-	fs.Var(shardFlag{&rt.Shard}, "shard", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
 	fs.StringVar(&rt.ResultsFile, "results", rt.ResultsFile, "stream per-experiment results to this CSV (resume source)")
 	fs.IntVar(&rt.Retries, "retries", rt.Retries, "re-run a failed experiment up to N times before quarantining it")
 	fs.IntVar(&rt.MaxFailures, "max-failures", rt.MaxFailures, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
@@ -322,7 +314,6 @@ func campaignFlags(fs *flag.FlagSet, p *config.Parsed) {
 	fs.Uint64Var(&rt.EventBudget, "event-budget", rt.EventBudget, "per-experiment kernel event cap (0 = unlimited)")
 	fs.BoolVar(&rt.Invariants, "invariants", rt.Invariants, "enable runtime invariant checks in every simulation step")
 	fs.BoolVar(&rt.EarlyExit, "early-exit", rt.EarlyExit, "stop an experiment once its classification is decided (classification-identical; truncates raw kinematics)")
-	fs.Float64Var(&rt.EarlyExitTolerance, "early-exit-tolerance", rt.EarlyExitTolerance, "early-exit re-stabilisation speed tolerance in m/s (0 = 0.001 default)")
 	fs.Var(simDuration{&rt.EarlyExitHold}, "early-exit-hold", "how long the platoon must hold within tolerance before exiting early (0 = 5s default)")
 	fs.StringVar(&rt.QuarantineFile, "quarantine", rt.QuarantineFile, "append persistent-failure records to this JSON-lines file")
 	fs.StringVar(&rt.HeartbeatFile, "heartbeat", rt.HeartbeatFile, "periodically publish a JSON metrics snapshot to this file (atomic rename)")
@@ -352,21 +343,6 @@ func applyFlags(fs *flag.FlagSet, table func(*flag.FlagSet, *config.Parsed), par
 			err = b.Value.Set(f.Value.String())
 		}
 	})
-	return err
-}
-
-// shardFlag binds -shard to a runner.Shard.
-type shardFlag struct{ s *runner.Shard }
-
-func (f shardFlag) String() string {
-	if f.s == nil || !f.s.Enabled() {
-		return ""
-	}
-	return f.s.String()
-}
-
-func (f shardFlag) Set(v string) (err error) {
-	*f.s, err = runner.ParseShard(v)
 	return err
 }
 
@@ -555,11 +531,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		defer of.Close()
 		out = of
-	}
-	if opts.Shard.Enabled() {
-		_, gridTotal := runner.GridSpan(cells)
-		fmt.Fprintf(out, "shard %s: %d of the grid's %d experiments (merge shard files with: comfase merge)\n\n",
-			opts.Shard, len(res.Experiments), gridTotal)
 	}
 	if matrixMode {
 		return writeMatrixReport(out, res)
@@ -780,64 +751,6 @@ func runWork(ctx context.Context, args []string, stdout io.Writer) error {
 		return errInterrupted
 	}
 	return err
-}
-
-// stringList is a repeatable flag collecting its values in order.
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
-func runMerge(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
-	outPath := fs.String("out", "", "merged CSV output path (required with CSV inputs)")
-	var quarantineIn stringList
-	fs.Var(&quarantineIn, "quarantine", "per-worker quarantine.jsonl input (repeatable)")
-	quarantineOut := fs.String("quarantine-out", "", "merged quarantine output path (required with -quarantine)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 && len(quarantineIn) == 0 {
-		return fmt.Errorf("merge: nothing to merge (pass shard CSVs and/or -quarantine inputs)")
-	}
-	if fs.NArg() > 0 {
-		if *outPath == "" {
-			return fmt.Errorf("merge: -out is required with CSV inputs")
-		}
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		if err := runner.MergeResultFiles(f, fs.Args()...); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "merged %d result files into %s\n", fs.NArg(), *outPath)
-	}
-	if len(quarantineIn) > 0 {
-		if *quarantineOut == "" {
-			return fmt.Errorf("merge: -quarantine-out is required with -quarantine inputs")
-		}
-		f, err := os.Create(*quarantineOut)
-		if err != nil {
-			return err
-		}
-		if err := runner.MergeQuarantineFiles(f, quarantineIn...); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "merged %d quarantine files into %s\n", len(quarantineIn), *quarantineOut)
-	}
-	return nil
 }
 
 // runList prints the registered scenario, attack and campaign families

@@ -19,20 +19,26 @@ func TestRunUsage(t *testing.T) {
 	if err := run(bg(), nil, os.Stdout); err == nil {
 		t.Error("no args accepted")
 	}
-	// submit and campaigns belonged to the deleted multi-campaign queue.
-	for _, sub := range []string{"frobnicate", "submit", "campaigns"} {
-		if err := run(bg(), []string{sub}, os.Stdout); err == nil || !strings.HasPrefix(err.Error(), "usage:") {
-			t.Errorf("subcommand %q: err = %v, want the usage error", sub, err)
+	// submit and campaigns belonged to the deleted multi-campaign queue,
+	// merge to the deleted static sharding: each must fail loudly.
+	for _, args := range [][]string{{"frobnicate"}, {"submit"}, {"campaigns"}, {"merge", "-out", "m.csv", "a.csv", "b.csv"}} {
+		if err := run(bg(), args, os.Stdout); err == nil || !strings.HasPrefix(err.Error(), "usage:") {
+			t.Errorf("%v: err = %v, want the usage error", args, err)
 		}
 	}
 	var sb strings.Builder
 	if err := run(bg(), []string{"help"}, &sb); err != nil {
 		t.Errorf("help: %v", err)
 	}
-	for _, want := range []string{"golden", "campaign", "serve", "work", "merge",
-		"-shard", "-resume", "-coordinator", "-lease-ttl", "-quarantine-out"} {
+	for _, want := range []string{"golden", "campaign", "serve", "work",
+		"-resume", "-coordinator", "-lease-ttl", "-early-exit-hold"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("usage output missing %q: %q", want, sb.String())
+		}
+	}
+	for _, gone := range []string{"-shard", "-early-exit-tolerance", "comfase merge"} {
+		if strings.Contains(sb.String(), gone) {
+			t.Errorf("usage output still names the removed %q", gone)
 		}
 	}
 }
@@ -126,53 +132,13 @@ func TestRunCampaignErrors(t *testing.T) {
 	if err := run(bg(), []string{"campaign", "-config", cfg, "-resume"}, os.Stdout); err == nil {
 		t.Error("-resume without -results accepted")
 	}
-	if err := run(bg(), []string{"campaign", "-config", cfg, "-shard", "9/2"}, os.Stdout); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-}
-
-// TestRunCampaignShardedMergeMatchesSequential drives the full
-// multi-process workflow through the CLI: two shard runs into separate
-// result files, merged, compared byte-for-byte against one sequential
-// run of the whole grid.
-func TestRunCampaignShardedMergeMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs experiments in -short mode")
-	}
-	dir := t.TempDir()
-	cfg := writeGridConfig(t, dir)
-
-	seqCSV := filepath.Join(dir, "seq.csv")
-	if err := run(bg(), []string{"campaign", "-config", cfg, "-results", seqCSV}, os.Stdout); err != nil {
-		t.Fatalf("sequential campaign: %v", err)
-	}
-	var shardFiles []string
-	for _, shard := range []string{"1/2", "2/2"} {
-		path := filepath.Join(dir, "shard"+shard[:1]+".csv")
-		shardFiles = append(shardFiles, path)
-		var sb strings.Builder
-		if err := run(bg(), []string{"campaign", "-config", cfg,
-			"-shard", shard, "-workers", "2", "-results", path}, &sb); err != nil {
-			t.Fatalf("shard %s: %v", shard, err)
+	// Removed flags are flag errors, not silently ignored: four processes
+	// run with -shard i/4 would otherwise each run the whole grid.
+	for _, args := range [][]string{{"-shard", "1/2"}, {"-early-exit-tolerance", "0.01"}} {
+		err := run(bg(), append([]string{"campaign", "-config", cfg}, args...), os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("campaign %v: err = %v, want an undefined-flag error", args, err)
 		}
-		if !strings.Contains(sb.String(), "shard "+shard) {
-			t.Errorf("shard %s report missing shard note: %q", shard, sb.String())
-		}
-	}
-	merged := filepath.Join(dir, "merged.csv")
-	if err := run(bg(), append([]string{"merge", "-out", merged}, shardFiles...), os.Stdout); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	want, err := os.ReadFile(seqCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Errorf("merged shards differ from sequential run:\nseq:\n%s\nmerged:\n%s", want, got)
 	}
 }
 
@@ -345,15 +311,5 @@ func TestRunCampaignFailureBudgetCLI(t *testing.T) {
 	}
 	if len(recs2) != 4 {
 		t.Errorf("quarantine grew to %d records on resume, want 4", len(recs2))
-	}
-}
-
-func TestRunMergeErrors(t *testing.T) {
-	if err := run(bg(), []string{"merge"}, os.Stdout); err == nil {
-		t.Error("merge without -out accepted")
-	}
-	dir := t.TempDir()
-	if err := run(bg(), []string{"merge", "-out", filepath.Join(dir, "m.csv")}, os.Stdout); err == nil {
-		t.Error("merge without inputs accepted")
 	}
 }

@@ -366,10 +366,6 @@ type RuntimeConfig struct {
 	// Workers is the number of parallel experiment workers (0 = one, the
 	// sequential paper setup; negative = all cores).
 	Workers int `json:"workers,omitempty"`
-	// Shard is the "i/n" grid slice this process executes (empty = the
-	// whole grid). N processes with shards 1/n..n/n produce disjoint
-	// result files that `comfase merge` recombines.
-	Shard string `json:"shard,omitempty"`
 	// ResultsFile streams per-experiment CSV rows to this path as results
 	// complete; it is also the file -resume reads back.
 	ResultsFile string `json:"resultsFile,omitempty"`
@@ -411,12 +407,9 @@ type RuntimeConfig struct {
 	// kinematic summaries of truncated runs cover a shorter window
 	// (DESIGN.md §10). Off by default.
 	EarlyExit bool `json:"earlyExit,omitempty"`
-	// EarlyExitToleranceMps is the re-stabilisation speed tolerance in
-	// m/s (0 = the engine default of 1e-3; only meaningful with EarlyExit).
-	EarlyExitToleranceMps float64 `json:"earlyExitToleranceMps,omitempty"`
 	// EarlyExitHoldS is how long in seconds the platoon must hold within
-	// the tolerance before the verdict counts as decided (0 = the engine
-	// default of 5 s; only meaningful with EarlyExit).
+	// the engine's speed tolerance before the verdict counts as decided
+	// (0 = the engine default of 5 s; only meaningful with EarlyExit).
 	EarlyExitHoldS float64 `json:"earlyExitHoldS,omitempty"`
 
 	// HeartbeatFile periodically publishes a JSON metrics snapshot to this
@@ -435,25 +428,17 @@ type RuntimeConfig struct {
 // Build validates the runtime settings.
 func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 	out := RuntimeSettings{
-		CancelCheckEvents:  r.CancelCheckEvents,
-		Invariants:         r.Invariants,
-		EventBudget:        r.EventBudget,
-		EarlyExit:          r.EarlyExit,
-		EarlyExitTolerance: r.EarlyExitToleranceMps,
-		EarlyExitHold:      des.FromSeconds(r.EarlyExitHoldS),
+		CancelCheckEvents: r.CancelCheckEvents,
+		Invariants:        r.Invariants,
+		EventBudget:       r.EventBudget,
+		EarlyExit:         r.EarlyExit,
+		EarlyExitHold:     des.FromSeconds(r.EarlyExitHoldS),
 	}
 	out.Workers = r.Workers
 	if out.Workers == 0 {
 		out.Workers = 1 // the sequential paper setup; the runner would read 0 as all cores
 	}
 	out.ResultsFile = r.ResultsFile
-	if r.Shard != "" {
-		sh, err := runner.ParseShard(r.Shard)
-		if err != nil {
-			return RuntimeSettings{}, err
-		}
-		out.Shard = sh
-	}
 	if r.Retries < 0 {
 		return RuntimeSettings{}, fmt.Errorf("config: negative retries %d", r.Retries)
 	}
@@ -468,9 +453,6 @@ func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 	out.ExperimentTimeout = time.Duration(r.ExperimentTimeoutS * float64(time.Second))
 	out.MaxFailures = r.MaxFailures
 	out.QuarantineFile = r.QuarantineFile
-	if r.EarlyExitToleranceMps < 0 {
-		return RuntimeSettings{}, fmt.Errorf("config: negative earlyExitToleranceMps %g", r.EarlyExitToleranceMps)
-	}
 	if r.EarlyExitHoldS < 0 {
 		return RuntimeSettings{}, fmt.Errorf("config: negative earlyExitHoldS %g", r.EarlyExitHoldS)
 	}
@@ -486,7 +468,7 @@ func (r RuntimeConfig) Build() (RuntimeSettings, error) {
 // RuntimeSettings is the validated campaign-runtime configuration.
 type RuntimeSettings struct {
 	// Options are the runner settings the section configures (Workers,
-	// Shard, Retries, RetryBackoff, ExperimentTimeout, MaxFailures);
+	// Retries, RetryBackoff, ExperimentTimeout, MaxFailures);
 	// callers add sinks, metrics and resume state.
 	runner.Options
 	ResultsFile       string
@@ -495,12 +477,11 @@ type RuntimeSettings struct {
 	HeartbeatInterval time.Duration
 	MetricsAddr       string
 	// The engine knobs every cell's engine takes (Parsed.Grid).
-	CancelCheckEvents  uint64
-	Invariants         bool
-	EventBudget        uint64
-	EarlyExit          bool
-	EarlyExitTolerance float64
-	EarlyExitHold      des.Time
+	CancelCheckEvents uint64
+	Invariants        bool
+	EventBudget       uint64
+	EarlyExit         bool
+	EarlyExitHold     des.Time
 }
 
 // applyEngine sets the section's engine knobs on ec.
@@ -509,7 +490,6 @@ func (s RuntimeSettings) applyEngine(ec *core.EngineConfig) {
 	ec.Invariants = s.Invariants
 	ec.EventBudget = s.EventBudget
 	ec.EarlyExit = s.EarlyExit
-	ec.EarlyExitTolerance = s.EarlyExitTolerance
 	ec.EarlyExitHold = s.EarlyExitHold
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"comfase/internal/runner"
 	"comfase/internal/sim/des"
 )
 
@@ -307,6 +306,16 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse(strings.NewReader(`{`)); err == nil {
 		t.Error("truncated document accepted")
 	}
+	// Removed runtime settings fail loudly: a config that still names
+	// one must not run with the setting silently dropped (four "shards"
+	// would each run the whole grid).
+	for _, key := range []string{`"shard": "1/2"`, `"earlyExitToleranceMps": 0.01`} {
+		doc := `{"runtime": {` + key + `}}`
+		name := key[:strings.IndexByte(key, ':')]
+		if _, err := Parse(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "unknown field "+name) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %s", doc, err, name)
+		}
+	}
 }
 
 func TestParseDefaultSeed(t *testing.T) {
@@ -352,7 +361,6 @@ func TestRuntimeConfigBuild(t *testing.T) {
 	  },
 	  "runtime": {
 	    "workers": 4,
-	    "shard": "2/4",
 	    "resultsFile": "out.csv",
 	    "cancelCheckEvents": 1024,
 	    "retries": 2,
@@ -370,9 +378,6 @@ func TestRuntimeConfigBuild(t *testing.T) {
 	}
 	if p.Runtime.Workers != 4 {
 		t.Errorf("workers = %d, want 4", p.Runtime.Workers)
-	}
-	if p.Runtime.Shard != (runner.Shard{Index: 2, Count: 4}) {
-		t.Errorf("shard = %v, want 2/4", p.Runtime.Shard)
 	}
 	if p.Runtime.ResultsFile != "out.csv" {
 		t.Errorf("resultsFile = %q", p.Runtime.ResultsFile)
@@ -400,17 +405,11 @@ func TestRuntimeConfigDefaultsAndErrors(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	// workers 0 is the sequential paper setup: one worker.
-	if rt.Shard.Enabled() || rt.Workers != 1 || rt.ResultsFile != "" {
+	if rt.Range.Enabled() || rt.Workers != 1 || rt.ResultsFile != "" {
 		t.Errorf("zero runtime config built %+v, want one worker and disabled defaults", rt)
 	}
 	if all, err := (RuntimeConfig{Workers: -1}).Build(); err != nil || all.Workers != -1 {
 		t.Errorf("negative workers built %d (%v), want -1: all cores", all.Workers, err)
-	}
-	if _, err := (RuntimeConfig{Shard: "5/4"}).Build(); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if _, err := (RuntimeConfig{Shard: "nope"}).Build(); err == nil {
-		t.Error("malformed shard accepted")
 	}
 	if _, err := (RuntimeConfig{Retries: -1}).Build(); err == nil {
 		t.Error("negative retries accepted")

@@ -78,7 +78,7 @@ func validateCells(t *testing.T, cells []runner.MatrixCell) {
 
 // FuzzMatrixConfigDecode drives arbitrary documents through the matrix
 // section: accepted documents must expand to a well-formed grid and —
-// the property shard/resume/merge rest on — re-expand to the identical
+// the property range/resume/merge rest on — re-expand to the identical
 // grid on a second parse.
 func FuzzMatrixConfigDecode(f *testing.F) {
 	f.Add(`{"matrix": {

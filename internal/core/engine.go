@@ -55,20 +55,15 @@ type EngineConfig struct {
 	// EarlyExit enables verdict-aware early termination: experiments stop
 	// simulating as soon as their classification is decided (a collision
 	// is recorded, or the attack window is over and the platoon has
-	// re-stabilised onto the golden trajectory within EarlyExitTolerance
+	// re-stabilised onto the golden trajectory within earlyExitTolerance
 	// for EarlyExitHold). Classification output — class, collider
 	// attribution, outcome counts — is identical with the flag on or off;
 	// the raw kinematic extrema of a truncated run only cover the
 	// simulated part of the horizon (DESIGN.md §10). Off by default: the
 	// zero value preserves full-horizon kinematics bit-for-bit.
 	EarlyExit bool
-	// EarlyExitTolerance is the per-sample speed-deviation band (m/s)
-	// within which the platoon counts as re-stabilised onto the golden
-	// trajectory. Zero selects DefaultEarlyExitTolerance. Only consulted
-	// when EarlyExit is set.
-	EarlyExitTolerance float64
 	// EarlyExitHold is how long every vehicle must stay within
-	// EarlyExitTolerance after the attack window before the verdict
+	// earlyExitTolerance after the attack window before the verdict
 	// counts as decided. Zero selects DefaultEarlyExitHold. Only
 	// consulted when EarlyExit is set.
 	EarlyExitHold des.Time
@@ -82,18 +77,21 @@ type EngineConfig struct {
 	Metrics *obs.Registry
 }
 
-// Early-exit defaults and cadence. The hold period defaults to one full
-// cycle of the paper maneuver's 0.2 Hz sinusoid, so "stable for the
-// hold" means the platoon tracked the golden run through a complete
-// speed oscillation, not just a flat segment of it. Decision checks run
-// on a fixed absolute-time grid (multiples of earlyExitCheckInterval
-// since t=0) so fresh, forked and chained executions of the same
-// experiment stop at the identical instant regardless of where their
-// simulation segment began.
+// Early-exit tolerance, hold default and cadence. The tolerance is the
+// per-sample speed-deviation band (m/s) within which the platoon counts
+// as re-stabilised onto the golden trajectory; it is fixed, because a
+// looser band changes classifications (DESIGN.md §10). The hold period
+// defaults to one full cycle of the paper maneuver's 0.2 Hz sinusoid,
+// so "stable for the hold" means the platoon tracked the golden run
+// through a complete speed oscillation, not just a flat segment of it.
+// Decision checks run on a fixed absolute-time grid (multiples of
+// earlyExitCheckInterval since t=0) so fresh, forked and chained
+// executions of the same experiment stop at the identical instant
+// regardless of where their simulation segment began.
 const (
-	DefaultEarlyExitTolerance          = 1e-3
-	DefaultEarlyExitHold               = 5 * des.Second
-	earlyExitCheckInterval    des.Time = 500 * des.Millisecond
+	earlyExitTolerance              = 1e-3
+	DefaultEarlyExitHold            = 5 * des.Second
+	earlyExitCheckInterval des.Time = 500 * des.Millisecond
 )
 
 // Engine is the ComFASE engine: it owns a validated configuration and
@@ -104,9 +102,8 @@ type Engine struct {
 	goldenRes  *GoldenResult
 	thresholds classify.Thresholds
 
-	// eeTol/eeHold are the resolved early-exit knobs (defaults applied);
+	// eeHold is the resolved early-exit hold (default applied);
 	// meaningful only when cfg.EarlyExit is set.
-	eeTol  float64
 	eeHold des.Time
 
 	// pool recycles per-worker simulation workspaces: each experiment
@@ -269,9 +266,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if cfg.EarlyExitTolerance < 0 {
-		return nil, errors.New("core: early-exit tolerance must be non-negative")
-	}
 	if cfg.EarlyExitHold < 0 {
 		return nil, errors.New("core: early-exit hold must be non-negative")
 	}
@@ -280,10 +274,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	// invariants.
 	cfg.Scenario.Invariants = cfg.Scenario.Invariants || cfg.Invariants
 	e := &Engine{cfg: cfg}
-	e.eeTol = cfg.EarlyExitTolerance
-	if e.eeTol == 0 {
-		e.eeTol = DefaultEarlyExitTolerance
-	}
 	e.eeHold = cfg.EarlyExitHold
 	if e.eeHold == 0 {
 		e.eeHold = DefaultEarlyExitHold
@@ -479,7 +469,7 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 	summary := u.summary
 	summary.Reset(len(sim.Members), e.golden)
 	if e.cfg.EarlyExit {
-		summary.TrackStability(e.eeTol)
+		summary.TrackStability(earlyExitTolerance)
 	}
 	sim.AddRecorder(summary)
 	if withLog {
@@ -576,7 +566,7 @@ func (e *Engine) runDecidable(sim *scenario.Simulation, summary *trace.Summary, 
 			MaxSpeedDev: summary.MaxSpeedDev,
 			Collided:    sim.Traffic.CollisionCount() > 0,
 		}
-		if classify.Decided(e.thresholds, obsv, tail, stabilized, e.eeTol) {
+		if classify.Decided(e.thresholds, obsv, tail, stabilized, earlyExitTolerance) {
 			return true, cur, nil
 		}
 	}

@@ -182,7 +182,7 @@ func (gs *GroupSession) buildRoot(ctx context.Context) (err error) {
 	summary := u.summary
 	summary.Reset(len(sim.Members), e.golden)
 	if e.cfg.EarlyExit {
-		summary.TrackStability(e.eeTol)
+		summary.TrackStability(earlyExitTolerance)
 	}
 	sim.AddRecorder(summary)
 	if err := sim.Start(); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"comfase/internal/mac"
 	"comfase/internal/nic"
+	"comfase/internal/obs"
 	"comfase/internal/phy"
 	"comfase/internal/platoon"
 	"comfase/internal/scenario"
@@ -151,7 +152,11 @@ func TestGroupForkMatchesFreshWithBudgetAndInvariants(t *testing.T) {
 
 func TestGroupForkMatchesFreshJamming(t *testing.T) {
 	// Jamming exercises the Installer path and noise receptions — the
-	// reception-pool restore's hardest case.
+	// reception-pool restore's hardest case. The siblings ask to retain
+	// chain boundaries, and none may be taken: nic.Air.SaveState captures
+	// neither the jammer's ticker nor its per-radio memo, so a snapshot
+	// inside a jamming window would not replay. Installers never chain,
+	// so every sibling forks from the prefix taken before Install.
 	setup := CampaignSetup{
 		AttackName: "jamming",
 		Targets:    []string{"vehicle.2"},
@@ -171,11 +176,24 @@ func TestGroupForkMatchesFreshJamming(t *testing.T) {
 		want[i] = res
 	}
 
-	got := forkGroup(t, groupEngine(t, nil), context.Background(), specs)
-	for i := range got {
-		if !resultsEqual(got[i], want[i]) {
-			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", want[i].Spec.Nr, want[i], got[i])
+	reg := obs.NewRegistry()
+	gs, err := groupEngine(t, func(cfg *EngineConfig) { cfg.Metrics = reg }).BeginGroup(context.Background(), specs[0].Start)
+	if err != nil {
+		t.Fatalf("BeginGroup: %v", err)
+	}
+	defer gs.Close()
+	for i, spec := range specs {
+		retain := i+1 < len(specs) && specs[i+1].Value == spec.Value
+		got, err := gs.RunExperiment(context.Background(), spec, retain)
+		if err != nil {
+			t.Fatalf("forked %v: %v", spec, err)
 		}
+		if !resultsEqual(got, want[i]) {
+			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", spec.Nr, want[i], got)
+		}
+	}
+	if n := reg.Counter("engine.trie_boundary_snapshots").Load(); n != 0 {
+		t.Errorf("engine.trie_boundary_snapshots = %d inside jamming windows, want 0", n)
 	}
 }
 

@@ -48,7 +48,7 @@ type campaignExecutor struct {
 // coordinator serves at registration. The runner options come from the
 // config's runtime section (so a config without workers runs one
 // experiment thread, as under `comfase campaign`), with fabric-imposed
-// changes: leases replace the shard, the failure budget is unlimited
+// changes: leases select the grid points, the failure budget is unlimited
 // (the coordinator owns the campaign-level budget) and result/quarantine
 // files are replaced by in-memory wire rows.
 func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
@@ -57,7 +57,6 @@ func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 		return nil, fmt.Errorf("fabric: coordinator config: %w", err)
 	}
 	base := parsed.Runtime.Options
-	base.Shard = runner.Shard{}
 	base.MaxFailures = -1
 	base.Metrics = opts.Metrics
 	if opts.Workers > 0 {

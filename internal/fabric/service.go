@@ -234,7 +234,7 @@ func NewService(c Campaign, opts ServiceOptions) (*Service, error) {
 // crash left behind, and returns how many grid points from base on they
 // cover as a contiguous prefix. The release frontier only ever writes
 // contiguous prefixes, so a record beyond it means the files are not a
-// coordinator output (per-shard files that still need `comfase merge`,
+// coordinator output (a resume-holed or range-selected campaign file,
 // or files from a different grid): the resume refuses rather than
 // silently discard it. Errors name the offending file.
 func readMergedPrefix(results, quarantine string, base, total int) (int, error) {
@@ -263,7 +263,7 @@ func readMergedPrefix(results, quarantine string, base, total int) (int, error) 
 		}
 	}
 	if extra := len(rows) + len(fails) - prefix; extra > 0 {
-		return 0, fmt.Errorf("results file %s holds %d record(s) beyond its %d-point contiguous prefix — not a coordinator output (per-shard files need `comfase merge` first)",
+		return 0, fmt.Errorf("results file %s holds %d record(s) beyond its %d-point contiguous prefix — not a coordinator output of this grid",
 			results, extra, prefix)
 	}
 	return prefix, nil

@@ -44,7 +44,7 @@ type Matrix struct {
 
 // Cell is one expanded (scenario, attack) pair. Cells are ordered
 // scenario-major, attack-minor, and experiment numbers are globally
-// contiguous across cells (Setup.Base carries the offset), so shard,
+// contiguous across cells (Setup.Base carries the offset), so range,
 // resume and merge semantics work unchanged on the flattened grid.
 type Cell struct {
 	// Index is the cell's position in the expansion order.
@@ -62,7 +62,7 @@ type Cell struct {
 
 // Expand resolves the matrix into its deterministic cell list. The
 // expansion is a pure function of the matrix: same input, same cell
-// order, same experiment numbering — the property sharded runs rely on.
+// order, same experiment numbering — the property range-split runs rely on.
 func (m Matrix) Expand() ([]Cell, error) {
 	if len(m.Scenarios) == 0 {
 		return nil, errors.New("registry: matrix needs at least one scenario")

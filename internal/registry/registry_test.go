@@ -129,7 +129,7 @@ func testMatrix() Matrix {
 
 // TestMatrixExpandDeterminism: the same matrix must expand to the same
 // grid — same cell order, labels, bases and experiment vectors — every
-// time; the shard/resume/merge invariants all sit on this.
+// time; the range/resume/merge invariants all sit on this.
 func TestMatrixExpandDeterminism(t *testing.T) {
 	a, err := testMatrix().Expand()
 	if err != nil {

@@ -3,11 +3,14 @@ package runner
 import (
 	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/obs"
 )
 
 // runForEquivalence executes the chaos grid once with the given
@@ -49,10 +52,51 @@ func referenceCSV(t *testing.T, eng *core.Engine, setup core.CampaignSetup) []by
 	return buf.Bytes()
 }
 
+// checkResumeHoles runs the chaos grid with every grid point whose
+// expNr%3 != 1 resumed from the fresh reference run, which punches
+// round-robin holes into each start's sibling block. Through the
+// checkpoint trie and on the fresh path, the run must emit exactly the
+// reference rows with expNr%3 == 1, in grid order. The holed blocks
+// still fork 50 siblings from prefix checkpoints and 17 from trie
+// boundaries; the counts pin that the comparison is not vacuous.
+func checkResumeHoles(t *testing.T, setup core.CampaignSetup) {
+	t.Helper()
+	ref := referenceCSV(t, chaosEngine(t, 100_000), setup)
+	resume, err := ReadResults(bytes.NewReader(ref))
+	if err != nil {
+		t.Fatalf("ReadResults: %v", err)
+	}
+	for nr := range resume {
+		if nr%3 == 1 {
+			delete(resume, nr)
+		}
+	}
+	lines := strings.SplitAfter(string(ref), "\n")
+	want := lines[0]
+	for _, line := range lines[1:] {
+		if nr, err := strconv.Atoi(line[:strings.IndexByte(line+",", ',')]); err == nil && nr%3 == 1 {
+			want += line
+		}
+	}
+
+	reg := obs.NewRegistry()
+	opts := Options{Workers: 2, Resume: resume}
+	on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, opts, false)
+	off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, true)
+	if on != want || off != want {
+		t.Errorf("resume-holed CSVs differ from the reference rows:\nwant:\n%s\ntrie:\n%s\nfresh:\n%s", want, on, off)
+	}
+	for name, want := range map[string]uint64{"engine.checkpoint_forks": 50, "engine.trie_suffix_forks": 17} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d on the holed grid, want %d", name, got, want)
+		}
+	}
+}
+
 // TestCheckpointCampaignEquivalence is the byte-equivalence proof for
 // prefix-checkpoint forking: the same 200-point grid executed with
 // checkpoints on and off must emit byte-identical result CSVs — on a
-// healthy grid, on a sharded slice of it, and under the chaos fault
+// healthy grid, on a resume-holed slice of it, and under the chaos fault
 // schedule with retries and quarantine in play. The forked path is the
 // default, so this test is the campaign-level pin that it changes
 // nothing but wall-clock time.
@@ -70,16 +114,10 @@ func TestCheckpointCampaignEquivalence(t *testing.T) {
 		}
 	})
 
-	t.Run("sharded", func(t *testing.T) {
-		// Sharding punches round-robin holes in each start's sibling
-		// block; grouped scheduling must still emit the shard's rows in
-		// grid order.
-		opts := Options{Workers: 2, Shard: Shard{Index: 2, Count: 3}}
-		on, _ := runForEquivalence(t, setup, opts, false)
-		off, _ := runForEquivalence(t, setup, opts, true)
-		if on != off {
-			t.Errorf("sharded checkpointed CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
-		}
+	t.Run("resume holes", func(t *testing.T) {
+		// Grouped scheduling must emit the holed blocks' rows in grid
+		// order.
+		checkResumeHoles(t, setup)
 	})
 
 	t.Run("chaos", func(t *testing.T) {

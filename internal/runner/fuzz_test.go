@@ -8,36 +8,8 @@ import (
 	"comfase/internal/sim/des"
 )
 
-// FuzzParseShard checks that ParseShard never panics and that every
-// accepted designator is valid and round-trips through String: parsing
-// the rendered form again renders identically. (The disabled shard 0/0
-// renders "1/1", which parses back to the equivalent full-grid shard —
-// hence the String-of-String comparison.)
-func FuzzParseShard(f *testing.F) {
-	for _, seed := range []string{"1/1", "2/4", "0/0", "-1/3", "abc", "3/2", "1/1000000", " 1/2", "1/2 trailing"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		sh, err := ParseShard(s)
-		if err != nil {
-			return
-		}
-		if err := sh.Validate(); err != nil {
-			t.Fatalf("ParseShard(%q) accepted invalid shard %+v: %v", s, sh, err)
-		}
-		once := sh.String()
-		sh2, err := ParseShard(once)
-		if err != nil {
-			t.Fatalf("ParseShard(%q) round-trip rejected %q: %v", s, once, err)
-		}
-		if twice := sh2.String(); twice != once {
-			t.Fatalf("ParseShard(%q): String round-trip %q -> %q", s, once, twice)
-		}
-	})
-}
-
 // FuzzTrieGroupKey fuzzes the checkpoint trie's group-key derivation —
-// grid expansion (with an arbitrary matrix-cell base), shard filtering,
+// grid expansion (with an arbitrary matrix-cell base), subset filtering,
 // same-start grouping and per-value chain ordering — and checks the
 // invariants every execution mode relies on:
 //
@@ -45,8 +17,9 @@ func FuzzParseShard(f *testing.F) {
 //   - every chain is one attack value (compared as float64 bit patterns,
 //     so a NaN value must sit alone in its bucket);
 //   - chain order is strictly ascending in (duration, expNr);
-//   - a shard's chains are projections of the full grid's chains: the
-//     surviving experiments keep their full-grid relative order.
+//   - a round-robin subset's chains are projections of the full grid's
+//     chains: the surviving experiments keep their full-grid relative
+//     order.
 func FuzzTrieGroupKey(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), 0, uint8(2), uint8(3), []byte{1, 2, 3, 4})
 	f.Add(uint8(1), uint8(1), uint8(1), 1000, uint8(1), uint8(1), []byte{0})
@@ -80,7 +53,7 @@ func FuzzTrieGroupKey(f *testing.F) {
 		}
 		// Starts are strictly increasing, like every real grid: with
 		// duplicate non-adjacent starts groupByStart would merge groups
-		// differently for different shard subsets, and the projection
+		// differently for different subsets, and the projection
 		// property below only holds per group.
 		start := des.Second
 		for i := 0; i < ns; i++ {
@@ -142,13 +115,13 @@ func FuzzTrieGroupKey(f *testing.F) {
 			}
 		}
 
-		// Sharded subset: its chains must be subsequences of the full
+		// Round-robin subset (every count-th experiment, the holes a
+		// resume leaves): its chains must be subsequences of the full
 		// grid's chains.
 		count := int(shardCount%8) + 1
-		shard := Shard{Index: int(shardIdx)%count + 1, Count: count}
 		var sub []core.ExperimentSpec
 		for _, s := range specs {
-			if shard.Contains(s.Nr) {
+			if s.Nr%count == int(shardIdx)%count {
 				sub = append(sub, s)
 			}
 		}
@@ -168,7 +141,7 @@ func FuzzTrieGroupKey(f *testing.F) {
 						j++
 					}
 					if j == len(full) {
-						t.Fatalf("shard chain order %v is not a subsequence of full-grid order %v", c, full)
+						t.Fatalf("subset chain order %v is not a subsequence of full-grid order %v", c, full)
 					}
 					j++
 				}

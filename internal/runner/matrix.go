@@ -25,7 +25,7 @@ type MatrixCell struct {
 	// distinct scenario).
 	Engine core.EngineConfig
 	// Setup is the cell's campaign grid; Setup.Base carries the global
-	// expNr offset, so shard/resume/merge work on the flattened grid.
+	// expNr offset, so ranges, resume and merge work on the flattened grid.
 	Setup core.CampaignSetup
 }
 
@@ -98,7 +98,7 @@ func RunMatrix(ctx context.Context, cells []MatrixCell, opts Options, sinks ...S
 // scenario's last group completes, so a run holds at most one engine
 // beyond the scenario it is working through. Checkpoint groups never
 // span cells: the group key is effectively (scenario, attack, start).
-// Shard, resume and quarantine semantics apply to the flattened global
+// Range, resume and quarantine semantics apply to the flattened global
 // grid exactly as they do to a single campaign: expNr is globally unique
 // and contiguous across cells, sinks receive rows in global grid order,
 // and Options.MaxFailures is a whole-matrix budget.
@@ -107,10 +107,10 @@ func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixR
 	if len(cells) == 0 {
 		return nil, errors.New("runner: matrix has no cells")
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Range.Validate(); err != nil {
 		return nil, err
 	}
-	// The global expNr space must be contiguous in cell order — sharding
+	// The global expNr space must be contiguous in cell order — range
 	// and merge correctness depend on it.
 	base := cells[0].Setup.Base
 	for i, cell := range cells {
@@ -189,7 +189,7 @@ func (m *Matrix) Run(ctx context.Context, opts Options, sinks ...Sink) (*MatrixR
 				return nil, cell.wrap(i, err)
 			}
 		} else {
-			// No grid point of this cell survives the shard/range filter:
+			// No grid point of this cell survives the range filter:
 			// its engine (and golden run) was never needed. The empty
 			// CellResult keeps the matrix shape intact for reporting.
 			res = &core.CampaignResult{Setup: cell.Setup}

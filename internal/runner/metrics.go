@@ -25,11 +25,11 @@ type runnerMetrics struct {
 	quarantined *obs.Counter
 	// flushes counts sink Flush calls (result and quarantine sinks).
 	flushes *obs.Counter
-	// shardDone/shardTotal expose the release-frontier progress of the
+	// gridDone/gridTotal expose the release-frontier progress of the
 	// current Run: done counts completed grid points (resumed included),
-	// total is the shard's grid size.
-	shardDone  *obs.Gauge
-	shardTotal *obs.Gauge
+	// total is the selected grid's size.
+	gridDone  *obs.Gauge
+	gridTotal *obs.Gauge
 }
 
 func newRunnerMetrics(reg *obs.Registry) runnerMetrics {
@@ -39,8 +39,8 @@ func newRunnerMetrics(reg *obs.Registry) runnerMetrics {
 		results:     reg.Counter("runner.results_emitted"),
 		quarantined: reg.Counter("runner.quarantine_emitted"),
 		flushes:     reg.Counter("runner.sink_flushes"),
-		shardDone:   reg.Gauge("runner.shard_done"),
-		shardTotal:  reg.Gauge("runner.shard_total"),
+		gridDone:    reg.Gauge("runner.grid_done"),
+		gridTotal:   reg.Gauge("runner.grid_total"),
 	}
 }
 

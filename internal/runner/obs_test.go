@@ -227,8 +227,8 @@ func TestHeartbeatLiveCampaign(t *testing.T) {
 	if got := final.Counters["runner.results_emitted"]; got != uint64(len(res.Experiments)) {
 		t.Errorf("final runner.results_emitted = %d, want %d", got, len(res.Experiments))
 	}
-	if got := final.Gauges["runner.shard_done"]; got != int64(total) {
-		t.Errorf("final runner.shard_done = %d, want %d", got, total)
+	if got := final.Gauges["runner.grid_done"]; got != int64(total) {
+		t.Errorf("final runner.grid_done = %d, want %d", got, total)
 	}
 	if got := final.Counters["kernel.events_executed"]; got == 0 {
 		t.Error("final kernel.events_executed = 0, want > 0")

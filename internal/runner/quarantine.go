@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"comfase/internal/core"
 )
@@ -103,50 +102,6 @@ func ReadQuarantine(r io.Reader) (map[int]core.ExperimentFailure, error) {
 		return nil, pendingErr
 	}
 	return out, nil
-}
-
-// MergeQuarantineFiles recombines per-worker (or per-shard)
-// quarantine.jsonl files into one stream ordered by expNr — the failure
-// analogue of MergeResultFiles. Each input is parsed with ReadQuarantine,
-// so a truncated final line (a worker killed mid-write) is tolerated and
-// dropped, exactly like the CSV resume discriminator; a malformed
-// interior line or a duplicate expNr across inputs is real corruption
-// and rejected. Records are re-encoded with the same json.Encoder the
-// QuarantineSink uses, so the merged file is byte-identical to the
-// quarantine a single sequential run would have written.
-func MergeQuarantineFiles(w io.Writer, paths ...string) error {
-	type entry struct {
-		nr   int
-		path string
-	}
-	merged := make(map[int]core.ExperimentFailure)
-	var order []entry
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		records, err := ReadQuarantine(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("runner: %s: %w", path, err)
-		}
-		for nr, rec := range records {
-			if _, dup := merged[nr]; dup {
-				return fmt.Errorf("runner: quarantine expNr %d present in more than one input (last: %s)", nr, path)
-			}
-			merged[nr] = rec
-			order = append(order, entry{nr: nr, path: path})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].nr < order[j].nr })
-	enc := json.NewEncoder(w)
-	for _, e := range order {
-		if err := enc.Encode(merged[e.nr]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadQuarantineFile is ReadQuarantine over a file path. A missing file

@@ -3,12 +3,8 @@ package runner
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"comfase/internal/core"
 )
 
 func TestRangeValidateContains(t *testing.T) {
@@ -100,70 +96,5 @@ func TestRangeSplitEquivalence(t *testing.T) {
 	}
 	if spliced.String() != full {
 		t.Errorf("range-spliced CSV differs from the full run:\nspliced:\n%s\nfull:\n%s", spliced.String(), full)
-	}
-}
-
-func TestMergeQuarantineFiles(t *testing.T) {
-	recs := []core.ExperimentFailure{
-		{Nr: 4, Attack: "delay", Class: "panic", Error: "boom", Attempts: 2},
-		{Nr: 1, Attack: "delay", Class: "timeout", Error: "slow", Attempts: 1},
-		{Nr: 9, Attack: "delay", Class: "invariant", Error: "NaN", Attempts: 3},
-		{Nr: 2, Attack: "delay", Class: "panic", Error: "again", Attempts: 2},
-	}
-	dir := t.TempDir()
-	writeFile := func(name string, failures []core.ExperimentFailure, chopTail bool) string {
-		t.Helper()
-		var buf bytes.Buffer
-		sink := NewQuarantineSink(&buf)
-		for _, f := range failures {
-			if err := sink.Put(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data := buf.Bytes()
-		if chopTail {
-			data = data[:len(data)-7] // mid-record, no trailing newline
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// Worker A holds 4 and 1; worker B holds 9, 2 and a record truncated
-	// by a mid-write kill that must be dropped silently.
-	a := writeFile("a.jsonl", recs[:2], false)
-	b := writeFile("b.jsonl", append(recs[2:4:4], core.ExperimentFailure{Nr: 7, Attack: "delay", Class: "panic"}), true)
-
-	var merged bytes.Buffer
-	if err := MergeQuarantineFiles(&merged, a, b); err != nil {
-		t.Fatalf("MergeQuarantineFiles: %v", err)
-	}
-	// Expected: the sequential sink writing the surviving records in
-	// grid order — byte identity, not just semantic equality.
-	var want bytes.Buffer
-	wantSink := NewQuarantineSink(&want)
-	for _, nr := range []int{1, 2, 4, 9} {
-		for _, f := range recs {
-			if f.Nr == nr {
-				if err := wantSink.Put(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if merged.String() != want.String() {
-		t.Errorf("merged quarantine:\n%q\nwant:\n%q", merged.String(), want.String())
-	}
-
-	// A duplicate expNr across inputs is corruption, not mergeable.
-	dup := writeFile("dup.jsonl", recs[:1], false)
-	if err := MergeQuarantineFiles(&bytes.Buffer{}, a, dup); err == nil {
-		t.Error("duplicate expNr across inputs accepted")
-	}
-	// Missing inputs are I/O errors, not silently empty.
-	if err := MergeQuarantineFiles(&bytes.Buffer{}, filepath.Join(dir, "nope.jsonl")); err == nil {
-		t.Error("missing input accepted")
 	}
 }

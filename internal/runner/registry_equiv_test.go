@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -228,12 +227,12 @@ func runMatrixOutput(m *Matrix, opts Options, header bool) (*MatrixResult, matri
 // TestRunMatrixDeterminism is the matrix analogue of
 // TestRunnerDeterminism. Every way of scheduling the 2-scenario x
 // 2-family matrix through its one work queue must write the 1-worker
-// run's CSV and quarantine bytes: 2 and 3 workers; two shards, merged;
-// a resume from a file cut inside the second cell; the grid run range
-// by range through one Matrix, as the fabric executor does, with ranges
-// straddling cell and scenario boundaries; and a failure-budget abort
-// inside the first cell. The per-cell tallies must agree with the flat
-// experiment stream.
+// run's CSV and quarantine bytes: 2 and 3 workers; two ranges, each on
+// its own Matrix; a resume from a file cut inside the second cell; the
+// grid run range by range through one Matrix, as the fabric executor
+// does, with ranges straddling cell and scenario boundaries; and a
+// failure-budget abort inside the first cell. The per-cell tallies must
+// agree with the flat experiment stream.
 func TestRunMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs matrix campaigns in -short mode")
@@ -263,12 +262,16 @@ func TestRunMatrixDeterminism(t *testing.T) {
 		same(fmt.Sprintf("%d workers", w), got, want)
 	}
 
-	var shardCSVs [][]byte
-	for i := 1; i <= 2; i++ {
-		_, out := mustRun(&Matrix{Cells: cells}, Options{Workers: 2, Shard: Shard{Index: i, Count: 2}}, true)
-		shardCSVs = append(shardCSVs, out.csv)
+	// Two ranges, each through its own Matrix (separate-process model),
+	// the second's output appended after the first's; 13 cuts a
+	// same-start group of cell 1.
+	var split matrixOutput
+	for i, rg := range []Range{{0, 13}, {13, 36}} {
+		_, out := mustRun(&Matrix{Cells: cells}, Options{Workers: 2, Range: rg}, i == 0)
+		split.csv = append(split.csv, out.csv...)
+		split.quarantine = append(split.quarantine, out.quarantine...)
 	}
-	same("merged shards", matrixOutput{csv: mergeCSVBytes(t, shardCSVs...)}, want)
+	same("two ranges", split, want)
 
 	// Cut the file inside the second cell (cell 0 holds rows 0-11) and
 	// resume it on two workers.
@@ -486,24 +489,6 @@ func chaosEngineConfig(budget uint64) core.EngineConfig {
 		Invariants:        true,
 		EventBudget:       budget,
 	}
-}
-
-func mergeCSVBytes(t *testing.T, csvs ...[]byte) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	var paths []string
-	for i, b := range csvs {
-		path := fmt.Sprintf("%s/shard%d.csv", dir, i)
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatalf("write shard: %v", err)
-		}
-		paths = append(paths, path)
-	}
-	var merged bytes.Buffer
-	if err := MergeResultFiles(&merged, paths...); err != nil {
-		t.Fatalf("MergeResultFiles: %v", err)
-	}
-	return merged.Bytes()
 }
 
 // TestRunMatrixBaseValidation verifies the guards that run before any

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 
 	"comfase/internal/analysis"
@@ -78,19 +77,6 @@ func ReadResults(r io.Reader) (map[int]core.ExperimentResult, error) {
 		}
 		out[res.Spec.Nr] = res
 	}
-}
-
-// equalHeader reports whether two CSV headers are identical.
-func equalHeader(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // tailTracker remembers the last byte delivered from the underlying
@@ -214,83 +200,4 @@ func ReadResultsFile(path string) (map[int]core.ExperimentResult, error) {
 	}
 	defer f.Close()
 	return ReadResults(f)
-}
-
-// MergeResultFiles recombines per-shard result CSVs into one canonical
-// file ordered by expNr. Because every shard writes rows with the shared
-// deterministic encoding, the merged output is byte-identical to the CSV
-// a single sequential run of the whole grid would have produced. Both
-// the legacy and the matrix schema are accepted — all inputs must share
-// one header, which the merged file echoes. Duplicate expNrs across
-// inputs (overlapping shards) are rejected.
-func MergeResultFiles(w io.Writer, paths ...string) error {
-	type row struct {
-		nr  int
-		rec []string
-	}
-	var rows []row
-	var outHeader []string
-	seen := make(map[int]string)
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		cr := csv.NewReader(f)
-		header, err := cr.Read()
-		if err != nil {
-			f.Close()
-			if err == io.EOF {
-				continue // empty shard (all its points were elsewhere)
-			}
-			return fmt.Errorf("runner: %s: header: %w", path, err)
-		}
-		if _, err := resultSchema(header); err != nil {
-			f.Close()
-			return fmt.Errorf("runner: %s is not a results file", path)
-		}
-		if outHeader == nil {
-			outHeader = header
-		} else if !equalHeader(outHeader, header) {
-			f.Close()
-			return fmt.Errorf("runner: %s: header differs from earlier shards (mixed schemas?)", path)
-		}
-		for {
-			rec, err := cr.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("runner: %s: %w", path, err)
-			}
-			nr, err := strconv.Atoi(rec[0])
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("runner: %s: expNr: %w", path, err)
-			}
-			if prev, dup := seen[nr]; dup {
-				f.Close()
-				return fmt.Errorf("runner: expNr %d present in both %s and %s", nr, prev, path)
-			}
-			seen[nr] = path
-			rows = append(rows, row{nr: nr, rec: rec})
-		}
-		f.Close()
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].nr < rows[j].nr })
-	if outHeader == nil {
-		outHeader = analysis.ExperimentCSVHeader() // every shard was empty
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(outHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write(r.rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

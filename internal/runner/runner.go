@@ -1,7 +1,7 @@
 // Package runner is the campaign runtime of the ComFASE reproduction:
 // it executes an attack-injection grid (Algorithm 1, Step-3/4) the way a
-// production system has to — streaming, cancellable, shardable and
-// resumable — while preserving the repo's core invariant that the same
+// production system has to — streaming, cancellable, range-selectable
+// and resumable — while preserving the repo's core invariant that the same
 // (config, seed) pair produces bit-for-bit identical results no matter
 // how the work is scheduled.
 //
@@ -13,23 +13,22 @@
 //     polls it every few thousand events, so even a mid-simulation abort
 //     is prompt; sinks are flushed before Run returns, so partial
 //     results survive.
-//   - Shardable: Shard i/n deterministically partitions the grid so n
-//     independent processes produce disjoint result files that
-//     MergeResultFiles recombines into the byte-identical sequential
-//     output.
+//   - Range-selectable: Options.Range restricts a run to a contiguous
+//     expNr interval, the unit a fabric coordinator leases to a worker
+//     process and merges back into the byte-identical sequential output.
 //   - Resumable: Resume(ReadResults(file)) skips grid points a previous
 //     (interrupted) run already completed and appends exactly the
 //     missing rows.
 //   - Checkpointed: experiments sharing an attackStartTime are scheduled
 //     as one unit on one worker, which simulates their common fault-free
 //     prefix once and forks each sibling from the snapshot
-//     (core.GroupSession). The grid is start-major, so sharding and
+//     (core.GroupSession). The grid is start-major, so ranges and
 //     resume keep siblings contiguous, and the release frontier still
 //     emits rows in grid order — checkpointed and fresh campaigns
 //     produce byte-identical outputs. Within a group, siblings sharing
 //     an attack value are additionally ordered into duration chains
 //     (ascending duration, experiment number as the tie-break — a total
-//     order, so every schedule and shard derives the same trie shape)
+//     order, so every schedule and range derives the same trie shape)
 //     and executed through the session's checkpoint trie: each sibling
 //     simulates only the suffix past the previous duration boundary.
 package runner
@@ -54,49 +53,10 @@ import (
 // errors.Is(err, <cause>) hold.
 var ErrFailureBudget = errors.New("runner: failure budget exceeded")
 
-// Shard selects a deterministic 1-based slice i/n of the campaign grid:
-// the grid points whose expNr ≡ Index-1 (mod Count). Round-robin
-// assignment balances the load even when severity (and therefore cost)
-// clusters in one region of the grid. The zero value disables sharding.
-type Shard struct {
-	// Index is 1-based: 1 <= Index <= Count.
-	Index int
-	// Count is the total number of shards.
-	Count int
-}
-
-// ParseShard parses the CLI form "i/n" (e.g. "2/4").
-func ParseShard(s string) (Shard, error) {
-	var sh Shard
-	if _, err := fmt.Sscanf(s, "%d/%d", &sh.Index, &sh.Count); err != nil {
-		return Shard{}, fmt.Errorf("runner: shard %q is not of the form i/n", s)
-	}
-	if err := sh.Validate(); err != nil {
-		return Shard{}, err
-	}
-	return sh, nil
-}
-
-// Validate reports whether the shard designator is well-formed.
-func (s Shard) Validate() error {
-	if s.Count == 0 && s.Index == 0 {
-		return nil // disabled
-	}
-	if s.Count < 1 || s.Index < 1 || s.Index > s.Count {
-		return fmt.Errorf("runner: invalid shard %d/%d (want 1 <= i <= n)", s.Index, s.Count)
-	}
-	return nil
-}
-
-// Enabled reports whether the shard restricts the grid.
-func (s Shard) Enabled() bool { return s.Count > 0 }
-
 // Range restricts execution to the contiguous expNr interval [From, To).
 // It is the selection primitive of the fabric layer: a coordinator leases
 // contiguous grid ranges to worker processes, and each worker runs its
-// lease as Options.Range. The zero value disables the restriction. Range
-// composes with Shard (both filters apply), though the fabric uses Range
-// alone.
+// lease as Options.Range. The zero value disables the restriction.
 type Range struct {
 	// From is the first expNr included.
 	From int
@@ -130,39 +90,18 @@ func (r Range) Contains(nr int) bool {
 // String renders the half-open interval.
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.From, r.To) }
 
-// Contains reports whether the grid point with the given expNr belongs
-// to this shard.
-func (s Shard) Contains(nr int) bool {
-	if !s.Enabled() {
-		return true
-	}
-	return nr%s.Count == s.Index-1
-}
-
-// String renders the CLI form.
-func (s Shard) String() string {
-	if !s.Enabled() {
-		return "1/1"
-	}
-	return fmt.Sprintf("%d/%d", s.Index, s.Count)
-}
-
 // Options configure a Runner.
 type Options struct {
 	// Workers is the number of concurrent experiment goroutines
 	// (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Shard restricts execution to a deterministic grid slice; the zero
-	// value runs the whole grid.
-	Shard Shard
 	// Range restricts execution to the contiguous expNr interval
 	// [From, To) — the unit a fabric coordinator leases to one worker.
-	// The zero value runs the whole grid; when both Shard and Range are
-	// set, a grid point must satisfy both.
+	// The zero value runs the whole grid.
 	Range Range
 	// Progress, when set, receives (done, total) after every completed
 	// experiment. done is monotonically increasing and counts resumed
-	// grid points; total is the shard's grid size. Invocation order is
+	// grid points; total is the selected grid's size. Invocation order is
 	// completion order, not grid order, and the callback runs under the
 	// runner's lock — keep it fast.
 	Progress core.Progress
@@ -206,7 +145,7 @@ type Options struct {
 	ResumeFailures map[int]core.ExperimentFailure
 
 	// Metrics, when set, receives runner-level counters and gauges
-	// (retries, per-class failures, emitted rows, sink flushes, shard
+	// (retries, per-class failures, emitted rows, sink flushes, grid
 	// progress, per-worker throughput). Pass the same registry to
 	// core.EngineConfig.Metrics for the full stack view. nil disables
 	// runner metrics; execution and outputs are bit-identical either way.
@@ -240,21 +179,13 @@ func New(eng *core.Engine, opts Options, sinks ...Sink) (*Runner, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("runner: nil engine")
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Range.Validate(); err != nil {
 		return nil, err
 	}
 	return &Runner{eng: eng, opts: opts, sinks: sinks, met: newRunnerMetrics(opts.Metrics)}, nil
 }
 
-// validate checks the grid selection designators.
-func (o Options) validate() error {
-	if err := o.Shard.Validate(); err != nil {
-		return err
-	}
-	return o.Range.Validate()
-}
-
-// slot tracks one shard grid point through the run. A slot holds either
+// slot tracks one selected grid point through the run. A slot holds either
 // a classified result or — for a persistently failed experiment — its
 // quarantine record; either way done flips and the release frontier
 // advances past it.
@@ -265,13 +196,13 @@ type slot struct {
 	skipEmit bool // resumed from a previous run, or already force-emitted
 }
 
-// Run executes the (sharded) campaign grid. Newly computed results are
+// Run executes the (range-selected) campaign grid. Newly computed results are
 // released to the sinks in grid order as soon as the contiguous prefix
 // they belong to completes; on any error — including ctx cancellation —
 // sinks are flushed before Run returns, so everything emitted so far is
 // durable and a later Resume run can pick up from it.
 //
-// The returned CampaignResult covers this shard's grid points in grid
+// The returned CampaignResult covers the selected grid points in grid
 // order (resumed ones included) and is bit-for-bit identical for
 // sequential, parallel and resumed executions of the same (config,
 // seed) grid.
@@ -297,7 +228,7 @@ func (r *Runner) Run(ctx context.Context, setup core.CampaignSetup) (*core.Campa
 
 // cellRun is one cell's part of a run: its campaign grid, its scenario's
 // engine, how its errors are labeled, and the range [lo, hi) of run slots
-// its shard-selected grid points occupy.
+// its range-selected grid points occupy.
 type cellRun struct {
 	setup  core.CampaignSetup
 	eng    *scenarioEngine
@@ -305,14 +236,14 @@ type cellRun struct {
 	lo, hi int
 }
 
-// selectGrid lays the cells' shard- and range-selected grid points out in
+// selectGrid lays the cells' range-selected grid points out in
 // cell order, recording each cell's slot range.
 func (o Options) selectGrid(cells []*cellRun) []core.ExperimentSpec {
 	var specs []core.ExperimentSpec
 	for _, c := range cells {
 		c.lo = len(specs)
 		for _, spec := range c.setup.Experiments() {
-			if o.Shard.Contains(spec.Nr) && o.Range.Contains(spec.Nr) {
+			if o.Range.Contains(spec.Nr) {
 				specs = append(specs, spec)
 			}
 		}
@@ -334,7 +265,7 @@ type runGroup struct {
 // records in global grid order. A worker that finishes a
 // cell's last group moves straight on to the next cell's groups; no cell
 // waits for the previous one to drain. The failure budget, Progress and
-// the shard gauges count the whole run. It returns each cell's result in
+// the grid gauges count the whole run. It returns each cell's result in
 // grid order, without the golden-run fields, which the caller fills in.
 func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.ExperimentSpec) ([]*core.CampaignResult, error) {
 	total := len(specs)
@@ -358,8 +289,8 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 		done     = total - len(todo)
 		failures int // persistent failures this run (resumed ones excluded)
 	)
-	r.met.shardTotal.Set(int64(total))
-	r.met.shardDone.Set(int64(done))
+	r.met.gridTotal.Set(int64(total))
+	r.met.gridDone.Set(int64(done))
 	// release emits the contiguous completed prefix — results to the
 	// sinks, quarantine records to the failure sink; the caller holds mu.
 	release := func() error {
@@ -401,7 +332,7 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 			failures++
 			overBudget := r.opts.MaxFailures >= 0 && failures > r.opts.MaxFailures
 			done++
-			r.met.shardDone.Set(int64(done))
+			r.met.gridDone.Set(int64(done))
 			if relErr := release(); relErr != nil {
 				return relErr
 			}
@@ -426,7 +357,7 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 		}
 		slots[idx] = slot{res: res, done: true}
 		done++
-		r.met.shardDone.Set(int64(done))
+		r.met.gridDone.Set(int64(done))
 		if relErr := release(); relErr != nil {
 			return relErr
 		}
@@ -446,7 +377,7 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 	// Schedule contiguous same-start runs of each cell's remaining grid
 	// as one unit each, so siblings land on the same worker and can fork
 	// from that worker's prefix checkpoint. The grid is start-major, so
-	// the runs survive shard filtering and resume holes intact.
+	// the runs survive range selection and resume holes intact.
 	var groups []runGroup
 	for _, c := range cells {
 		lo, hi := sort.SearchInts(todo, c.lo), sort.SearchInts(todo, c.hi)
@@ -567,7 +498,7 @@ func groupByStart(specs []core.ExperimentSpec, todo []int) [][]int {
 // first-appearance (grid) order, each bucket sorted by ascending attack
 // duration with the experiment number as the tie-break. The sort key
 // (duration, expNr) is a total order over the group, so sequential,
-// parallel, sharded and resumed runs all derive the identical chain shape
+// parallel, range-split and resumed runs all derive the identical chain shape
 // from whatever subset of the grid they hold. Values are compared as
 // float64 bit patterns via ==; a NaN attack value never equals itself and
 // therefore forms single-element buckets, which degrade to plain prefix

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -60,8 +58,8 @@ func runToCSV(t *testing.T, opts Options, setup core.CampaignSetup) (*core.Campa
 }
 
 // TestRunnerDeterminism is the end-to-end invariant check of the
-// campaign runtime: sequential, parallel, and sharded-then-merged runs
-// of the same (config, seed) grid produce identical CampaignResults and
+// campaign runtime: sequential, parallel, and range-split runs of the
+// same (config, seed) grid produce identical CampaignResults and
 // byte-identical result CSVs.
 func TestRunnerDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -82,23 +80,13 @@ func TestRunnerDeterminism(t *testing.T) {
 		t.Error("parallel experiments differ from sequential")
 	}
 
-	// Two shards, each its own engine (separate-process model), merged.
-	dir := t.TempDir()
-	var shardPaths []string
-	for i := 1; i <= 2; i++ {
-		_, csvBytes := runToCSV(t, Options{Workers: 2, Shard: Shard{Index: i, Count: 2}}, setup)
-		path := filepath.Join(dir, Shard{Index: i, Count: 2}.String()[:1]+".csv")
-		if err := os.WriteFile(path, csvBytes, 0o644); err != nil {
-			t.Fatalf("write shard: %v", err)
-		}
-		shardPaths = append(shardPaths, path)
-	}
-	var merged bytes.Buffer
-	if err := MergeResultFiles(&merged, shardPaths...); err != nil {
-		t.Fatalf("MergeResultFiles: %v", err)
-	}
-	if !bytes.Equal(seqCSV, merged.Bytes()) {
-		t.Errorf("merged shard CSV differs from sequential:\nseq:\n%s\nmerged:\n%s", seqCSV, merged.Bytes())
+	// Two ranges, each its own engine (separate-process model), the
+	// second's rows appended after the first's.
+	_, head := runToCSV(t, Options{Workers: 2, Range: Range{From: 0, To: 3}}, setup)
+	_, tail := runToCSV(t, Options{Workers: 2, Range: Range{From: 3, To: 8}}, setup)
+	split := append(head, tail[bytes.IndexByte(tail, '\n')+1:]...)
+	if !bytes.Equal(seqCSV, split) {
+		t.Errorf("range-split CSV differs from sequential:\nseq:\n%s\nsplit:\n%s", seqCSV, split)
 	}
 }
 
@@ -239,44 +227,6 @@ func TestRunnerProgressMonotonicWithResume(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestShardPartitionIsDisjointAndComplete(t *testing.T) {
-	const n = 4
-	const grid = 37
-	covered := make([]int, grid)
-	for i := 1; i <= n; i++ {
-		sh := Shard{Index: i, Count: n}
-		for nr := 0; nr < grid; nr++ {
-			if sh.Contains(nr) {
-				covered[nr]++
-			}
-		}
-	}
-	for nr, c := range covered {
-		if c != 1 {
-			t.Errorf("grid point %d covered by %d shards, want exactly 1", nr, c)
-		}
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	good := map[string]Shard{
-		"1/1": {1, 1},
-		"2/4": {2, 4},
-		"4/4": {4, 4},
-	}
-	for in, want := range good {
-		got, err := ParseShard(in)
-		if err != nil || got != want {
-			t.Errorf("ParseShard(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"", "0/4", "5/4", "-1/2", "2", "a/b", "1/0"} {
-		if _, err := ParseShard(in); err == nil {
-			t.Errorf("ParseShard(%q) accepted", in)
-		}
 	}
 }
 

@@ -107,7 +107,7 @@ func trieBombFactory() core.ModelFactory {
 // TestTrieCampaignEquivalence is the byte-equivalence proof for the
 // checkpoint trie: the same 200-point grid executed through the trie and
 // on the fresh path must emit byte-identical result CSVs — on a healthy
-// grid, on a sharded slice, under the chaos fault schedule, and with
+// grid, on a resume-holed slice, under the chaos fault schedule, and with
 // early exit enabled on both sides (chain boundaries only exist where
 // the shorter sibling finished undecided, so fresh and chained runs stop
 // at the same aligned instants). The trie is the default, so
@@ -131,16 +131,10 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		}
 	})
 
-	t.Run("sharded", func(t *testing.T) {
-		// Sharding punches round-robin holes in every sibling block; the
-		// (duration, expNr) chain order must survive the holes and the
-		// release frontier must still emit the shard's rows in grid order.
-		opts := Options{Workers: 2, Shard: Shard{Index: 2, Count: 3}}
-		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, false)
-		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, true)
-		if on != off {
-			t.Errorf("sharded trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
-		}
+	t.Run("resume holes", func(t *testing.T) {
+		// The (duration, expNr) chain order must survive the holes and
+		// the release frontier must still emit the rows in grid order.
+		checkResumeHoles(t, setup)
 	})
 
 	t.Run("chaos", func(t *testing.T) {
@@ -292,7 +286,7 @@ func TestTrieEarlyExitClassificationEquivalence(t *testing.T) {
 // TestOrderGroupChainsTotalOrder pins the chain ordering contract: one
 // bucket per attack value in first-appearance order, each sorted by
 // (duration, expNr) — a total order, so equal durations break the tie on
-// the experiment number, and any subset of the grid (a shard, a resume
+// the experiment number, and any subset of the grid (a range, a resume
 // hole) derives chain orders that are projections of the full grid's.
 func TestOrderGroupChainsTotalOrder(t *testing.T) {
 	setup := chaosGrid()
