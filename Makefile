@@ -105,8 +105,10 @@ fabric-equiv:
 # equal the golden run bit for bit, and DoS, a delay beyond the horizon
 # and packet loss with p = 1 must equal each other, fresh and forked, and
 # leave as many events queued and no more receptions pooled at the
-# horizon. The race step already runs them; this is a shortcut, not an
-# extra gate step.
+# horizon; a run stopped at its wreck and finished from the golden log
+# must equal the run simulated to the horizon, fresh, forked and chained.
+# The race step already runs them; this is a shortcut, not an extra gate
+# step.
 oracle:
 	$(GO) test -run 'TestOracle' ./internal/core
 
@@ -116,7 +118,8 @@ oracle:
 # scheduling, the radio medium's dispatch-ordered fan-out against
 # per-event scheduling, its lazy receptions and held jamming bursts
 # against the eager reference, the traffic simulator's
-# reused lane order, the trie group key, the
+# reused lane order, wreck elision against simulating every wrecked run
+# to the horizon, the trie group key, the
 # heartbeat snapshot decoder, the fabric wire protocol). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -129,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFanoutOrder' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLazyReception' -fuzztime 5s ./internal/nic
 	$(GO) test -run '^$$' -fuzz 'FuzzLaneOrder' -fuzztime 5s ./internal/traffic
+	$(GO) test -run '^$$' -fuzz 'FuzzWreckElision' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzTrieGroupKey' -fuzztime 5s ./internal/runner
 	$(GO) test -run '^$$' -fuzz 'FuzzHeartbeatDecode' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzLeaseProtocolDecode' -fuzztime 5s ./internal/fabric

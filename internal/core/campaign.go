@@ -112,29 +112,32 @@ func (c CampaignSetup) NumExperiments() int {
 }
 
 // Experiments expands the grid in the paper's loop order (start, value,
-// duration), numbering from Base.
+// duration), numbering from Base: element k is Spec(k).
 func (c CampaignSetup) Experiments() []ExperimentSpec {
-	out := make([]ExperimentSpec, 0, c.NumExperiments())
-	n := c.Base
-	for _, start := range c.Starts {
-		for _, value := range c.Values {
-			for _, dur := range c.Durations {
-				out = append(out, ExperimentSpec{
-					Nr:       n,
-					Attack:   c.AttackName,
-					Params:   c.Params,
-					Scenario: c.Scenario,
-					Factory:  c.Factory,
-					Targets:  c.Targets,
-					Value:    value,
-					Start:    start,
-					Duration: dur,
-				})
-				n++
-			}
-		}
+	out := make([]ExperimentSpec, c.NumExperiments())
+	for k := range out {
+		out[k] = c.Spec(k)
 	}
 	return out
+}
+
+// Spec returns grid point k, 0 <= k < NumExperiments(), of the paper's
+// loop order (start, value, duration), numbered Base+k. It builds that
+// one point, so a caller that needs a range of the grid need not expand
+// all of it.
+func (c CampaignSetup) Spec(k int) ExperimentSpec {
+	nd, nv := len(c.Durations), len(c.Values)
+	return ExperimentSpec{
+		Nr:       c.Base + k,
+		Attack:   c.AttackName,
+		Params:   c.Params,
+		Scenario: c.Scenario,
+		Factory:  c.Factory,
+		Targets:  c.Targets,
+		Value:    c.Values[k/nd%nv],
+		Start:    c.Starts[k/(nd*nv)],
+		Duration: c.Durations[k%nd],
+	}
 }
 
 // ExperimentSpec is one attack injection experiment of a campaign.

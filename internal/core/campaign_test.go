@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"comfase/internal/sim/des"
@@ -72,6 +73,36 @@ func TestExperimentGridOrder(t *testing.T) {
 	for i, e := range exps {
 		if e.Nr != i {
 			t.Errorf("exp %d has Nr %d", i, e.Nr)
+		}
+	}
+}
+
+// TestSpecIsGridPoint: for every preset, with and without an expNr base,
+// Spec(k) and Experiments()[k] are the k-th point of Algorithm 1's three
+// nested loops.
+func TestSpecIsGridPoint(t *testing.T) {
+	for _, name := range CampaignNames() {
+		for _, base := range []int{0, 11275} {
+			c := MustCampaign(name)
+			c.Base = base
+			var loops []ExperimentSpec
+			for _, start := range c.Starts {
+				for _, value := range c.Values {
+					for _, dur := range c.Durations {
+						loops = append(loops, ExperimentSpec{Nr: base + len(loops), Attack: c.AttackName, Params: c.Params,
+							Scenario: c.Scenario, Factory: c.Factory, Targets: c.Targets, Value: value, Start: start, Duration: dur})
+					}
+				}
+			}
+			exps := c.Experiments()
+			if len(exps) != len(loops) || len(loops) != c.NumExperiments() {
+				t.Fatalf("%s: %d experiments, %d grid points, NumExperiments %d", name, len(exps), len(loops), c.NumExperiments())
+			}
+			for k, want := range loops {
+				if got := c.Spec(k); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(exps[k], want) {
+					t.Fatalf("%s base %d: Spec(%d) = %+v, Experiments()[%d] = %+v, want %+v", name, base, k, got, k, exps[k], want)
+				}
+			}
 		}
 	}
 }

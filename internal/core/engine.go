@@ -122,6 +122,11 @@ type Engine struct {
 	// every workspace kernel after its Build.
 	met engineMetrics
 	km  *des.Metrics
+
+	// keepWrecks turns wreck elision off (see watchWrecks): every wrecked
+	// run then simulates to the horizon. It is the reference the elision
+	// is tested against, not a configuration option.
+	keepWrecks bool
 }
 
 // engineMetrics is the engine's metric inventory (DESIGN.md §8).
@@ -143,6 +148,9 @@ type engineMetrics struct {
 	groupRebuilds  *obs.Counter // tainted group sessions healed by a prefix rebuild
 	earlyExits     *obs.Counter // experiments stopped once their verdict was decided
 	earlySavedMs   *obs.Counter // simulated milliseconds skipped via early exit
+	wreckElisions  *obs.Counter // experiments stopped once their platoon was frozen
+	wreckSavedMs   *obs.Counter // simulated milliseconds replayed instead of simulated
+	wreckMisses    *obs.Counter // frozen-follower checks failed by the leader's golden comparison
 }
 
 // newEngineMetrics resolves the engine's metric handles. A nil registry
@@ -166,17 +174,64 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		groupRebuilds:  reg.Counter("engine.group_rebuilds"),
 		earlyExits:     reg.Counter("engine.early_exits"),
 		earlySavedMs:   reg.Counter("engine.early_exit_sim_millis_saved"),
+		wreckElisions:  reg.Counter("engine.wreck_elisions"),
+		wreckSavedMs:   reg.Counter("engine.wreck_saved_ms"),
+		wreckMisses:    reg.Counter("engine.wreck_golden_misses"),
 	}
 }
 
 // workUnit is one pooled simulation workspace plus the reusable summary
-// recorder that goes with it. fresh marks a unit the pool constructor
-// just built and has never been checked out before — the discriminator
-// behind the pool hit/miss counters.
+// recorder and wreck watch that go with it. fresh marks a unit the pool
+// constructor just built and has never been checked out before — the
+// discriminator behind the pool hit/miss counters.
 type workUnit struct {
 	ws      *scenario.Workspace
 	summary *trace.Summary
+	wreck   wreckWatch
 	fresh   bool
+}
+
+// wreckWatch is the collision listener of wreck elision (DESIGN.md §12):
+// at every collision it asks whether the platoon is frozen
+// (scenario.Simulation.Frozen) and, if so, stops the kernel, so the run
+// ends at that step and scenario.Simulation.FinishFrozen records the
+// rest.
+type wreckWatch struct {
+	sim     *scenario.Simulation
+	golden  *trace.FullLog
+	misses  *obs.Counter
+	stopped bool
+	// listen is the bound collided method, made once per unit so that
+	// registering it allocates nothing.
+	listen func(traffic.Collision)
+}
+
+func (w *wreckWatch) collided(traffic.Collision) {
+	if w.stopped {
+		return
+	}
+	frozen, offGolden := w.sim.Frozen(w.golden)
+	if offGolden {
+		w.misses.Inc()
+	}
+	if frozen {
+		w.stopped = true
+		w.sim.Kernel.Stop()
+	}
+}
+
+// watchWrecks registers u's wreck watch on the freshly built sim, unless
+// stopping at a frozen platoon could change an output: an event budget
+// aborts at a count of dispatched events, which the elision lowers (the
+// rule nic.Air.elides follows), and early exit already stops every
+// collided run at its next decision check.
+func (e *Engine) watchWrecks(u *workUnit, sim *scenario.Simulation) {
+	u.wreck.stopped = false
+	if e.keepWrecks || e.cfg.EventBudget != 0 || e.cfg.EarlyExit {
+		return
+	}
+	u.wreck.sim, u.wreck.golden, u.wreck.misses = sim, e.golden, e.met.wreckMisses
+	sim.Traffic.OnCollision(u.wreck.listen)
 }
 
 // acquireUnit checks a workspace unit out of the pool.
@@ -287,7 +342,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 	}
 	e.pool.New = func() any {
-		return &workUnit{ws: scenario.NewWorkspace(), summary: new(trace.Summary), fresh: true}
+		u := &workUnit{ws: scenario.NewWorkspace(), summary: new(trace.Summary), fresh: true}
+		u.wreck.listen = u.wreck.collided
+		return u
 	}
 	return e, nil
 }
@@ -466,6 +523,7 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 	sim.Kernel.SetMetrics(e.km)
 	sim.Kernel.SetEventBudget(e.cfg.EventBudget)
 	sim.AttachContext(ctx, e.cfg.CancelCheckEvents)
+	e.watchWrecks(u, sim)
 	summary := u.summary
 	summary.Reset(len(sim.Members), e.golden)
 	if e.cfg.EarlyExit {
@@ -497,7 +555,7 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 	if err := applyAttack(sim, model); err != nil {
 		return ExperimentResult{}, nil, err
 	}
-	decided, stopAt, err := e.runDecidable(sim, summary, start, end, end, false)
+	decided, stopAt, err := e.runDecidable(sim, &u.wreck, summary, start, end, end, false)
 	if err != nil {
 		return ExperimentResult{}, nil, err
 	}
@@ -505,14 +563,13 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 		if err := removeAttack(sim, model); err != nil {
 			return ExperimentResult{}, nil, err
 		}
-		decided, stopAt, err = e.runDecidable(sim, summary, end, horizon, end, true)
+		decided, stopAt, err = e.runDecidable(sim, &u.wreck, summary, end, horizon, end, true)
 		if err != nil {
 			return ExperimentResult{}, nil, err
 		}
 	}
 	if decided {
-		e.met.earlyExits.Inc()
-		e.met.earlySavedMs.Add(uint64((horizon - stopAt) / des.Millisecond))
+		e.settleDecided(sim, &u.wreck, stopAt)
 	}
 
 	res, err = e.finishExperiment(sim, summary, spec)
@@ -528,8 +585,10 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 
 // runDecidable advances the simulation from `from` to `to`, stopping
 // early once the experiment's classification is decided (verdict-aware
-// early termination). With EarlyExit off it degenerates to a single
-// RunUntil. With it on, the run proceeds in chunks clipped to absolute
+// early termination) or its platoon is frozen (wreck elision: the wreck
+// watch w stopped the kernel at a collision). With EarlyExit off it
+// degenerates to a single RunUntil. With it on, the run proceeds in
+// chunks clipped to absolute
 // multiples of earlyExitCheckInterval — the same instants for every
 // execution path of the same experiment — and after each chunk consults
 // classify.Decided. During the attacked window (tail=false) only a
@@ -540,9 +599,13 @@ func (e *Engine) runExperiment(ctx context.Context, spec ExperimentSpec, withLog
 // attackEnd is the end of the attacked window; the hold period can only
 // begin once both the attack is over and the summary saw its last
 // out-of-tolerance sample.
-func (e *Engine) runDecidable(sim *scenario.Simulation, summary *trace.Summary, from, to, attackEnd des.Time, tail bool) (bool, des.Time, error) {
+func (e *Engine) runDecidable(sim *scenario.Simulation, w *wreckWatch, summary *trace.Summary, from, to, attackEnd des.Time, tail bool) (bool, des.Time, error) {
 	if !e.cfg.EarlyExit {
-		return false, to, sim.RunUntil(to)
+		err := sim.RunUntil(to)
+		if w.stopped && errors.Is(err, des.ErrStopped) {
+			return true, sim.Kernel.Now(), nil
+		}
+		return false, to, err
 	}
 	for cur := from; cur < to; {
 		next := (cur/earlyExitCheckInterval + 1) * earlyExitCheckInterval
@@ -571,6 +634,21 @@ func (e *Engine) runDecidable(sim *scenario.Simulation, summary *trace.Summary, 
 		}
 	}
 	return false, to, nil
+}
+
+// settleDecided completes a run that runDecidable stopped at stopAt. A
+// run stopped by its wreck watch w gets the samples of its remaining steps
+// replayed into its recorders; an early exit leaves them unrecorded.
+func (e *Engine) settleDecided(sim *scenario.Simulation, w *wreckWatch, stopAt des.Time) {
+	saved := uint64((e.cfg.Scenario.TotalSimTime - stopAt) / des.Millisecond)
+	if w.stopped {
+		sim.FinishFrozen(e.golden)
+		e.met.wreckElisions.Inc()
+		e.met.wreckSavedMs.Add(saved)
+		return
+	}
+	e.met.earlyExits.Inc()
+	e.met.earlySavedMs.Add(saved)
 }
 
 // finishExperiment validates a completed attack run and assembles the

@@ -179,6 +179,7 @@ func (gs *GroupSession) buildRoot(ctx context.Context) (err error) {
 	sim.Kernel.SetMetrics(e.km)
 	sim.Kernel.SetEventBudget(e.cfg.EventBudget)
 	sim.AttachContext(ctx, e.cfg.CancelCheckEvents)
+	e.watchWrecks(u, sim)
 	summary := u.summary
 	summary.Reset(len(sim.Members), e.golden)
 	if e.cfg.EarlyExit {
@@ -310,6 +311,7 @@ func (gs *GroupSession) RunExperiment(ctx context.Context, spec ExperimentSpec, 
 	// context on exactly the cadence a fresh run would past the fork.
 	sim.Kernel.SetEventBudget(e.cfg.EventBudget)
 	sim.AttachContext(ctx, e.cfg.CancelCheckEvents)
+	gs.u.wreck.stopped = false
 
 	var from des.Time
 	if fromChain {
@@ -350,7 +352,7 @@ func (gs *GroupSession) RunExperiment(ctx context.Context, spec ExperimentSpec, 
 		e.met.forks.Inc()
 	}
 
-	decided, stopAt, err := e.runDecidable(sim, gs.u.summary, from, end, end, false)
+	decided, stopAt, err := e.runDecidable(sim, &gs.u.wreck, gs.u.summary, from, end, end, false)
 	if err != nil {
 		return ExperimentResult{}, err
 	}
@@ -379,14 +381,13 @@ func (gs *GroupSession) RunExperiment(ctx context.Context, spec ExperimentSpec, 
 			gs.chainValid = false
 			return ExperimentResult{}, err
 		}
-		decided, stopAt, err = e.runDecidable(sim, gs.u.summary, end, horizon, end, true)
+		decided, stopAt, err = e.runDecidable(sim, &gs.u.wreck, gs.u.summary, end, horizon, end, true)
 		if err != nil {
 			return ExperimentResult{}, err
 		}
 	}
 	if decided {
-		e.met.earlyExits.Inc()
-		e.met.earlySavedMs.Add(uint64((horizon - stopAt) / des.Millisecond))
+		e.settleDecided(sim, &gs.u.wreck, stopAt)
 	}
 	res, err = e.finishExperiment(sim, gs.u.summary, spec)
 	if err != nil {

@@ -133,11 +133,11 @@ func TestOracleAttackAtHorizonIsGolden(t *testing.T) {
 }
 
 // sameOutcome fails unless two experiments agree bit for bit on every
-// vehicle's maximum deceleration, the speed deviation, the collisions
-// and the first collider.
+// vehicle's maximum deceleration, the speed deviation, the collisions,
+// the first collider and the class.
 func sameOutcome(t *testing.T, what string, got, want ExperimentResult) {
 	t.Helper()
-	same := len(got.MaxDecelPerVehicle) == len(want.MaxDecelPerVehicle) &&
+	same := got.Outcome == want.Outcome && len(got.MaxDecelPerVehicle) == len(want.MaxDecelPerVehicle) &&
 		math.Float64bits(got.MaxSpeedDev) == math.Float64bits(want.MaxSpeedDev) &&
 		math.Float64bits(got.MaxDecel) == math.Float64bits(want.MaxDecel) &&
 		got.Collider == want.Collider && reflect.DeepEqual(got.Collisions, want.Collisions)
@@ -145,9 +145,9 @@ func sameOutcome(t *testing.T, what string, got, want ExperimentResult) {
 		same = math.Float64bits(got.MaxDecelPerVehicle[v]) == math.Float64bits(want.MaxDecelPerVehicle[v])
 	}
 	if !same {
-		t.Errorf("%s: decel %v (max %v), speed deviation %v, collisions %v by %q; want %v (max %v), %v, %v by %q",
-			what, got.MaxDecelPerVehicle, got.MaxDecel, got.MaxSpeedDev, got.Collisions, got.Collider,
-			want.MaxDecelPerVehicle, want.MaxDecel, want.MaxSpeedDev, want.Collisions, want.Collider)
+		t.Errorf("%s: %v, decel %v (max %v), speed deviation %v, collisions %v by %q; want %v, %v (max %v), %v, %v by %q",
+			what, got.Outcome, got.MaxDecelPerVehicle, got.MaxDecel, got.MaxSpeedDev, got.Collisions, got.Collider,
+			want.Outcome, want.MaxDecelPerVehicle, want.MaxDecel, want.MaxSpeedDev, want.Collisions, want.Collider)
 	}
 }
 

@@ -3,8 +3,12 @@ package runner
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"comfase/internal/core"
 )
 
 func TestRangeValidateContains(t *testing.T) {
@@ -96,5 +100,37 @@ func TestRangeSplitEquivalence(t *testing.T) {
 	}
 	if spliced.String() != full {
 		t.Errorf("range-spliced CSV differs from the full run:\nspliced:\n%s\nfull:\n%s", spliced.String(), full)
+	}
+}
+
+// TestSelectGridBuildsOnlyTheRange: a 16-point lease of the 11,250-point
+// paper delay grid builds its 16 specs, not the whole grid, and they are
+// the grid's points with those expNrs.
+func TestSelectGridBuildsOnlyTheRange(t *testing.T) {
+	setup := core.PaperDelayCampaign()
+	if n := setup.NumExperiments(); n != 11250 {
+		t.Fatalf("paper delay grid has %d points, want 11250", n)
+	}
+	cells := []*cellRun{{setup: setup}}
+	o := Options{Range: Range{From: 5000, To: 5016}}
+	specs := o.selectGrid(cells)
+	all := setup.Experiments()
+	if len(specs) != 16 || cells[0].lo != 0 || cells[0].hi != 16 || !reflect.DeepEqual(specs, all[5000:5016]) {
+		t.Fatalf("selected %d specs, slots [%d,%d); want grid points 5000..5015", len(specs), cells[0].lo, cells[0].hi)
+	}
+	// Five appends grow the result to 16; the old selection also built
+	// all 11,250 specs, about 1.5 MB, per lease.
+	if allocs := testing.AllocsPerRun(20, func() { o.selectGrid(cells) }); allocs > 5 {
+		t.Errorf("%v allocations per selection, want at most 5", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		o.selectGrid(cells)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Errorf("%d bytes allocated per selection, want at most 16 KiB", per)
 	}
 }

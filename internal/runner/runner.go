@@ -237,15 +237,19 @@ type cellRun struct {
 }
 
 // selectGrid lays the cells' range-selected grid points out in
-// cell order, recording each cell's slot range.
+// cell order, recording each cell's slot range. A cell's expNrs are
+// contiguous, so only the points inside the range are built.
 func (o Options) selectGrid(cells []*cellRun) []core.ExperimentSpec {
 	var specs []core.ExperimentSpec
 	for _, c := range cells {
 		c.lo = len(specs)
-		for _, spec := range c.setup.Experiments() {
-			if o.Range.Contains(spec.Nr) {
-				specs = append(specs, spec)
-			}
+		lo, hi := 0, c.setup.NumExperiments()
+		if o.Range.Enabled() {
+			lo = max(lo, o.Range.From-c.setup.Base)
+			hi = min(hi, o.Range.To-c.setup.Base)
+		}
+		for k := lo; k < hi; k++ {
+			specs = append(specs, c.setup.Spec(k))
 		}
 		c.hi = len(specs)
 	}

@@ -218,6 +218,15 @@ func (s *Simulation) postStep(now des.Time) {
 	if len(s.recs) == 0 {
 		return
 	}
+	s.sample()
+	for _, r := range s.recs {
+		r.OnSample(now, s.states)
+	}
+}
+
+// sample fills the retained sample buffer with every member's current
+// state.
+func (s *Simulation) sample() {
 	if cap(s.states) < len(s.Members) {
 		s.states = make([]trace.VehicleSample, len(s.Members))
 	}
@@ -225,9 +234,6 @@ func (s *Simulation) postStep(now des.Time) {
 	for i, m := range s.Members {
 		st := m.Vehicle().State
 		s.states[i] = trace.VehicleSample{Pos: st.Pos, Speed: st.Speed, Accel: st.Accel}
-	}
-	for _, r := range s.recs {
-		r.OnSample(now, s.states)
 	}
 }
 

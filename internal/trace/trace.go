@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"comfase/internal/sim/des"
@@ -41,7 +42,9 @@ type FullLog struct {
 	// run length is known up front (NewFullLogCap). Carving never extends
 	// buf beyond its capacity — a reallocation would strand the rows
 	// already handed out on the old array — so overflow rows fall back to
-	// individual allocations.
+	// individual allocations. Each row is capped at its own length, so an
+	// append to a returned row reallocates instead of overwriting the
+	// next one.
 	buf []VehicleSample
 }
 
@@ -70,9 +73,9 @@ func NewFullLogCap(ids []string, sampleHint int) *FullLog {
 // OnSample implements Recorder.
 func (l *FullLog) OnSample(t des.Time, states []VehicleSample) {
 	var row []VehicleSample
-	if n := len(l.buf); n+len(states) <= cap(l.buf) {
-		l.buf = l.buf[: n+len(states) : n+len(states)]
-		row = l.buf[n:]
+	if n, m := len(l.buf), len(l.buf)+len(states); m <= cap(l.buf) {
+		l.buf = l.buf[:m]
+		row = l.buf[n:m:m]
 		copy(row, states)
 	} else {
 		row = make([]VehicleSample, len(states))
@@ -97,6 +100,13 @@ func (l *FullLog) Time(i int) des.Time { return l.times[i] }
 
 // At returns the state of vehicle v at sample i.
 func (l *FullLog) At(i, v int) VehicleSample { return l.samples[i][v] }
+
+// Index returns the sample recorded at time t; ok is false when the log
+// holds none. Samples are recorded in time order, so it is a binary
+// search.
+func (l *FullLog) Index(t des.Time) (i int, ok bool) {
+	return slices.BinarySearch(l.times, t)
+}
 
 // NumVehicles reports the number of recorded vehicles.
 func (l *FullLog) NumVehicles() int { return len(l.ids) }

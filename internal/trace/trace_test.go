@@ -195,3 +195,44 @@ func TestSummaryLongerThanReference(t *testing.T) {
 		t.Errorf("extrema not tracked past reference end: %v", s.MaxDecelOverall())
 	}
 }
+
+// TestFullLogCapRecordsWithoutAllocating: a log sized for its run records
+// every sample into the arena, and each row is capped, so an append to
+// one reallocates instead of writing into the next row.
+func TestFullLogCapRecordsWithoutAllocating(t *testing.T) {
+	const hint = 200
+	l := NewFullLogCap([]string{"a", "b", "c"}, hint)
+	row := []VehicleSample{sample(1, 2, 3), sample(4, 5, 6), sample(7, 8, 9)}
+	var now des.Time
+	// AllocsPerRun runs the function once more than asked, to warm up.
+	allocs := testing.AllocsPerRun(hint-1, func() {
+		now += des.Millisecond
+		l.OnSample(now, row)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per sample, want 0", allocs)
+	}
+	if l.Len() != hint {
+		t.Fatalf("Len = %d, want %d", l.Len(), hint)
+	}
+	first := l.samples[0]
+	_ = append(first, sample(-1, -1, -1))
+	if got := l.At(1, 0); got != row[0] {
+		t.Errorf("append to row 0 overwrote row 1: %+v", got)
+	}
+}
+
+func TestFullLogIndex(t *testing.T) {
+	l := NewFullLog([]string{"a"})
+	for i := 1; i <= 5; i++ {
+		l.OnSample(des.Time(i)*10*des.Millisecond, []VehicleSample{sample(float64(i), 0, 0)})
+	}
+	if i, ok := l.Index(30 * des.Millisecond); !ok || i != 2 {
+		t.Errorf("Index(30ms) = %d, %v; want 2, true", i, ok)
+	}
+	for _, at := range []des.Time{0, 25 * des.Millisecond, 60 * des.Millisecond} {
+		if _, ok := l.Index(at); ok {
+			t.Errorf("Index(%v) found a sample the log does not hold", at)
+		}
+	}
+}

@@ -196,6 +196,9 @@ func (s *Simulator) Vehicles() []*vehicle.Vehicle {
 	return out
 }
 
+// NumVehicles reports the number of vehicles without copying the list.
+func (s *Simulator) NumVehicles() int { return len(s.vehicles) }
+
 // OnPreStep registers a controller hook (runs before dynamics).
 func (s *Simulator) OnPreStep(h StepHook) { s.pre = append(s.pre, h) }
 
