@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet fma-audit arch-twin test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv oracle fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover loc
+.PHONY: check build vet fma-audit arch-twin ref-twin test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv oracle fuzz-smoke bench bench-diff bench-sanity bench-e2e-module profile cover loc workload-cover
 
 # Tier-1 verification gate, and the only list of gates (scripts/check.sh
 # runs it): build + vet + the fused multiply-add audit + the GOARCH=386
-# determinism twin + race-enabled tests, a short fuzz smoke over
+# determinism twin + the reference twin of the exact fast paths +
+# race-enabled tests, a short fuzz smoke over
 # every fuzz target, the coverage floor, a one-shot benchmark sanity pass
 # and the end-to-end benchmark module's own vet and tests. The campaign
 # runner executes experiments on a worker pool, so the race detector is
 # part of the default gate, not an optional extra. The race step runs
 # every equivalence self-test (chaos, checkpoint, trie, obs, registry,
 # fabric); their named targets below are shortcuts, not extra gate steps.
-check: build vet fma-audit arch-twin race fuzz-smoke cover bench-sanity bench-e2e-module
+check: build vet fma-audit arch-twin ref-twin race fuzz-smoke cover bench-sanity bench-e2e-module
 
 build:
 	$(GO) build ./...
@@ -33,6 +34,18 @@ fma-audit:
 # vehicles) under each with full-precision -jsonl output and cmp the two.
 arch-twin:
 	scripts/arch-twin.sh
+
+# The one check of the exact fast paths as a set (DESIGN.md §12): run
+# scripts/arch-twin.json, a 16-vehicle CACC grid under platoon-matrix's
+# four families and a paper delay slice with every fast path on and with
+# core.EngineConfig.Reference, which turns the horizon, guard distance,
+# lazy receptions, held carrier sense, batched fan-out, wreck elision and
+# checkpoint trie off at once. The full-precision JSON-lines rows, the
+# golden logs and every grid point's full log must be bit-identical, and
+# the production side must dispatch fewer events, elide wrecks and fork
+# trie suffixes. The race step skips it.
+ref-twin:
+	$(GO) test -run 'TestReferenceTwin' ./internal/runner
 
 test:
 	$(GO) test ./...
@@ -115,11 +128,11 @@ oracle:
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler,
 # snapshot/restore and batch chains and the horizon against plain
-# scheduling, the radio medium's dispatch-ordered fan-out against
-# per-event scheduling, its lazy receptions and held jamming bursts
-# against the eager reference, the traffic simulator's
-# reused lane order, wreck elision against simulating every wrecked run
-# to the horizon, the trie group key, the
+# scheduling, the radio medium's dispatch-ordered fan-out and its lazy
+# receptions and held jamming bursts against the reference medium, the
+# traffic simulator's reused lane order, wreck elision against the
+# reference engine, which simulates every wrecked run to the horizon,
+# the trie group key, the
 # heartbeat snapshot decoder, the fabric wire protocol). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
@@ -175,6 +188,13 @@ bench-e2e-module:
 # a metric table with the result as JSON on the last line.
 profile:
 	sh bench/e2e/run.sh --workload paper-delay --seed 1 --seconds 10 --trace 1
+
+# Workload coverage report, not a gate: the functions that no workload
+# (comfase-figures, a platoon-matrix-shaped grid, the arch-twin grid, a
+# serve drained by two work processes) or example executes, and their
+# count, from binaries built with coverage instrumentation.
+workload-cover:
+	scripts/workload-cover.sh
 
 # Go line counts, the figure the ROADMAP's line target is stated in:
 # non-test lines, then test lines, of every Go file outside the separate

@@ -444,12 +444,14 @@ func BenchmarkExperimentCheckpointed(b *testing.B) {
 // (Table II sweeps 30 durations per value; eight keeps the benchmark's
 // wall clock short while still amortising each chain's shared attacked
 // interval the way the paper grid does.)
-// The modes peel the layers apart: "fresh" is the no-checkpoint path,
-// "trie" forks each same-start group from its prefix checkpoint and
+// The modes peel the layers apart: "reference" is a reference engine
+// (core.EngineConfig.Reference), with no checkpoint and every other exact
+// fast path off, "trie" forks each same-start group from its prefix checkpoint and
 // chains same-value experiments through mid-attack boundary snapshots so
 // each simulates just its unique duration suffix, and "trie+early-exit"
 // additionally stops every run once its verdict is decided. The outcome
 // metric pins the result shape: all three modes classify identically.
+// It runs one worker on one P (oneProc).
 func BenchmarkCampaignCheckpointed(b *testing.B) {
 	ts := scenario.PaperScenario()
 	// Clip the horizon to the latest attack end (21.8 s + 25 s): the
@@ -470,24 +472,21 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 		grid.Starts = append(grid.Starts, 17*des.Second+des.Time(s)*200*des.Millisecond)
 	}
 	for _, mode := range []struct {
-		name               string
-		disableCheckpoints bool
-		earlyExit          bool
+		name      string
+		reference bool
+		earlyExit bool
 	}{
-		{name: "fresh", disableCheckpoints: true},
+		{name: "reference", reference: true},
 		{name: "trie"},
 		{name: "trie+early-exit", earlyExit: true},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			eng := newEngine(b, core.EngineConfig{Scenario: ts, EarlyExit: mode.earlyExit})
-			b.ResetTimer()
+			oneProc(b)
+			eng := newEngine(b, core.EngineConfig{Scenario: ts, EarlyExit: mode.earlyExit, Reference: mode.reference})
 			var counts classify.Counts
-			for i := 0; i < b.N; i++ {
-				r, err := runner.New(eng, runner.Options{
-					Workers:            runtime.GOMAXPROCS(0),
-					DisableCheckpoints: mode.disableCheckpoints,
-				})
+			run := func() {
+				r, err := runner.New(eng, runner.Options{Workers: 1})
 				if err != nil {
 					b.Fatalf("runner.New: %v", err)
 				}
@@ -496,6 +495,13 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 					b.Fatalf("Run: %v", err)
 				}
 				counts = res.Counts
+			}
+			// One untimed campaign runs the golden run and fills the pools,
+			// so allocs/op is the steady state whatever b.N is.
+			run()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 			b.ReportMetric(float64(counts.Severe), "severe")
 			b.ReportMetric(float64(counts.Total()), "experiments")
@@ -571,6 +577,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 // through the flattened-grid matrix executor, covering per-cell golden
 // runs, engine reuse across same-scenario cells, checkpoint-trie
 // duration chaining inside the delay cells and per-cell classification.
+// It runs one worker on one P (oneProc).
 func BenchmarkCampaignMatrix(b *testing.B) {
 	m := registry.Matrix{
 		Scenarios: []registry.MatrixScenario{
@@ -610,11 +617,11 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 			Setup: c.Setup,
 		}
 	}
+	oneProc(b)
 	b.ResetTimer()
 	var res *runner.MatrixResult
 	for i := 0; i < b.N; i++ {
-		res, err = runner.RunMatrix(context.Background(), cells,
-			runner.Options{Workers: runtime.GOMAXPROCS(0)})
+		res, err = runner.RunMatrix(context.Background(), cells, runner.Options{Workers: 1})
 		if err != nil {
 			b.Fatalf("RunMatrix: %v", err)
 		}
@@ -622,4 +629,13 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 	b.ReportMetric(float64(len(res.Cells)), "cells")
 	b.ReportMetric(float64(res.Counts.Severe), "severe")
 	b.ReportMetric(float64(res.Counts.Total()), "experiments")
+}
+
+// oneProc runs the rest of the benchmark on one P. sync.Pool caches per
+// P, so with more a worker that moves between a Put and the next Get
+// misses its pooled workspace and builds another, and allocs/op follows
+// scheduling instead of the code.
+func oneProc(b *testing.B) {
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

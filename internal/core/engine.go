@@ -75,6 +75,12 @@ type EngineConfig struct {
 	// or run granularity, never per event, and a nil registry disables it
 	// entirely — results are bit-identical either way.
 	Metrics *obs.Registry
+	// Reference turns every exact fast path off at once — the horizon,
+	// guard distance, lazy receptions, held carrier sense and batched
+	// fan-out (scenario.Workspace.Reference), wreck elision and the
+	// runner's checkpoint trie — with every output bit-identical (DESIGN.md
+	// §12). It is the reference they are tested against; nothing sets it.
+	Reference bool
 }
 
 // Early-exit tolerance, hold default and cadence. The tolerance is the
@@ -122,11 +128,6 @@ type Engine struct {
 	// every workspace kernel after its Build.
 	met engineMetrics
 	km  *des.Metrics
-
-	// keepWrecks turns wreck elision off (see watchWrecks): every wrecked
-	// run then simulates to the horizon. It is the reference the elision
-	// is tested against, not a configuration option.
-	keepWrecks bool
 }
 
 // engineMetrics is the engine's metric inventory (DESIGN.md §8).
@@ -175,7 +176,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		earlyExits:     reg.Counter("engine.early_exits"),
 		earlySavedMs:   reg.Counter("engine.early_exit_sim_millis_saved"),
 		wreckElisions:  reg.Counter("engine.wreck_elisions"),
-		wreckSavedMs:   reg.Counter("engine.wreck_saved_ms"),
+		wreckSavedMs:   reg.Counter("engine.wreck_sim_millis_saved"),
 		wreckMisses:    reg.Counter("engine.wreck_golden_misses"),
 	}
 }
@@ -221,13 +222,13 @@ func (w *wreckWatch) collided(traffic.Collision) {
 }
 
 // watchWrecks registers u's wreck watch on the freshly built sim, unless
-// stopping at a frozen platoon could change an output: an event budget
-// aborts at a count of dispatched events, which the elision lowers (the
-// rule nic.Air.elides follows), and early exit already stops every
-// collided run at its next decision check.
+// the engine is the reference or the stop could change an output: an
+// event budget aborts at a count of dispatched events, which the elision
+// lowers (the rule nic.Air.elides follows), and early exit already stops
+// every collided run at its next decision check.
 func (e *Engine) watchWrecks(u *workUnit, sim *scenario.Simulation) {
 	u.wreck.stopped = false
-	if e.keepWrecks || e.cfg.EventBudget != 0 || e.cfg.EarlyExit {
+	if e.cfg.Reference || e.cfg.EventBudget != 0 || e.cfg.EarlyExit {
 		return
 	}
 	u.wreck.sim, u.wreck.golden, u.wreck.misses = sim, e.golden, e.met.wreckMisses
@@ -343,6 +344,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.pool.New = func() any {
 		u := &workUnit{ws: scenario.NewWorkspace(), summary: new(trace.Summary), fresh: true}
+		u.ws.Reference = cfg.Reference
 		u.wreck.listen = u.wreck.collided
 		return u
 	}

@@ -43,18 +43,16 @@ type mediumRun struct {
 }
 
 // runMedium runs one experiment of the family on an n-vehicle paper
-// platoon. A non-zero event budget, too large to abort, turns reception
-// elision off, so the run takes the eager path.
-func runMedium(t *testing.T, n int, name string, value float64, params param.Params, budget uint64) mediumRun {
+// platoon, on the reference workspace when reference is set.
+func runMedium(t *testing.T, n int, name string, value float64, params param.Params, reference bool) mediumRun {
 	t.Helper()
 	ts := scenario.PaperScenario()
 	ts.NrVehicles = n
 	ts.TotalSimTime = 16 * des.Second
-	sim, err := scenario.NewWorkspace().Build(ts, scenario.PaperCommModel(), 1, nil)
+	sim, err := (&scenario.Workspace{Reference: reference}).Build(ts, scenario.PaperCommModel(), 1, nil)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sim.Kernel.SetEventBudget(budget)
 	log := trace.NewFullLog(sim.VehicleIDs())
 	sim.AddRecorder(log)
 	spec := ExperimentSpec{Nr: 3, Attack: name, Targets: []string{"vehicle.2"}, Value: value, Params: params,
@@ -90,8 +88,8 @@ func runMedium(t *testing.T, n int, name string, value float64, params param.Par
 }
 
 // TestLazyReceptionsMatchEager runs one experiment of every registered
-// attack family on a 4- and a 16-vehicle platoon with reception elision
-// on and off: the medium stats, every MAC's stats, the executed event
+// attack family on a 4- and a 16-vehicle platoon, with the medium's fast
+// paths on and on the reference workspace: the medium stats, every MAC's stats, the executed event
 // count and every vehicle's trace must match bit for bit, and the lazy
 // run must have settled receptions off the queue.
 func TestLazyReceptionsMatchEager(t *testing.T) {
@@ -105,8 +103,8 @@ func TestLazyReceptionsMatchEager(t *testing.T) {
 	}
 	for _, n := range []int{4, 16} {
 		for _, f := range lazyFamilies {
-			lazy := runMedium(t, n, f.name, f.value, f.params, 0)
-			eager := runMedium(t, n, f.name, f.value, f.params, math.MaxUint64)
+			lazy := runMedium(t, n, f.name, f.value, f.params, false)
+			eager := runMedium(t, n, f.name, f.value, f.params, true)
 			if lazy.settled == 0 || eager.settled != 0 {
 				t.Errorf("%s, %d vehicles: %d events settled lazily, %d eagerly", f.name, n, lazy.settled, eager.settled)
 			}
@@ -122,17 +120,16 @@ func TestLazyReceptionsMatchEager(t *testing.T) {
 // jammingWindow runs the paper platoon of 16 vehicles to 18 s, jams it
 // from vehicle.2 at 11.1 dBm for 10 s and reports the window's executed
 // and dispatched (executed minus settled) events, its MAC busy
-// deferrals and how many receptions the medium pooled for it. A non-zero
-// event budget, too large to abort, turns elision off.
-func jammingWindow(t *testing.T, budget uint64) (executed, dispatched, deferrals uint64, pooled int) {
+// deferrals and how many receptions the medium pooled for it, on the
+// reference workspace when reference is set.
+func jammingWindow(t *testing.T, reference bool) (executed, dispatched, deferrals uint64, pooled int) {
 	t.Helper()
 	ts := scenario.PaperScenario()
 	ts.NrVehicles = 16
-	sim, err := scenario.NewWorkspace().Build(ts, scenario.PaperCommModel(), 1, nil)
+	sim, err := (&scenario.Workspace{Reference: reference}).Build(ts, scenario.PaperCommModel(), 1, nil)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sim.Kernel.SetEventBudget(budget)
 	spec := ExperimentSpec{Nr: 1, Attack: "jamming", Targets: []string{"vehicle.2"}, Value: 11.1,
 		Start: 18 * des.Second, Duration: 10 * des.Second}
 	model, err := buildModelSafe(spec, ts.TotalSimTime, 1)
@@ -172,8 +169,8 @@ func jammingWindow(t *testing.T, budget uint64) (executed, dispatched, deferrals
 // tenth of its events. The jammer settles the radios it holds, so the
 // window, run in one go, pools receptions for a few bursts a radio.
 func TestJammingWindowHeldCarrierSense(t *testing.T) {
-	executed, dispatched, deferrals, pooled := jammingWindow(t, 0)
-	eagerExecuted, eagerDispatched, eagerDeferrals, _ := jammingWindow(t, math.MaxUint64)
+	executed, dispatched, deferrals, pooled := jammingWindow(t, false)
+	eagerExecuted, eagerDispatched, eagerDeferrals, _ := jammingWindow(t, true)
 	if executed != eagerExecuted || deferrals != eagerDeferrals {
 		t.Errorf("executed %d, busy deferrals %d; eager %d, %d", executed, deferrals, eagerExecuted, eagerDeferrals)
 	}

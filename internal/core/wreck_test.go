@@ -17,7 +17,8 @@ import (
 // The tests in this file pin wreck elision (DESIGN.md §12): a run whose
 // followers are all halted stops at that collision and records its
 // remaining steps from the golden log, and must equal, bit for bit, the
-// reference that simulates it to the horizon (Engine.keepWrecks).
+// reference engine, which simulates it to the horizon
+// (EngineConfig.Reference).
 
 // wreckPair is an engine that elides wrecks, its counters, and the
 // reference engine on the same configuration.
@@ -41,10 +42,9 @@ func newWreckPair(tb testing.TB, n int, horizon des.Time, budget uint64) wreckPa
 	if p.eng, err = NewEngine(EngineConfig{Scenario: ts, Comm: scenario.PaperCommModel(), Seed: 1, EventBudget: budget, Metrics: p.reg}); err != nil {
 		tb.Fatal(err)
 	}
-	if p.ref, err = NewEngine(EngineConfig{Scenario: ts, Comm: scenario.PaperCommModel(), Seed: 1, EventBudget: budget}); err != nil {
+	if p.ref, err = NewEngine(EngineConfig{Scenario: ts, Comm: scenario.PaperCommModel(), Seed: 1, EventBudget: budget, Reference: true}); err != nil {
 		tb.Fatal(err)
 	}
-	p.ref.keepWrecks = true
 	for _, e := range []*Engine{p.eng, p.ref} {
 		if _, _, err := e.GoldenRun(); err != nil {
 			tb.Fatal(err)
@@ -389,40 +389,76 @@ func TestOracleWreckElisionFaultWins(t *testing.T) {
 	}
 }
 
+// wreckSeed is one FuzzWreckElision input: a family index into
+// AttackNames, a value byte, start and duration in 100 ms steps, and the
+// platoon size (8 vehicles if eight, else 4); elides is not an input but
+// whether the production engine elides the run's wreck.
+type wreckSeed struct {
+	family, value, start, dur uint8
+	eight, elides             bool
+}
+
+// wreckSeeds seed FuzzWreckElision. AttackNames is sorted: 2 is delay, 3
+// DoS, 5 jamming, 7 packet loss.
+var wreckSeeds = []wreckSeed{
+	{2, 200, 170, 100, false, true}, // PD 2.36 s from 17 s for 10 s
+	{3, 0, 170, 255, true, true},    // DoS from 17 s to the horizon
+	{5, 128, 170, 100, true, true},  // about 5 dBm from 17 s for 10 s
+	{7, 255, 50, 20, false, false},  // every frame lost from 5 s for 2 s: no wreck
+}
+
+// checkWreckSeed runs one FuzzWreckElision input fresh and forked on the
+// pair of its platoon size, built on first use, against the reference,
+// and reports whether the fresh run elided its wreck.
+func checkWreckSeed(t *testing.T, pairs map[bool]wreckPair, s wreckSeed) (elided bool) {
+	t.Helper()
+	names := AttackNames()
+	name := names[int(s.family)%len(names)]
+	p, ok := pairs[s.eight]
+	if !ok {
+		n := 4
+		if s.eight {
+			n = 8
+		}
+		p = newWreckPair(t, n, 30*des.Second, 0)
+		pairs[s.eight] = p
+	}
+	spec := ExperimentSpec{
+		Nr:       int(s.value),
+		Attack:   name,
+		Targets:  []string{"vehicle.2"},
+		Value:    fuzzValue(name, s.value),
+		Start:    des.Time(s.start) * 100 * des.Millisecond,
+		Duration: des.Time(s.dur)*100*des.Millisecond + des.Millisecond,
+	}
+	elided, _ = p.checkFresh(t, spec)
+	p.checkGroup(t, []ExperimentSpec{spec}, false)
+	return elided
+}
+
 // FuzzWreckElision: any family, value, window and platoon size (4 or 8
-// vehicles, 30 s horizon) gives the same result and log with wreck
-// elision as without, fresh and forked.
+// vehicles, 30 s horizon) gives the same result and log with every exact
+// fast path on as on the reference engine, fresh and forked.
 func FuzzWreckElision(f *testing.F) {
-	// Families index AttackNames, which is sorted: 2 is delay, 3 DoS,
-	// 5 jamming, 7 packet loss.
-	f.Add(uint8(2), uint8(200), uint8(170), uint8(100), false) // PD 2.36 s from 17 s for 10 s
-	f.Add(uint8(3), uint8(0), uint8(170), uint8(255), true)    // DoS from 17 s to the horizon
-	f.Add(uint8(5), uint8(128), uint8(170), uint8(100), true)  // about 5 dBm from 17 s for 10 s
-	f.Add(uint8(7), uint8(255), uint8(50), uint8(20), false)   // every frame lost from 5 s for 2 s
+	for _, s := range wreckSeeds {
+		f.Add(s.family, s.value, s.start, s.dur, s.eight)
+	}
 	pairs := map[bool]wreckPair{}
 	f.Fuzz(func(t *testing.T, family, value, start, dur uint8, eight bool) {
-		names := AttackNames()
-		name := names[int(family)%len(names)]
-		p, ok := pairs[eight]
-		if !ok {
-			n := 4
-			if eight {
-				n = 8
-			}
-			p = newWreckPair(t, n, 30*des.Second, 0)
-			pairs[eight] = p
-		}
-		spec := ExperimentSpec{
-			Nr:       int(value),
-			Attack:   name,
-			Targets:  []string{"vehicle.2"},
-			Value:    fuzzValue(name, value),
-			Start:    des.Time(start) * 100 * des.Millisecond,
-			Duration: des.Time(dur)*100*des.Millisecond + des.Millisecond,
-		}
-		p.checkFresh(t, spec)
-		p.checkGroup(t, []ExperimentSpec{spec}, false)
+		checkWreckSeed(t, pairs, wreckSeed{family: family, value: value, start: start, dur: dur, eight: eight})
 	})
+}
+
+// TestWreckSeedsElide keeps the seed corpus honest: the production engine
+// must elide the wrecks of the seeds that wreck, or FuzzWreckElision
+// compares two runs simulated to the horizon.
+func TestWreckSeedsElide(t *testing.T) {
+	pairs := map[bool]wreckPair{}
+	for i, s := range wreckSeeds {
+		if got := checkWreckSeed(t, pairs, s); got != s.elides {
+			t.Errorf("seed %d: elided %v, want %v", i, got, s.elides)
+		}
+	}
 }
 
 // fuzzValue maps a byte onto a valid value of the attack family.

@@ -23,13 +23,18 @@ import (
 // radio are appended to *rx.
 func lineNet(t *testing.T, ch phy.ChannelConfig, ids []string, xs []float64, rx *[]rxRecord) (*des.Kernel, *Air, []*Radio) {
 	t.Helper()
+	return lineNetConfig(t, Config{Channel: ch}, ids, xs, rx)
+}
+
+// lineNetConfig is lineNet on a medium configured by cfg, whose kernel,
+// schedule and seed it sets.
+func lineNetConfig(t *testing.T, cfg Config, ids []string, xs []float64, rx *[]rxRecord) (*des.Kernel, *Air, []*Radio) {
+	t.Helper()
 	k := des.NewKernel()
-	air, err := NewAir(Config{
-		Kernel:   k,
-		Channel:  ch,
-		Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
-		Seed:     1,
-	})
+	cfg.Kernel = k
+	cfg.Schedule = wave1609.NewSchedule(wave1609.AccessContinuous)
+	cfg.Seed = 1
+	air, err := NewAir(cfg)
 	if err != nil {
 		t.Fatalf("NewAir: %v", err)
 	}
@@ -287,15 +292,11 @@ func sameDeliveries(got, want []rxRecord) bool {
 	return true
 }
 
-// eagerLoss hides a path loss's closed-form inverse, which turns the
-// guard distance off: every reception computes its power at transmit
-// time, as before the guard existed.
-type eagerLoss struct{ phy.PathLoss }
-
 // guardRun sends one frame from x = 0 to receivers at the given
 // distances and returns the deliveries, the medium stats, every
-// receiver's MAC stats and the medium.
-func guardRun(t *testing.T, ch phy.ChannelConfig, dists []float64) ([]rxRecord, Stats, []mac.Stats, *Air) {
+// receiver's MAC stats and the medium. The reference medium has no guard
+// distance: every reception computes its power at transmit time.
+func guardRun(t *testing.T, ch phy.ChannelConfig, dists []float64, reference bool) ([]rxRecord, Stats, []mac.Stats, *Air) {
 	t.Helper()
 	ids := []string{"s"}
 	xs := []float64{0}
@@ -304,7 +305,7 @@ func guardRun(t *testing.T, ch phy.ChannelConfig, dists []float64) ([]rxRecord, 
 		xs = append(xs, d)
 	}
 	var rx []rxRecord
-	k, air, radios := lineNet(t, ch, ids, xs, &rx)
+	k, air, radios := lineNetConfig(t, Config{Channel: ch, Reference: reference}, ids, xs, &rx)
 	if err := radios[0].Send("x", 200, mac.ACVideo, 1); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -321,7 +322,7 @@ func guardRun(t *testing.T, ch phy.ChannelConfig, dists []float64) ([]rxRecord, 
 // TestGuardDistanceMatchesEager sweeps receivers across the guard
 // distance for a grid of noise floors, transmit powers, CCA and
 // sensitivity thresholds, MCSs, frequencies and path-loss exponents.
-// Every decision, stat and RxMeta bit must equal the eager computation,
+// Every decision, stat and RxMeta bit must equal the reference medium's,
 // and the receptions inside the guard must really have been deferred.
 func TestGuardDistanceMatchesEager(t *testing.T) {
 	type thresholds struct{ cca, sens float64 }
@@ -353,10 +354,8 @@ func TestGuardDistanceMatchesEager(t *testing.T) {
 							for _, f := range []float64{0, 0.25, 0.5, 0.9, 0.999999, 1, 1.000001, 1.1, 1.5, 2, 4} {
 								dists = append(dists, f*g)
 							}
-							got, gotStats, gotMAC, _ := guardRun(t, ch, dists)
-							eager := ch
-							eager.PathLoss = eagerLoss{ch.PathLoss}
-							want, wantStats, wantMAC, _ := guardRun(t, eager, dists)
+							got, gotStats, gotMAC, _ := guardRun(t, ch, dists, false)
+							want, wantStats, wantMAC, _ := guardRun(t, ch, dists, true)
 							if gotStats != wantStats || !reflect.DeepEqual(gotMAC, wantMAC) || !sameDeliveries(got, want) {
 								t.Fatalf("%+v: deliveries %+v, stats %+v, MAC %+v;\neager %+v, stats %+v, MAC %+v",
 									ch, got, gotStats, gotMAC, want, wantStats, wantMAC)
@@ -406,7 +405,7 @@ func TestGuardDistanceOff(t *testing.T) {
 		ch := phy.DefaultChannelConfig()
 		mod(&ch)
 		dists := []float64{0, 0.5, 1, 10, 100, 500}
-		got, gotStats, _, air := guardRun(t, ch, dists)
+		got, gotStats, _, air := guardRun(t, ch, dists, false)
 		if air.guardM != -1 {
 			t.Errorf("%s: guard %v m, want off", name, air.guardM)
 		}
@@ -424,9 +423,7 @@ func TestGuardDistanceOff(t *testing.T) {
 			}
 		}
 		if ch.Decider == phy.DeciderThreshold {
-			eager := ch
-			eager.PathLoss = eagerLoss{ch.PathLoss}
-			want, wantStats, _, _ := guardRun(t, eager, dists)
+			want, wantStats, _, _ := guardRun(t, ch, dists, true)
 			if gotStats != wantStats || !sameDeliveries(got, want) {
 				t.Errorf("%s: deliveries %+v stats %+v, eager %+v stats %+v", name, got, gotStats, want, wantStats)
 			}

@@ -51,8 +51,8 @@ func (fi *fanoutInterceptor) Intercept(_ des.Time, _, _ string, _ mac.Frame) Ver
 }
 
 // fanoutEvent is one dispatched fan-out handler (kind "txDone", "begin"
-// or "end") or one delivery (kind "rx", with the frame and the power and
-// SINR bits).
+// or "end", with the Executed count) or one delivery (kind "rx", with the
+// frame and the power and SINR bits, inside the "end" before it).
 type fanoutEvent struct {
 	kind     string
 	radio    string
@@ -79,10 +79,17 @@ const fanoutPool = 1024
 
 // instrumentFanout makes every fan-out handler of air append to tr when it
 // is dispatched: each radio's txDone, and the begin and end of a pool of
-// pre-registered receptions, which the freelist recycles with their
-// handlers intact. It returns the size of the pool.
+// pre-registered data receptions, which the freelist recycles with their
+// handlers intact. It returns the size of the pool. A jamming burst at an
+// idle radio stays off the kernel queue in production, so noise
+// receptions are not logged, and each logged event first settles every
+// radio, as reading the medium's stats would: its Executed count then
+// includes every event before it, dispatched or settled.
 func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) int {
 	log := func(kind, radio string) {
+		for _, r := range air.radios {
+			r.settle()
+		}
 		tr.events = append(tr.events, fanoutEvent{kind: kind, radio: radio, now: k.Now(), executed: k.Executed()})
 	}
 	for _, r := range air.radios {
@@ -95,6 +102,10 @@ func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) int {
 	for _, rec := range air.allRecs {
 		rec, fn := rec, rec.fn
 		rec.fn = func() {
+			if rec.noise {
+				fn()
+				return
+			}
 			kind := "begin"
 			if rec.begun {
 				kind = "end"
@@ -112,9 +123,11 @@ func instrumentFanout(k *des.Kernel, air *Air, tr *fanoutTrace) int {
 var fanoutPositions = [...]float64{0, 0, 10, -10, 20, -20, 5, 1300, 2500, 4000}
 
 // runFanoutMedium decodes a random medium from data, runs it for 40 ms
-// and returns its trace. scheduleEach selects the reference emission:
-// one ScheduleAt per fan-out event in the order the fan-out makes them.
-func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
+// and returns its trace, and whether any fan-out took the general sort
+// (Air.queueSorted). reference selects the reference medium, whose
+// emission is one ScheduleAt per fan-out event in the order the fan-out
+// makes them.
+func runFanoutMedium(t testing.TB, data []byte, reference bool) (tr fanoutTrace, sorted bool) {
 	in := &fanoutBytes{data: data}
 	k := des.NewKernel()
 	ch := phy.DefaultChannelConfig()
@@ -122,20 +135,16 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 		ch.Decider = phy.DeciderProbabilistic
 	}
 	air, err := NewAir(Config{
-		Kernel:   k,
-		Channel:  ch,
-		Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
-		Seed:     7,
+		Kernel:    k,
+		Channel:   ch,
+		Schedule:  wave1609.NewSchedule(wave1609.AccessContinuous),
+		Seed:      7,
+		Reference: reference,
 	})
 	if err != nil {
 		t.Fatalf("NewAir: %v", err)
 	}
-	// Both emissions queue every reception: FuzzLazyReception covers the
-	// lazy ones.
-	air.eager = true
-	air.scheduleEach = scheduleEach
 
-	var tr fanoutTrace
 	n := 2 + in.next()%6
 	radios := make([]*Radio, n)
 	for i := range radios {
@@ -143,7 +152,7 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 		id := scratchID(i)
 		r, err := air.AddRadio(id, func() geo.Vec { return p }, func(f *mac.Frame, m RxMeta) {
 			tr.events = append(tr.events, fanoutEvent{
-				kind: "rx", radio: id, now: k.Now(), executed: k.Executed(), src: f.Src, seq: f.Seq,
+				kind: "rx", radio: id, now: k.Now(), src: f.Src, seq: f.Seq,
 				power: math.Float64bits(m.RxPowerDBm()), sinr: math.Float64bits(m.SINRdB()),
 			})
 		})
@@ -201,43 +210,70 @@ func runFanoutMedium(t testing.TB, data []byte, scheduleEach bool) fanoutTrace {
 		tr.mac = append(tr.mac, r.MAC().Stats())
 	}
 	tr.executed = k.Executed()
-	return tr
+	return tr, cap(air.keys) > 0
 }
 
-// FuzzFanoutOrder runs one random medium twice: through the batched
-// fan-out, which queues events in dispatch order, and through one
-// ScheduleAt per event in the order the fan-out makes them. The media mix
+// FuzzFanoutOrder runs one random medium twice: through the production
+// medium, whose batched fan-out queues events in dispatch order, and
+// through the reference medium, which queues one ScheduleAt per event in
+// the order the fan-out makes them. The media mix
 // co-located and equidistant radios, delay overrides of zero, shorter
 // than, equal to and longer than the airtime and negative, interceptor
 // drops, overlapping transmissions, jamming bursts and both deciders.
-// Every txDone, reception begin and end and delivery must dispatch in
-// the same order at the same time and Executed count, every delivery
+// Every txDone, data reception begin and end and delivery must dispatch
+// in the same order at the same time and Executed count, every delivery
 // must carry the same frame, power and SINR bits, and the medium stats
 // and every MAC's stats must match.
 func FuzzFanoutOrder(f *testing.F) {
-	// Co-located radios without an interceptor: delay 0, so every end
-	// ties with txDone.
-	f.Add([]byte{0, 2, 0, 1, 0, 0, 1, 3, 0, 0, 0, 1, 0, 0})
-	// Equidistant receivers on both sides of a sender, several sends.
-	f.Add([]byte{0, 3, 0, 2, 3, 0, 1, 4, 0, 1, 0, 2, 0, 3, 1, 0, 4})
-	// A mix of verdict codes across overlapping transmissions.
-	f.Add([]byte{0, 5, 0, 1, 2, 7, 8, 9, 0xff, 1, 0, 1, 2, 3, 4, 5, 6, 7, 1, 6, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 1, 0, 4, 0, 0})
-	// Delay overrides with a jammer and the probabilistic decider.
-	f.Add([]byte{3, 4, 0, 2, 7, 1, 13, 4, 6, 7, 6, 4, 7, 6, 3, 0, 2, 2, 5, 3, 5, 4, 0, 0, 1, 2, 0, 2, 3, 1, 1})
-	// Co-located radios whose first link gets a negative delay longer
-	// than the airtime: both its begin and its end clamp to Now.
-	f.Add([]byte("0000\xff"))
-	// A begin that ties with txDone: the delay override equals the
-	// frame's airtime.
-	f.Add([]byte("000010\"00000120000020A"))
-	// Two links with different negative delays shorter than the airtime:
-	// both begins clamp to Now and must keep registration order.
-	f.Add([]byte("090000098"))
+	for _, seed := range fanoutSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := runFanoutMedium(t, data, false)
-		want := runFanoutMedium(t, data, true)
+		got, _ := runFanoutMedium(t, data, false)
+		want, _ := runFanoutMedium(t, data, true)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("batched fan-out diverged from per-event scheduling:\nbatched   %+v\nreference %+v", got, want)
 		}
 	})
+}
+
+// TestFanoutSeedsSort keeps the seed corpus honest: the seeds with
+// clamped negative delays and long delay overrides must take the general
+// sort on the production medium, or FuzzFanoutOrder compares only the
+// usual case; the reference medium never sorts.
+func TestFanoutSeedsSort(t *testing.T) {
+	sorted := 0
+	for i, seed := range fanoutSeeds {
+		if _, ok := runFanoutMedium(t, seed, false); ok {
+			sorted++
+		}
+		if _, ok := runFanoutMedium(t, seed, true); ok {
+			t.Errorf("seed %d: the reference medium took the general sort", i)
+		}
+	}
+	if sorted < 3 {
+		t.Errorf("%d of %d seeds take the general sort, want at least 3", sorted, len(fanoutSeeds))
+	}
+}
+
+// fanoutSeeds seed FuzzFanoutOrder (testdata/fuzz holds more).
+var fanoutSeeds = [][]byte{
+	// Co-located radios without an interceptor: delay 0, so every end
+	// ties with txDone.
+	{0, 2, 0, 1, 0, 0, 1, 3, 0, 0, 0, 1, 0, 0},
+	// Equidistant receivers on both sides of a sender, several sends.
+	{0, 3, 0, 2, 3, 0, 1, 4, 0, 1, 0, 2, 0, 3, 1, 0, 4},
+	// A mix of verdict codes across overlapping transmissions.
+	{0, 5, 0, 1, 2, 7, 8, 9, 0xff, 1, 0, 1, 2, 3, 4, 5, 6, 7, 1, 6, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 1, 0, 4, 0, 0},
+	// Delay overrides with a jammer and the probabilistic decider.
+	{3, 4, 0, 2, 7, 1, 13, 4, 6, 7, 6, 4, 7, 6, 3, 0, 2, 2, 5, 3, 5, 4, 0, 0, 1, 2, 0, 2, 3, 1, 1},
+	// Co-located radios whose first link gets a negative delay longer
+	// than the airtime: both its begin and its end clamp to Now.
+	[]byte("0000\xff"),
+	// A begin that ties with txDone: the delay override equals the
+	// frame's airtime.
+	[]byte("000010\"00000120000020A"),
+	// Two links with different negative delays shorter than the airtime:
+	// both begins clamp to Now and must keep registration order.
+	[]byte("090000098"),
 }

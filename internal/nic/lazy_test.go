@@ -69,8 +69,8 @@ var lazyFilters = [...]RxFilter{
 
 // runLazyMedium decodes a random medium from data and runs it for 40 ms,
 // with a checkpoint taken mid-run and restored after the run, which then
-// runs again to 40 ms. eager selects the reference medium, which queues
-// every reception into the kernel. The media mix handlers with accepting
+// runs again to 40 ms. eager selects the reference medium
+// (Config.Reference), which queues every reception into the kernel. The media mix handlers with accepting
 // and rejecting filters and nil handlers, co-located radios whose
 // receptions tie, overlapping sends that leave MACs non-idle while lazy
 // receptions wait, interceptor drops and delay overrides, jamming bursts,
@@ -88,15 +88,15 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 		ch.Decider = phy.DeciderProbabilistic
 	}
 	air, err := NewAir(Config{
-		Kernel:   k,
-		Channel:  ch,
-		Schedule: wave1609.NewSchedule(wave1609.AccessContinuous),
-		Seed:     7,
+		Kernel:    k,
+		Channel:   ch,
+		Schedule:  wave1609.NewSchedule(wave1609.AccessContinuous),
+		Seed:      7,
+		Reference: eager,
 	})
 	if err != nil {
 		t.Fatalf("NewAir: %v", err)
 	}
-	air.eager = eager
 
 	var tr lazyTrace
 	n := 2 + in.next()%6
@@ -258,9 +258,9 @@ func runLazyMedium(t testing.TB, data []byte, eager bool) lazyTrace {
 	return tr
 }
 
-// FuzzLazyReception runs one random medium twice: through the lazy
+// FuzzLazyReception runs one random medium twice: through the production
 // medium, which keeps receptions no handler reads off the kernel queue
-// at idle radios, and through the eager reference, which queues them
+// at idle radios, and through the reference medium, which queues them
 // all. Every handler call must come in the same order at the same time
 // with the same frame, power and SINR bits, and every mid-run probe and
 // pause must see the same medium stats, MAC stats, Executed count and
@@ -351,8 +351,7 @@ func TestLazySeedsElide(t *testing.T) {
 func TestRecycledReceptionHoldsNoReferences(t *testing.T) {
 	for _, eager := range []bool{true, false} {
 		var rx []rxRecord
-		k, air, radios := lineNet(t, phy.DefaultChannelConfig(), []string{"a", "b", "c"}, []float64{0, 10, 20}, &rx)
-		air.eager = eager
+		k, air, radios := lineNetConfig(t, Config{Channel: phy.DefaultChannelConfig(), Reference: eager}, []string{"a", "b", "c"}, []float64{0, 10, 20}, &rx)
 		radios[2].SetFilter(filterFunc(func(*mac.Frame) bool { return false }))
 		if err := radios[0].Send("payload", 200, mac.ACVideo, 1); err != nil {
 			t.Fatal(err)

@@ -136,6 +136,9 @@ type Config struct {
 	Schedule wave1609.Schedule
 	// Seed derives the backoff and decider random streams.
 	Seed uint64
+	// Reference turns the medium's exact fast paths off (guard distance,
+	// lazy receptions, batched fan-out): see core.EngineConfig.Reference.
+	Reference bool
 }
 
 // Air is the shared broadcast medium connecting all radios.
@@ -190,14 +193,8 @@ type Air struct {
 	// it needs a general sort (see queue).
 	links []*reception
 	keys  []fanKey
-	// scheduleEach queues every fan-out event with its own ScheduleAt, in
-	// the order the fan-out makes them: the reference FuzzFanoutOrder
-	// checks the batched dispatch order against.
-	scheduleEach bool
-	// eager queues every reception into the kernel, none onto a radio's
-	// timeline: the reference FuzzLazyReception checks lazy receptions
-	// against.
-	eager bool
+	// reference queues every fan-out event with its own ScheduleAt.
+	reference bool
 	// pauseFn is the bound pause method, the kernel's pause hook.
 	pauseFn func(drain bool)
 
@@ -237,7 +234,11 @@ func (a *Air) Reset(cfg Config) error {
 	a.airBits = -1
 	a.noiseMw = phy.DBmToMilliwatt(cfg.Channel.NoiseFloorDBm)
 	a.noiseDBm = phy.MilliwattToDBm(a.noiseMw)
+	a.reference = cfg.Reference
 	a.guardM = guardDistance(cfg.Channel, a.noiseDBm)
+	if a.reference {
+		a.guardM = -1
+	}
 	a.interceptor = nil
 	a.stats = Stats{}
 	if a.deciderRNG == nil {
@@ -500,14 +501,14 @@ func (a *Air) recycle(rec *reception) {
 
 // elides reports whether the fan-out being made may keep the receptions
 // no handler reads off the kernel queue (see Radio.settle). It is off for
-// the eager reference, for the probabilistic decider, whose Air-wide
+// the reference medium, for the probabilistic decider, whose Air-wide
 // stream draws at every reception end in dispatch order, and while an
 // event budget is set, whose abort points follow dispatched events. A
 // reception starts at Now at the earliest, so the kernel must also not
 // have passed PriorityNormal at Now: a key kept there would be due on
 // arrival (des.Kernel.Reserve).
 func (a *Air) elides() bool {
-	return !a.eager && !a.scheduleEach && a.cfg.Decider == phy.DeciderThreshold &&
+	return !a.reference && a.cfg.Decider == phy.DeciderThreshold &&
 		a.k.EventBudget() == 0 && !a.k.Passed(a.k.Now(), des.PriorityNormal, math.MaxUint64)
 }
 
@@ -600,9 +601,9 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 
 // queue enters a fan-out into the kernel as one batch: the receptions in
 // a.links and, for a transmission, its txDone at txEnd (nil for a jamming
-// burst). The reference order is the one a ScheduleAt per event took
-// before batching: txDone, then each link's begin and end. BatchAt hands
-// the batch consecutive sequence numbers in call order and no other event
+// burst). The reference order is the reference medium's, one ScheduleAt
+// per event: txDone, then each link's begin and end. BatchAt hands the
+// batch consecutive sequence numbers in call order and no other event
 // takes one in between, so against any other event a batch member orders
 // by (time, priority) and the range alone, and among themselves by call
 // order at equal times. Calling BatchAt in (time, reference index) order
@@ -622,7 +623,7 @@ func (a *Air) transmit(src *Radio, f mac.Frame) {
 // overrides take the general sort of every key.
 func (a *Air) queue(txDone des.Handler, txEnd, dur des.Time) {
 	k := a.k
-	if a.scheduleEach {
+	if a.reference {
 		if txDone != nil {
 			k.ScheduleAt(txEnd, txDone)
 		}

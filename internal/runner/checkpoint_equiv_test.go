@@ -13,23 +13,40 @@ import (
 	"comfase/internal/obs"
 )
 
-// runForEquivalence executes the chaos grid once with the given
-// checkpoint setting and returns the CSV bytes plus the quarantined
-// failures in grid order.
-func runForEquivalence(t *testing.T, setup core.CampaignSetup, opts Options, disable bool) (string, []core.ExperimentFailure) {
+// runForEquivalence executes the chaos grid once, on the chaos engine or
+// on its reference twin (referenceEngine), and returns the CSV bytes plus
+// the quarantined failures in grid order.
+func runForEquivalence(t *testing.T, setup core.CampaignSetup, opts Options, reference bool) (string, []core.ExperimentFailure) {
 	t.Helper()
-	opts.DisableCheckpoints = disable
 	quarantine := &MemoryFailureSink{}
 	opts.Quarantine = quarantine
+	eng := chaosEngine(t, 100_000)
+	if reference {
+		eng = referenceEngine(t, eng)
+	}
 	var csv bytes.Buffer
-	r, err := New(chaosEngine(t, 100_000), opts, NewCSVSink(&csv))
+	r, err := New(eng, opts, NewCSVSink(&csv))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if _, err := r.Run(context.Background(), setup); err != nil {
-		t.Fatalf("Run (checkpoints disabled=%v): %v", disable, err)
+		t.Fatalf("Run (reference=%v): %v", reference, err)
 	}
 	return csv.String(), quarantine.Failures
+}
+
+// referenceEngine returns a new engine on eng's configuration with every
+// exact fast path off (core.EngineConfig.Reference): its runner builds
+// every experiment from t=0, with no prefix checkpoint or trie.
+func referenceEngine(t *testing.T, eng *core.Engine) *core.Engine {
+	t.Helper()
+	cfg := eng.Config()
+	cfg.Reference = true
+	ref, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	return ref
 }
 
 // referenceCSV is the campaign oracle: every grid point built fresh and
@@ -81,8 +98,8 @@ func checkResumeHoles(t *testing.T, setup core.CampaignSetup) {
 
 	reg := obs.NewRegistry()
 	opts := Options{Workers: 2, Resume: resume}
-	on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, opts, false)
-	off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, opts, true)
+	on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, opts)
+	off, _, _ := runTrieEquiv(t, referenceEngine(t, trieChaosEngine(t, 100_000, nil, false)), setup, opts)
 	if on != want || off != want {
 		t.Errorf("resume-holed CSVs differ from the reference rows:\nwant:\n%s\ntrie:\n%s\nfresh:\n%s", want, on, off)
 	}

@@ -3,7 +3,6 @@ package runner
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 
 	"comfase/internal/core"
@@ -13,10 +12,11 @@ import (
 )
 
 // TestLazyReceptionCampaignEquivalence runs a small grid of every attack
-// family on a 4- and a 16-vehicle platoon with reception elision on and
-// off (an event budget too large to abort turns it off), and with
-// elision on but every experiment built fresh instead of forked from a
-// prefix checkpoint: the three result CSVs must be byte-identical.
+// family on a 4- and a 16-vehicle platoon on a production engine and on
+// a reference engine (core.EngineConfig.Reference), which turns reception
+// elision and every other exact fast path off and builds every
+// experiment fresh instead of forking it from a prefix checkpoint: the
+// two result CSVs must be byte-identical.
 func TestLazyReceptionCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns in -short mode")
@@ -37,18 +37,18 @@ func TestLazyReceptionCampaignEquivalence(t *testing.T) {
 		{"corruption", 2, param.Params{"sigmaPosM": 0.5}},
 		{"calibration", 1, param.Params{"posOffsetM": 3}},
 	}
-	run := func(n int, budget uint64, fresh bool, setup core.CampaignSetup) []byte {
+	run := func(n int, reference bool, setup core.CampaignSetup) []byte {
 		ts := scenario.PaperScenario()
 		ts.NrVehicles = n
 		ts.TotalSimTime = 6 * des.Second
 		eng, err := core.NewEngine(core.EngineConfig{
-			Scenario: ts, Comm: scenario.PaperCommModel(), Seed: 1, EventBudget: budget,
+			Scenario: ts, Comm: scenario.PaperCommModel(), Seed: 1, Reference: reference,
 		})
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
 		var buf bytes.Buffer
-		r, err := New(eng, Options{Workers: 2, DisableCheckpoints: fresh}, NewCSVSink(&buf))
+		r, err := New(eng, Options{Workers: 2}, NewCSVSink(&buf))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -67,9 +67,9 @@ func TestLazyReceptionCampaignEquivalence(t *testing.T) {
 				Starts:     []des.Time{2 * des.Second, 3 * des.Second},
 				Durations:  []des.Time{des.Second, 2 * des.Second},
 			}
-			lazy, eager, fresh := run(n, 0, false, setup), run(n, math.MaxUint64, false, setup), run(n, 0, true, setup)
-			if !bytes.Equal(lazy, eager) || !bytes.Equal(lazy, fresh) {
-				t.Errorf("%s, %d vehicles: CSVs differ:\nlazy:\n%s\neager:\n%s\nfresh:\n%s", f.name, n, lazy, eager, fresh)
+			got, want := run(n, false, setup), run(n, true, setup)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %d vehicles: CSVs differ:\nproduction:\n%s\nreference:\n%s", f.name, n, got, want)
 			}
 		}
 	}

@@ -150,18 +150,6 @@ type Options struct {
 	// core.EngineConfig.Metrics for the full stack view. nil disables
 	// runner metrics; execution and outputs are bit-identical either way.
 	Metrics *obs.Registry
-
-	// DisableCheckpoints turns off the checkpoint trie: every experiment
-	// then builds and simulates from t=0 (the fresh path). It exists as
-	// the oracle the equivalence gates compare against; the zero value —
-	// each same-start group forks from its prefix checkpoint and chains
-	// same-value siblings by ascending duration — is bit-identical and
-	// skips the redundant shared simulation. Configurations the checkpoint
-	// layer cannot capture (fading channels, opaque custom controllers)
-	// and models that cannot chain (stochastic ones, physical-layer
-	// Installers) fall back to the fresh path or to prefix forking
-	// automatically.
-	DisableCheckpoints bool
 }
 
 // Runner executes campaign grids against a core.Engine.
@@ -404,8 +392,11 @@ func (r *Runner) run(ctx context.Context, cells []*cellRun, specs []core.Experim
 			// One registry lookup per scheduling unit; nil when metrics are
 			// off, and increments are then no-ops.
 			wc := r.met.worker(worker)
+			// The checkpoint trie, bit-identical to building every
+			// experiment from t=0, which a reference engine does instead
+			// (core.EngineConfig.Reference).
 			var gs *core.GroupSession
-			if !r.opts.DisableCheckpoints && len(group.idx) > 1 {
+			if !eng.Config().Reference && len(group.idx) > 1 {
 				gs = r.beginGroup(ctx, eng, specs[group.idx[0]].Start)
 				if gs != nil {
 					defer gs.Close()

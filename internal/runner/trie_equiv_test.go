@@ -46,13 +46,12 @@ func trieChaosEngine(t *testing.T, budget uint64, reg *obs.Registry, earlyExit b
 	return eng
 }
 
-// runTrieEquiv executes the grid on the given engine through the
-// checkpoint trie, or on the fresh path when fresh is set, and returns the
-// CSV bytes, the classified results in grid order and the quarantined
-// failures.
-func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts Options, fresh bool) (string, []core.ExperimentResult, []core.ExperimentFailure) {
+// runTrieEquiv executes the grid on the given engine — through the
+// checkpoint trie, or on the fresh path for a reference engine
+// (referenceEngine) — and returns the CSV bytes, the classified results
+// in grid order and the quarantined failures.
+func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts Options) (string, []core.ExperimentResult, []core.ExperimentFailure) {
 	t.Helper()
-	opts.DisableCheckpoints = fresh
 	quarantine := &MemoryFailureSink{}
 	opts.Quarantine = quarantine
 	var csv bytes.Buffer
@@ -62,7 +61,7 @@ func runTrieEquiv(t *testing.T, eng *core.Engine, setup core.CampaignSetup, opts
 	}
 	res, err := r.Run(context.Background(), setup)
 	if err != nil {
-		t.Fatalf("Run (fresh=%v): %v", fresh, err)
+		t.Fatalf("Run (reference=%v): %v", eng.Config().Reference, err)
 	}
 	return csv.String(), res.Experiments, quarantine.Failures
 }
@@ -121,8 +120,8 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 
 	t.Run("healthy", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, Options{Workers: 4}, false)
-		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, Options{Workers: 4}, true)
+		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, false), setup, Options{Workers: 4})
+		off, _, _ := runTrieEquiv(t, referenceEngine(t, trieChaosEngine(t, 100_000, nil, false)), setup, Options{Workers: 4})
 		if on != off {
 			t.Errorf("trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
@@ -145,12 +144,12 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		chaosOn := setup
 		var muOn sync.Mutex
 		chaosOn.Factory = chaosFactory(&muOn, map[int]int{})
-		on, _, onFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosOn, opts, false)
+		on, _, onFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosOn, opts)
 
 		chaosOff := setup
 		var muOff sync.Mutex
 		chaosOff.Factory = chaosFactory(&muOff, map[int]int{})
-		off, _, offFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosOff, opts, true)
+		off, _, offFails := runTrieEquiv(t, referenceEngine(t, trieChaosEngine(t, 100_000, nil, false)), chaosOff, opts)
 
 		if on != off {
 			t.Errorf("chaos trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
@@ -159,8 +158,8 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 	})
 
 	t.Run("healthy early-exit", func(t *testing.T) {
-		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), setup, Options{Workers: 4}, false)
-		off, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), setup, Options{Workers: 4}, true)
+		on, _, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), setup, Options{Workers: 4})
+		off, _, _ := runTrieEquiv(t, referenceEngine(t, trieChaosEngine(t, 100_000, nil, true)), setup, Options{Workers: 4})
 		if on != off {
 			t.Errorf("early-exit trie CSV differs from fresh CSV:\non:\n%s\noff:\n%s", on, off)
 		}
@@ -175,11 +174,11 @@ func TestTrieCampaignEquivalence(t *testing.T) {
 		opts := Options{Workers: 4, Retries: 1, MaxFailures: -1}
 		bombOn := setup
 		bombOn.Factory = trieBombFactory()
-		on, _, onFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), bombOn, opts, false)
+		on, _, onFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), bombOn, opts)
 
 		bombOff := setup
 		bombOff.Factory = trieBombFactory()
-		off, _, offFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), bombOff, opts, true)
+		off, _, offFails := runTrieEquiv(t, referenceEngine(t, trieChaosEngine(t, 100_000, nil, false)), bombOff, opts)
 
 		// 10 starts x 1 bombed value x 2 durations crossing the trigger.
 		if len(onFails) != 20 {
@@ -258,8 +257,8 @@ func TestTrieEarlyExitClassificationEquivalence(t *testing.T) {
 
 	t.Run("healthy", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		_, ee, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, true), setup, Options{Workers: 4}, false)
-		_, full, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, Options{Workers: 4}, false)
+		_, ee, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, reg, true), setup, Options{Workers: 4})
+		_, full, _ := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), setup, Options{Workers: 4})
 		compare(t, ee, full)
 		if exits := reg.Counter("engine.early_exits").Load(); exits == 0 {
 			t.Error("no experiment exited early — classification equivalence is vacuous")
@@ -271,12 +270,12 @@ func TestTrieEarlyExitClassificationEquivalence(t *testing.T) {
 		chaosEE := setup
 		var muEE sync.Mutex
 		chaosEE.Factory = chaosFactory(&muEE, map[int]int{})
-		_, ee, eeFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), chaosEE, opts, false)
+		_, ee, eeFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, true), chaosEE, opts)
 
 		chaosFull := setup
 		var muFull sync.Mutex
 		chaosFull.Factory = chaosFactory(&muFull, map[int]int{})
-		_, full, fullFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosFull, opts, false)
+		_, full, fullFails := runTrieEquiv(t, trieChaosEngine(t, 100_000, nil, false), chaosFull, opts)
 
 		compare(t, ee, full)
 		compareQuarantine(t, eeFails, fullFails)

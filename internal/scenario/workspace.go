@@ -29,6 +29,10 @@ import (
 // Build returns an error the Workspace may be partially reset and must
 // be discarded.
 type Workspace struct {
+	// Reference builds with no kernel horizon and a reference medium
+	// (nic.Config.Reference): see core.EngineConfig.Reference.
+	Reference bool
+
 	kernel  *des.Kernel
 	network *roadnet.Network
 	road    roadnet.RoadSpec
@@ -74,7 +78,9 @@ func (w *Workspace) Build(ts TrafficScenario, cm CommModel, seed uint64, factory
 	k := w.kernel
 	// The run ends at TotalSimTime: the kernel queues nothing past it, so
 	// a DoS attack's receptions, delayed beyond the run, cost nothing.
-	k.SetHorizon(ts.TotalSimTime)
+	if !w.Reference {
+		k.SetHorizon(ts.TotalSimTime)
+	}
 
 	if !w.haveNet || w.road != ts.Road {
 		net, err := roadnet.NewNetwork(ts.Road)
@@ -99,7 +105,7 @@ func (w *Workspace) Build(ts TrafficScenario, cm CommModel, seed uint64, factory
 	}
 	sim := w.traffic
 
-	acfg := nic.Config{Kernel: k, Channel: cm.Channel, Schedule: cm.Schedule, Seed: seed}
+	acfg := nic.Config{Kernel: k, Channel: cm.Channel, Schedule: cm.Schedule, Seed: seed, Reference: w.Reference}
 	if w.air == nil {
 		air, err := nic.NewAir(acfg)
 		if err != nil {

@@ -293,14 +293,14 @@ func findRegressions(base, cur Report, thresholdPct float64) []string {
 
 // modePairs lists within-run sub-benchmark comparisons worth quoting.
 // The campaign benchmarks run the same grid under several execution
-// modes ("fresh", "trie", "trie+early-exit"); each pair below isolates
+// modes ("reference", "trie", "trie+early-exit"); each pair below isolates
 // one optimisation layer, so the ratio old/new is the speedup
 // that layer buys on THIS machine — unlike the old-vs-baseline column,
 // it never mixes measurements from two different hosts.
 var modePairs = []struct{ old, new, label string }{
-	{"fresh", "trie", "checkpoint trie"},
+	{"reference", "trie", "exact fast paths"},
 	{"trie", "trie+early-exit", "verdict-aware early exit"},
-	{"fresh", "trie+early-exit", "all layers"},
+	{"reference", "trie+early-exit", "all layers"},
 }
 
 // modeDiff prints the cross-mode speedup table for every benchmark in
